@@ -87,13 +87,21 @@ def closed_form_matrix(form: ClosedForm) -> ExactMatrix:
 
 
 def verify_closed_form(
-    form: ClosedForm, graph: WeightedGraph | None = None
+    form: ClosedForm,
+    graph: WeightedGraph | None = None,
+    report: AvgMixReport | None = None,
 ) -> bool:
     """Run the full exact pipeline and compare with the closed form.
 
     The path and cycle families build their own graphs; the pseudocyclic
-    form applies to an explicitly supplied class graph of valency m.
+    form applies to an explicitly supplied class graph of valency m.  A
+    report already computed for the form's matrix is compared directly
+    instead of running the pipeline again.
     """
+    if report is not None:
+        if report.n != form.n:
+            raise ValueError("report order does not match the closed form")
+        return report.mixing == closed_form_matrix(form)
     if form.family == "path_adjacency":
         matrix = matrix_of(path_graph(form.n))
     elif form.family == "path_laplacian":
@@ -231,14 +239,24 @@ class PstVerdict:
 
 
 def pst_necessary(
-    g: WeightedGraph, u: int, v: int, basis: str = "adjacency"
+    g: WeightedGraph,
+    u: int,
+    v: int,
+    basis: str = "adjacency",
+    report: AvgMixReport | None = None,
 ) -> PstVerdict:
-    """Gate a vertex pair through the strong cospectrality requirement."""
+    """Gate a vertex pair through the strong cospectrality requirement.
+
+    report, when given, must be the average mixing report of g in basis.
+    """
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise IndexError("vertex out of range")
     if u == v:
         raise ValueError("transfer needs two distinct vertices")
-    report = average_mixing(matrix_of(g, basis))
+    if report is None:
+        report = average_mixing(matrix_of(g, basis))
+    elif report.n != g.n:
+        raise ValueError("report order does not match the graph")
     columns = [report.mixing.column(w) for w in range(g.n)]
     no_pst = len(set(columns)) == g.n
     if columns[u] != columns[v]:

@@ -171,6 +171,10 @@ def _read_weights_file(path: str) -> WeightedGraph:
     if not isinstance(data, dict) or "weights" not in data:
         raise ValueError("matrix file must be a JSON object with 'weights'")
     weights = data["weights"]
+    if not isinstance(weights, list) or not all(
+        isinstance(row, list) for row in weights
+    ):
+        raise ValueError("matrix file 'weights' must be a list of rows")
     if "n" in data and len(weights) != data["n"]:
         raise ValueError("matrix file 'n' does not match the weight rows")
     return WeightedGraph.from_weights(weights)
@@ -289,6 +293,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             checks["closed_form"] = verify_closed_form(
                 form,
                 g if form.family == "pseudocyclic" else None,
+                report,
             )
     passed = all(checks.values())
     payload = {"checks": checks, "passed": passed}
@@ -307,7 +312,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     }
     if args.pair is not None:
         u, v = _parse_pair(args.pair, g.n)
-        verdict = pst_necessary(g, u, v, args.basis)
+        verdict = pst_necessary(g, u, v, args.basis, report)
         payload["pair"] = [u, v]
         payload["cospectral"] = are_cospectral(g, u, v, args.basis)
         payload["strongly_cospectral"] = are_strongly_cospectral(

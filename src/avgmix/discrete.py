@@ -11,105 +11,90 @@ of the forward-backward products U^t o U^-t, whose (u, v) entry is
 neither nonnegative nor stochastic.  The two agree exactly when U is
 symmetric.
 
-Both variants are computed exactly by the same trace-functional device
-used for continuous walks: idempotent entries become polynomials modulo
-the squarefree part of the characteristic polynomial, and sums over its
-roots become rational traces.  Complex eigenvalues need no special
-handling because every trace taken is a symmetric function of the
-roots.  Inverting y modulo the squarefree part realises the conjugate
-(= inverse) eigenvalue pairing without leaving rational arithmetic.
+Both limits run on the integer engine of `avgmix.mixing`.  With c the
+lcm of the entry denominators, V = cU is an integer matrix with the
+same idempotents (its eigenvalues are c theta_r), so the idempotent
+entries are (E_r)_{uv} = f_uv(c theta_r) w(c theta_r) for integer
+polynomials f_uv and w = 1/psi' modulo the squarefree part psi of the
+characteristic polynomial of V.  Sums over the roots of psi are traces,
+symmetric functions of the roots, so complex eigenvalues need no special
+handling:
+
+    literal  (u, v):  sum_r (E_r)_{uv} (E_r)_{uv},  the trace of f_uv f_uv w^2;
+    physical (u, v):  sum_r (E_r)_{uv} (E_r)_{vu},  the trace of f_uv f_vu w^2.
+
+The physical form uses that U, being real orthogonal, is normal, so
+every E_r is Hermitian and conj(E_r)_{uv} = (E_r)_{vu}.  Both are
+integer dot products over one shared denominator; `Fraction` appears
+only when the result is boxed into an `ExactMatrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
 from .exact import (
     ExactMatrix,
-    ExactPolynomial,
     char_poly,
-    compose_mod,
-    inverse_mod,
+    lcm_int,
     resolvent_coeffs,
     squarefree_part,
-    trace_mod,
 )
+from .mixing import _boxed, _check_mixing_invariants, _entry_numerator, _trace_form
 
-F = Fraction
 
-
-def _require_orthogonal(u: ExactMatrix) -> None:
+def _require_orthogonal(u: ExactMatrix) -> list[list[int]]:
+    """Check U^T U = I; returns the integer rows of cU, c the lcm of the
+    entry denominators, on which the check runs as V^T V = c^2 I."""
     if not u.is_square:
         raise ValueError("an orthogonal matrix must be square")
     n = u.nrows
-    if u.transpose() * u != ExactMatrix.identity(n):
-        raise ValueError("the matrix is not orthogonal")
-
-
-def _entry_polynomials(u: ExactMatrix):
-    """Shared setup: psi, the per-entry root-interpolants g_uv with
-    g_uv(theta_r) = (E_r)_{uv}, returned as a matrix of polynomials."""
-    psi = squarefree_part(char_poly(u))
-    coeffs = resolvent_coeffs(u, psi)
-    w = inverse_mod(psi.derivative(), psi)
-    n = u.nrows
-    table = [
-        [
-            (
-                ExactPolynomial(
-                    [b[row, col] for b in coeffs.matrices]
-                )
-                * w
-            )
-            % psi
-            for col in range(n)
-        ]
-        for row in range(n)
+    c = lcm_int(x.denominator for x in u.entries())
+    rows = [
+        [x.numerator * (c // x.denominator) for x in u.row(i)] for i in range(n)
     ]
-    return psi, table
+    cols = [list(col) for col in zip(*rows)]
+    c2 = c * c
+    for i in range(n):
+        for j in range(i, n):
+            if sum(map(mul, cols[i], cols[j])) != (c2 if i == j else 0):
+                raise ValueError("the matrix is not orthogonal")
+    return rows
 
 
 def avg_mixing_literal(u: ExactMatrix) -> ExactMatrix:
     """sum_r E_r o E_r, exactly; symmetric and rational, but its rows
     need not sum to 1 when U is not symmetric."""
-    _require_orthogonal(u)
-    psi, table = _entry_polynomials(u)
+    form = _trace_form(_require_orthogonal(u))
     n = u.nrows
-    rows = [
-        [trace_mod((g * g) % psi, psi) for g in row]
-        for row in table
-    ]
-    out = ExactMatrix(rows)
-    if not out.is_symmetric():
+    nums = []
+    for a in range(n):
+        row = []
+        for b in range(n):
+            f = form.entry_polynomial(a, b)
+            row.append(_entry_numerator(f, f, form.tau))
+        nums.append(row)
+    if any(nums[a][b] != nums[b][a] for a in range(n) for b in range(a + 1, n)):
         raise AssertionError("the literal average mixing matrix must be symmetric")
-    return out
+    return _boxed(nums, form.denom)
 
 
 def avg_mixing_physical(u: ExactMatrix) -> ExactMatrix:
     """sum_r E_r o conj(E_r), exactly: the Cesaro limit of the step
     mixing matrices, doubly stochastic with nonnegative entries."""
-    _require_orthogonal(u)
-    psi, table = _entry_polynomials(u)
+    form = _trace_form(_require_orthogonal(u))
     n = u.nrows
-    y_inverse = inverse_mod(ExactPolynomial.x(), psi)
-    rows = []
-    for row in table:
-        out_row = []
-        for g in row:
-            paired = compose_mod(g, y_inverse, psi)
-            out_row.append(trace_mod((g * paired) % psi, psi))
-        rows.append(out_row)
-    out = ExactMatrix(rows)
-    if not out.is_symmetric():
-        raise AssertionError("the average mixing matrix must be symmetric")
-    if any(x < 0 for x in out.entries()):
-        raise AssertionError("the average mixing matrix must be nonnegative")
-    if any(s != 1 for s in out.row_sums()):
-        raise AssertionError("the average mixing matrix must be doubly stochastic")
-    return out
+    nums = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(a, n):
+            nums[a][b] = nums[b][a] = _entry_numerator(
+                form.entry_polynomial(a, b), form.entry_polynomial(b, a), form.tau
+            )
+    _check_mixing_invariants(nums, form.denom)
+    return _boxed(nums, form.denom)
 
 
 # ---------------------------------------------------------------------------

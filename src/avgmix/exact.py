@@ -492,6 +492,18 @@ def _int_derivative(p: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
 
 
+def _int_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
+    """Product of integer polynomials."""
+    if not f or not g:
+        return []
+    out = [0] * (len(f) + len(g) - 1)
+    for i, a in enumerate(f):
+        if a:
+            for j, b in enumerate(g):
+                out[i + j] += a * b
+    return out
+
+
 def _int_prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f reduced mod g."""
     r = list(f)
@@ -646,12 +658,18 @@ def _int_disc(psi: Sequence[int]) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss fraction-free elimination."""
-    n = len(rows)
-    if n == 0:
-        return 1
-    work = [row[:] for row in rows]
+def _bareiss_forward(work: list[list[int]]) -> int:
+    """Bareiss fraction-free elimination of the leading square block, in place.
+
+    Rows may carry extra columns to the right (an augmented right-hand
+    side); they are eliminated along with the block.  Afterwards the
+    block is upper triangular, every division having been exact, and
+    its last diagonal entry is sign * det.  Returns the sign of the row
+    permutation applied, or 0 when a zero column shows the block is
+    singular before the last step.
+    """
+    n = len(work)
+    width = len(work[0])
     sign = 1
     prev = 1
     for k in range(n - 1):
@@ -668,10 +686,20 @@ def _bareiss_det(rows: list[list[int]]) -> int:
         for r in range(k + 1, n):
             row_r = work[r]
             factor = row_r[k]
-            for j in range(k + 1, n):
+            for j in range(k + 1, width):
                 row_r[j] = (pivot * row_r[j] - factor * row_k[j]) // prev
             row_r[k] = 0
         prev = pivot
+    return sign
+
+
+def _bareiss_det(rows: list[list[int]]) -> int:
+    """Determinant of an integer matrix by Bareiss fraction-free elimination."""
+    n = len(rows)
+    if n == 0:
+        return 1
+    work = [row[:] for row in rows]
+    sign = _bareiss_forward(work)
     return sign * work[n - 1][n - 1]
 
 
@@ -679,8 +707,10 @@ def _charpoly_int(rows: list[list[int]]) -> list[int]:
     """det(xI - M) for an integer matrix, ascending integer coefficients.
 
     Evaluates the determinant at n+1 integer points with Bareiss
-    elimination and recovers the coefficients by Newton interpolation;
-    the result is monic of degree n by construction.
+    elimination and recovers the coefficients by Newton interpolation.
+    Divided differences of an integer polynomial at integer nodes are
+    integers, so every division is exact and checked; the result must
+    come out monic of degree n.
     """
     n = len(rows)
     points: list[int] = []
@@ -696,27 +726,64 @@ def _charpoly_int(rows: list[list[int]]) -> list[int]:
         ]
         values.append(_bareiss_det(shifted))
     # Newton's divided differences, then Horner expansion to monomials
-    coeffs_nd = [Fraction(v) for v in values]
+    coeffs_nd = values
     for level in range(1, n + 1):
         for i in range(n, level - 1, -1):
-            coeffs_nd[i] = (coeffs_nd[i] - coeffs_nd[i - 1]) / (
-                points[i] - points[i - level]
+            q, r = divmod(
+                coeffs_nd[i] - coeffs_nd[i - 1], points[i] - points[i - level]
             )
-    poly = [Fraction(0)] * (n + 1)
+            if r:
+                raise ArithmeticError("interpolation did not produce integers")
+            coeffs_nd[i] = q
+    poly = [0] * (n + 1)
     for i in range(n, -1, -1):
-        new = [Fraction(0)] * (n + 1)
+        x = points[i]
         for j in range(n, 0, -1):
-            new[j] = poly[j - 1] - points[i] * poly[j]
-        new[0] = coeffs_nd[i] - points[i] * poly[0]
-        poly = new
-    out = []
-    for c in poly:
-        if c.denominator != 1:
-            raise ArithmeticError("interpolation did not produce integers")
-        out.append(c.numerator)
-    if not out or out[-1] != 1 or len(out) != n + 1:
+            poly[j] = poly[j - 1] - x * poly[j]
+        poly[0] = coeffs_nd[i] - x * poly[0]
+    if poly[-1] != 1:
         raise ArithmeticError("characteristic polynomial is not monic")
-    return out
+    return poly
+
+
+def _int_scaled_inverse(psi: Sequence[int], a: Sequence[int]) -> tuple[list[int], int]:
+    """t and d with t / d = 1 / a in Q[y]/(psi), psi monic, deg a < deg psi.
+
+    Multiplication by a on Z[y]/(psi) has the integer matrix whose
+    column k holds y^k a mod psi; its determinant is Res(psi, a).  A
+    fraction-free solve of that system against e_0 returns d = +-det
+    and t = d * a^-1, an integer vector by Cramer's rule; every division
+    of the back-substitution is exact and checked.
+    """
+    deg = len(psi) - 1
+    if deg < 1:
+        raise ValueError("modulus must have degree >= 1")
+    col = list(a) + [0] * (deg - len(a))
+    cols = []
+    for _ in range(deg):
+        cols.append(col)
+        top = col[-1]
+        col = [0] + col[:-1]
+        if top:
+            col = [c - top * p for c, p in zip(col, psi)]
+    work = [
+        [cols[k][i] for k in range(deg)] + [1 if i == 0 else 0]
+        for i in range(deg)
+    ]
+    d = work[-1][-2] if _bareiss_forward(work) else 0
+    if d == 0:
+        raise NonInvertibleError("the element shares a factor with the modulus")
+    t = [0] * deg
+    for i in range(deg - 1, -1, -1):
+        row = work[i]
+        acc = d * row[deg]
+        for j in range(i + 1, deg):
+            acc -= row[j] * t[j]
+        q, r = divmod(acc, row[i])
+        if r:
+            raise ArithmeticError("back-substitution was expected to be exact")
+        t[i] = q
+    return t, d
 
 
 def char_poly(m: ExactMatrix) -> ExactPolynomial:

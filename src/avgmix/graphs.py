@@ -22,6 +22,18 @@ class Graph6Error(ValueError):
         self.offset = offset
 
 
+def _integer_weight(w: object, i: int, j: int) -> int:
+    if not isinstance(w, bool):
+        try:
+            value = int(w)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if value == w:
+                return value
+    raise ValueError(f"weight at ({i}, {j}) is not an integer: {w!r}")
+
+
 @dataclass(frozen=True)
 class WeightedGraph:
     """Finite graph with symmetric integer edge weights and integer loops."""
@@ -47,7 +59,12 @@ class WeightedGraph:
 
     @classmethod
     def from_weights(cls, rows: Iterable[Iterable[int]]) -> "WeightedGraph":
-        data = tuple(tuple(int(w) for w in row) for row in rows)
+        """Graph from integer-valued weights; a bool, or a value that
+        int() would change (1.7, "2"), is rejected naming its cell."""
+        data = tuple(
+            tuple(_integer_weight(w, i, j) for j, w in enumerate(row))
+            for i, row in enumerate(rows)
+        )
         return cls(len(data), data)
 
     # -- basic structure ---------------------------------------------------

@@ -5,9 +5,9 @@ average mixing matrix is the Cesaro limit of |exp(itM)|^2 entrywise,
 
     Mhat = sum_r E_r schur E_r.
 
-Everything is computed over Q without ever representing an eigenvalue.
-With psi the minimal (squarefree characteristic) polynomial of M, the
-entries of E_r are values of rational polynomials at the roots of psi:
+Everything is computed without ever representing an eigenvalue.  With
+psi the minimal (squarefree characteristic) polynomial of M, the entries
+of E_r are values of integer polynomials at the roots of psi:
 Phi(M, y) = sum_j B_j y^j satisfies Phi(M, theta_r) = psi'(theta_r) E_r,
 so with w the inverse of psi' mod psi,
 
@@ -19,26 +19,41 @@ trace of y^k w(y)^2, each entry is an integer dot product
 
     Mhat[u][v] = sum_k (f_uv^2)_k tau_k
 
-against a precomputed rational vector, identical to reducing mod psi and
-applying the trace because evaluation at a root is a ring homomorphism.
-Entries only share read-only precomputed state, so distinct entries may
-be computed concurrently in any order.
+against a precomputed vector, identical to reducing mod psi and applying
+the trace because evaluation at a root is a ring homomorphism.
+
+All of it runs in integers over one shared denominator.  A fraction-free
+solve of the multiplication-by-psi' system gives t = D w with integer
+coefficients, D = +-disc(psi); then w^2 = (t^2 mod psi) / D^2, the
+weights tau_k become integers over one denominator, and so does every
+entry.  Invariants and integrality certificates are checked on the
+integer numerators; `Fraction` appears only when the result is boxed
+into an `ExactMatrix`.  The discrete walks of `avgmix.discrete` run on
+the same engine.  Entries only share read-only precomputed state, so
+distinct entries may be computed concurrently in any order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
+from typing import NamedTuple, Sequence
 
 from .exact import (
     ExactMatrix,
     ExactPolynomial,
+    NotAnnihilatingError,
     _charpoly_int,
+    _int_content,
     _int_derivative,
     _int_disc,
+    _int_mul,
     _int_power_sums,
+    _int_prem,
+    _int_scaled_inverse,
     _int_squarefree,
-    inverse_mod,
     lcm_int,
 )
 
@@ -76,23 +91,104 @@ class AvgMixReport:
         return self.mixing.nrows
 
 
-def _entry_numerator(f: list[int], weights: list[int]) -> int:
-    """Dot product of the coefficients of f^2 with the trace weights."""
-    m = len(f)
-    total = 0
-    for k in range(2 * m - 1):
-        lo = max(0, k - m + 1)
-        hi = k // 2
-        acc = 0
-        for i in range(lo, hi + 1):
-            j = k - i
-            if i == j:
-                acc += f[i] * f[i]
-            else:
-                acc += 2 * f[i] * f[j]
-        if acc:
-            total += acc * weights[k]
-    return total
+def _entry_numerator(f: list[int], g: list[int], weights: list[int]) -> int:
+    """Dot product of the coefficients of f * g with the trace weights."""
+    return sum(map(mul, _int_mul(f, g), weights))
+
+
+def _resolvent_int(rows: list[list[int]], psi: Sequence[int]) -> list[list[list[int]]]:
+    """B_0..B_{deg-1} of Phi(M, y) = sum_j B_j y^j for an integer matrix M.
+
+    Horner on the matrix: B_{deg-1} = I and B_{j-1} = M B_j + psi_j I.
+    The step past B_0 rebuilds psi(M), which must vanish.
+    """
+    n = len(rows)
+    deg = len(psi) - 1
+    sparse = [[(j, w) for j, w in enumerate(row) if w] for row in rows]
+
+    def step(current: list[list[int]], c: int) -> list[list[int]]:
+        nxt = []
+        for i in range(n):
+            acc_row = [0] * n
+            for t, w in sparse[i]:
+                brow = current[t]
+                for k in range(n):
+                    acc_row[k] += w * brow[k]
+            acc_row[i] += c
+            nxt.append(acc_row)
+        return nxt
+
+    current = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    mats = [current]
+    for j in range(deg - 1, 0, -1):
+        current = step(current, psi[j])
+        mats.append(current)
+    if any(any(row) for row in step(current, psi[0])):
+        raise NotAnnihilatingError("psi(M) != 0")
+    mats.reverse()
+    return mats
+
+
+class _TraceForm(NamedTuple):
+    """The shared integer state of an integer matrix M.
+
+    The entry (u, v) of E_r is f_uv(theta_r) w(theta_r) with
+    f_uv = sum_j resolvent[j][u][v] y^j, and for integer polynomials f, g
+    of degree below deg psi,
+
+        sum_r (f g w^2)(theta_r) = _entry_numerator(f, g, tau) / denom.
+    """
+
+    char_poly: list[int]
+    min_poly: list[int]
+    disc_char: int
+    disc_min: int
+    resolvent: list[list[list[int]]]
+    tau: list[int]
+    denom: int
+
+    def entry_polynomial(self, u: int, v: int) -> list[int]:
+        return [b[u][v] for b in self.resolvent]
+
+
+def _trace_form(rows: list[list[int]]) -> _TraceForm:
+    """Char poly, minimal polynomial, resolvent and trace weights of M."""
+    n = len(rows)
+    phi = _charpoly_int(rows)
+    psi = _int_squarefree(phi)
+    deg = len(psi) - 1
+    disc_char = _int_disc(phi)
+    disc_min = disc_char if deg == n else _int_disc(psi)
+    mats = _resolvent_int(rows, psi)
+
+    # t / d = w = 1/psi' in Q[y]/(psi), so w^2 = (t^2 mod psi) / d^2
+    t, d = _int_scaled_inverse(psi, _int_derivative(psi))
+    if d * d != disc_min * disc_min:
+        raise AssertionError("the pivot of the psi' system must be +-disc(psi)")
+    t2 = _int_prem(_int_mul(t, t), psi)
+    d2 = d * d
+    g = math.gcd(d2, _int_content(t2))
+    denom = d2 // g
+    w2_int = [c // g for c in t2] + [0] * (deg - len(t2))
+    sums = _int_power_sums(psi, 3 * deg - 3 if deg > 1 else 0)
+    tau_num = [
+        sum(w2_int[j] * sums[j + k] for j in range(deg) if w2_int[j])
+        for k in range(2 * deg - 1)
+    ]
+    return _TraceForm(phi, psi, disc_char, disc_min, mats, tau_num, denom)
+
+
+def _boxed(nums: list[list[int]], denom: int) -> ExactMatrix:
+    """The symmetric rational matrix nums / denom; each off-diagonal
+    Fraction is built once and shared between (u, v) and (v, u)."""
+    n = len(nums)
+    entries: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(u, n):
+            value = Fraction(nums[u][v], denom)
+            entries[u][v] = value
+            entries[v][u] = value
+    return ExactMatrix(entries)
 
 
 def average_mixing(m: ExactMatrix) -> AvgMixReport:
@@ -106,97 +202,64 @@ def average_mixing(m: ExactMatrix) -> AvgMixReport:
     n = m.nrows
     rows = [[int(m[i, j]) for j in range(n)] for i in range(n)]
 
-    phi = _charpoly_int(rows)
-    psi = _int_squarefree(phi)
-    deg = len(psi) - 1
-    disc_char = _int_disc(phi)
-    disc_min = disc_char if deg == n else _int_disc(psi)
-
-    # B_{deg-1} = I, B_{j-1} = M B_j + psi_j I  (Horner on the matrix)
-    adjacency = [
-        [(j, w) for j, w in enumerate(row) if w] for row in rows
-    ]
-    current = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    mats = [current]
-    for j in range(deg - 1, 0, -1):
-        c = psi[j]
-        nxt = []
-        for i in range(n):
-            acc_row = [0] * n
-            for t, w in adjacency[i]:
-                brow = current[t]
-                for k in range(n):
-                    acc_row[k] += w * brow[k]
-            acc_row[i] += c
-            nxt.append(acc_row)
-        current = nxt
-        mats.append(current)
-    mats.reverse()
-
-    # w = 1/psi' in Q[y]/(psi); tau_k = trace of y^k w^2 over the roots
-    psi_poly = ExactPolynomial(psi)
-    w = inverse_mod(ExactPolynomial(_int_derivative(psi)), psi_poly)
-    w2 = (w * w) % psi_poly
-    denom = lcm_int(c.denominator for c in w2.coeffs) if not w2.is_zero() else 1
-    w2_int = [0] * deg
-    for j, c in enumerate(w2.coeffs):
-        w2_int[j] = int(c * denom)
-    sums = _int_power_sums(psi, 3 * deg - 3 if deg > 1 else 0)
-    tau_num = [
-        sum(w2_int[j] * sums[j + k] for j in range(deg) if w2_int[j])
-        for k in range(2 * deg - 1)
-    ]
-
-    entries: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
+    form = _trace_form(rows)
+    denom = form.denom
+    nums = [[0] * n for _ in range(n)]
     for u in range(n):
         for v in range(u, n):
-            f = [mats[j][u][v] for j in range(deg)]
-            value = Fraction(_entry_numerator(f, tau_num), denom)
-            entries[u][v] = value
-            entries[v][u] = value
+            f = form.entry_polynomial(u, v)
+            nums[u][v] = nums[v][u] = _entry_numerator(f, f, form.tau)
 
-    mixing = ExactMatrix(entries)
-    _check_mixing_invariants(mixing)
-    simple = disc_char != 0
+    _check_mixing_invariants(nums, denom)
+    common = 0
+    for row in nums:
+        for x in row:
+            common = math.gcd(common, x)
+    common_denominator = denom // math.gcd(denom, common)
+    simple = form.disc_char != 0
+    certificates = _certify(
+        common_denominator, form.disc_min, form.disc_char, simple
+    )
     return AvgMixReport(
-        mixing=mixing,
-        min_poly=ExactPolynomial(psi),
-        char_poly=ExactPolynomial(phi),
-        disc_min=Fraction(disc_min),
-        disc_char=Fraction(disc_char),
+        mixing=_boxed(nums, denom),
+        min_poly=ExactPolynomial(form.min_poly),
+        char_poly=ExactPolynomial(form.char_poly),
+        disc_min=Fraction(form.disc_min),
+        disc_char=Fraction(form.disc_char),
         simple_spectrum=simple,
-        common_denominator=lcm_int(x.denominator for x in mixing.entries()),
-        certificates=_certify(mixing, disc_min, disc_char, simple),
+        common_denominator=common_denominator,
+        certificates=certificates,
     )
 
 
-def _check_mixing_invariants(mixing: ExactMatrix) -> None:
+def _check_mixing_invariants(nums: list[list[int]], denom: int) -> None:
+    """Entries nums / denom: nonnegative, rows summing to 1, symmetric."""
     # guaranteed by the algebra; a violation means the pipeline is broken
-    for row in mixing.to_lists():
-        for x in row:
-            if x < 0:
-                raise AssertionError("average mixing entry below zero")
-    if any(s != 1 for s in mixing.row_sums()):
+    for row in nums:
+        if min(row) < 0:
+            raise AssertionError("average mixing entry below zero")
+    if any(sum(row) != denom for row in nums):
         raise AssertionError("average mixing row sum differs from 1")
-    if not mixing.is_symmetric():
+    n = len(nums)
+    if any(nums[u][v] != nums[v][u] for u in range(n) for v in range(u + 1, n)):
         raise AssertionError("average mixing matrix is not symmetric")
 
 
 def _certify(
-    mixing: ExactMatrix, d_min: int, d_char: int, simple: bool
+    denominator: int, d_min: int, d_char: int, simple: bool
 ) -> IntegralityCertificates:
-    denoms = [x.denominator for x in mixing.entries()]
-    d2 = d_min * d_min
-    d2_ok = all(d2 % q == 0 for q in denoms)
+    """Certificates from the lcm of the reduced entry denominators: every
+    entry denominator divides X exactly when that lcm divides X."""
+    d2_ok = (d_min * d_min) % denominator == 0
     if not d2_ok:
         raise AssertionError("D^2 Mhat must be integral")
     if simple:
-        simple_ok = all(d_char % q == 0 for q in denoms)
+        simple_ok = d_char % denominator == 0
         if not simple_ok:
             raise AssertionError("D Mhat must be integral for simple spectra")
     else:
         simple_ok = True  # vacuous
-    minpoly_ok = all(d_min % q == 0 for q in denoms)
+    minpoly_ok = d_min % denominator == 0
     return IntegralityCertificates(d2_ok, simple_ok, minpoly_ok)
 
 
@@ -208,7 +271,7 @@ def certify_integrality(report: AvgMixReport) -> IntegralityCertificates:
     repeated spectra carries no guarantee and is reported as observed.
     """
     return _certify(
-        report.mixing,
+        lcm_int(x.denominator for x in report.mixing.entries()),
         int(report.disc_min),
         int(report.disc_char),
         report.simple_spectrum,

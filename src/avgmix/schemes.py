@@ -124,21 +124,30 @@ def _axiom_b(matrices: list[ExactMatrix], out: list[SchemeViolation]) -> None:
             )
 
 
-def _axiom_c(matrices: list[ExactMatrix], out: list[SchemeViolation]) -> None:
+def _axiom_c(
+    matrices: list[ExactMatrix], out: list[SchemeViolation]
+) -> list[list[ExactMatrix]]:
+    """Record non-commuting pairs; returns every product A_i A_j for axiom (d)."""
+    products = [[a * b for b in matrices] for a in matrices]
     for i in range(len(matrices)):
         for j in range(i + 1, len(matrices)):
-            if matrices[i] * matrices[j] != matrices[j] * matrices[i]:
+            if products[i][j] != products[j][i]:
                 out.append(
                     SchemeViolation(
                         "c", (i, j), f"classes {i} and {j} do not commute"
                     )
                 )
+    return products
 
 
-def _axiom_d(matrices: list[ExactMatrix], out: list[SchemeViolation]) -> None:
+def _axiom_d(
+    matrices: list[ExactMatrix],
+    products: list[list[ExactMatrix]],
+    out: list[SchemeViolation],
+) -> None:
     for i in range(len(matrices)):
         for j in range(len(matrices)):
-            product = matrices[i] * matrices[j]
+            product = products[i][j]
             if not matrix_in_span(product, matrices):
                 detail = (
                     f"the product of classes {i} and {j} is not a linear "
@@ -238,8 +247,8 @@ def verify_scheme(
     violations: list[SchemeViolation] = []
     _axiom_a(matrices, violations)
     _axiom_b(matrices, violations)
-    _axiom_c(matrices, violations)
-    _axiom_d(matrices, violations)
+    products = _axiom_c(matrices, violations)
+    _axiom_d(matrices, products, violations)
     if violations:
         return SchemeReport(False, tuple(violations), None)
 

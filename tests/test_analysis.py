@@ -269,6 +269,21 @@ def test_pst_gate_validation():
         pst_necessary(path_graph(3), 0, 5)
 
 
+def test_pst_gate_and_closed_form_reuse_a_report():
+    g = path_graph(5)
+    report = average_mixing(matrix_of(g))
+    for u, v in [(0, 4), (0, 1)]:
+        assert pst_necessary(g, u, v, report=report) == pst_necessary(g, u, v)
+    assert verify_closed_form(ClosedForm("path_adjacency", 5), report=report)
+    odd = average_mixing(matrix_of(cycle_graph(5)))
+    assert not verify_closed_form(ClosedForm("path_adjacency", 5), report=odd)
+    other = average_mixing(matrix_of(path_graph(4)))
+    with pytest.raises(ValueError):
+        pst_necessary(g, 0, 1, report=other)
+    with pytest.raises(ValueError):
+        verify_closed_form(ClosedForm("path_adjacency", 5), report=other)
+
+
 # ---------------------------------------------------------------------------
 # span classification
 # ---------------------------------------------------------------------------

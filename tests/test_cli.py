@@ -70,6 +70,36 @@ def test_compute_matrix_file(tmp_path, capsys):
     assert all(sum(row) == 1 for row in rows)
 
 
+@pytest.mark.parametrize("weight", [1.7, True])
+def test_compute_matrix_file_rejects_non_integer_weight(tmp_path, capsys, weight):
+    path = tmp_path / "g.json"
+    path.write_text(
+        json.dumps({"n": 3, "weights": [[0, weight, 0], [weight, 0, 1], [0, 1, 0]]})
+    )
+    code, out, err = run(capsys, "compute", "--matrix-file", str(path))
+    assert code == 2
+    assert out == ""
+    assert "(0, 1)" in err
+
+
+@pytest.mark.parametrize("weights", [[1, 2], 5])
+def test_compute_matrix_file_rejects_malformed_rows(tmp_path, capsys, weights):
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"weights": weights}))
+    code, out, err = run(capsys, "compute", "--matrix-file", str(path))
+    assert code == 2
+    assert "list of rows" in err
+
+
+def test_compute_matrix_file_accepts_integer_valued_floats(tmp_path, capsys):
+    ints = [[0, 2, 0], [2, 0, 1], [0, 1, 0]]
+    path = tmp_path / "g.json"
+    path.write_text(json.dumps({"weights": [[float(w) for w in row] for row in ints]}))
+    from_floats = run_json(capsys, "compute", "--matrix-file", str(path))
+    path.write_text(json.dumps({"weights": ints}))
+    assert from_floats == run_json(capsys, "compute", "--matrix-file", str(path))
+
+
 def test_compute_json_matrix_round_trips(capsys):
     payload = run_json(capsys, "compute", "--family", "path:6",
                        "--loops", "0=2,5=2")

@@ -13,7 +13,16 @@ from avgmix.discrete import (
     cesaro_error_bound,
     cesaro_partial,
 )
-from avgmix.exact import ExactMatrix
+from avgmix.exact import (
+    ExactMatrix,
+    ExactPolynomial,
+    char_poly,
+    compose_mod,
+    inverse_mod,
+    resolvent_coeffs,
+    squarefree_part,
+    trace_mod,
+)
 
 F = Fraction
 
@@ -160,6 +169,49 @@ def test_walk_wrapper_validates_and_delegates():
 # ---------------------------------------------------------------------------
 # structural properties on a seeded corpus
 # ---------------------------------------------------------------------------
+
+
+def rational_reference(u: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """(literal, physical) through Q[y]/(psi) with the rational operations:
+    g_uv = (f_uv w) mod psi interpolates (E_r)_uv, and the conjugate
+    eigenvalue is paired in by composing with y^-1 mod psi."""
+    psi = squarefree_part(char_poly(u))
+    rc = resolvent_coeffs(u, psi)
+    w = inverse_mod(psi.derivative(), psi)
+    y_inverse = inverse_mod(ExactPolynomial.x(), psi)
+    n = u.nrows
+    literal = [[F(0)] * n for _ in range(n)]
+    physical = [[F(0)] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            g = (ExactPolynomial([m[a, b] for m in rc.matrices]) * w) % psi
+            literal[a][b] = trace_mod((g * g) % psi, psi)
+            paired = compose_mod(g, y_inverse, psi)
+            physical[a][b] = trace_mod((g * paired) % psi, psi)
+    return ExactMatrix(literal), ExactMatrix(physical)
+
+
+def test_integer_engine_matches_rational_reference():
+    rng = random.Random(96)
+    cases = [rotation_345(), orthogonal_third(), ExactMatrix.identity(4)]
+    cases += [signed_permutation(rng, n) for n in (3, 5, 6, 6)]
+    cases += [symmetric_signed_permutation(rng, n) for n in (4, 6)]
+    # a rotation block next to fixed points: eigenvalues 3/5 +- 4i/5, 1, 1
+    r = rotation_345()
+    cases.append(
+        ExactMatrix(
+            [
+                [r[0, 0], r[0, 1], 0, 0],
+                [r[1, 0], r[1, 1], 0, 0],
+                [0, 0, 1, 0],
+                [0, 0, 0, 1],
+            ]
+        )
+    )
+    for u in cases:
+        literal, physical = rational_reference(u)
+        assert avg_mixing_literal(u) == literal
+        assert avg_mixing_physical(u) == physical
 
 
 def test_physical_invariants_on_signed_permutations():

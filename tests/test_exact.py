@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgmix.exact import (
     ExactMatrix,
@@ -27,7 +29,9 @@ from avgmix.exact import (
     resolvent_coeffs,
     squarefree_part,
     trace_mod,
+    _charpoly_int,
     _int_resultant,
+    _int_scaled_inverse,
 )
 
 F = Fraction
@@ -201,6 +205,29 @@ class TestCharPoly:
         assert char_poly(m) == poly(0, 0, 1)
 
 
+square_integer_rows = st.integers(1, 7).flatmap(
+    lambda n: st.lists(
+        st.lists(st.integers(-9, 9), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    )
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_integer_rows, st.lists(st.integers(-20, 20), min_size=1, max_size=4))
+def test_charpoly_int_matches_determinant(rows, points):
+    # no symmetry assumed; det(xI - M) by rational elimination is the reference
+    coeffs = _charpoly_int(rows)
+    n = len(rows)
+    assert len(coeffs) == n + 1 and coeffs[-1] == 1
+    for x in points:
+        shifted = ExactMatrix(
+            [[(x if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)]
+        )
+        assert sum(c * x**k for k, c in enumerate(coeffs)) == shifted.determinant()
+
+
 # ---------------------------------------------------------------------------
 # squarefree parts and discriminants
 # ---------------------------------------------------------------------------
@@ -325,6 +352,24 @@ class TestModular:
             w = inverse_mod(a, m)
             assert (a * w) % m == ExactPolynomial.one()
             assert w.degree < m.degree
+
+    def test_scaled_inverse_matches_inverse_mod(self):
+        # t / d is the inverse, d = +-Res(psi, a), and a shared factor raises
+        rng = random.Random(31)
+        for _ in range(40):
+            deg = rng.randint(1, 7)
+            psi = [rng.randint(-5, 5) for _ in range(deg)] + [1]
+            a = [rng.randint(-5, 5) for _ in range(rng.randint(1, deg))]
+            if not any(a):
+                continue
+            if poly_gcd(ExactPolynomial(a), ExactPolynomial(psi)).degree > 0:
+                with pytest.raises(NonInvertibleError):
+                    _int_scaled_inverse(psi, a)
+                continue
+            t, d = _int_scaled_inverse(psi, a)
+            assert abs(d) == abs(_int_resultant(psi, a))
+            w = inverse_mod(ExactPolynomial(a), ExactPolynomial(psi))
+            assert ExactPolynomial([F(c, d) for c in t]) == w
 
     def test_power_sums_examples(self):
         assert power_sums(poly(-1, 0, 1), 2) == [2, 0, 2]

@@ -13,16 +13,20 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgmix.exact import (
     ExactMatrix,
     ExactPolynomial,
+    char_poly,
     inverse_mod,
     resolvent_coeffs,
     squarefree_part,
     trace_mod,
 )
 from avgmix.graphs import (
+    WeightedGraph,
     add_loops,
     complete_graph,
     cycle_graph,
@@ -30,6 +34,8 @@ from avgmix.graphs import (
     path_graph,
 )
 from avgmix.mixing import (
+    _certify,
+    _check_mixing_invariants,
     average_mixing,
     certify_integrality,
     minpoly_integrality_counterexamples,
@@ -64,6 +70,52 @@ def random_symmetric(rng, n, lo=-3, hi=3):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = rng.randint(lo, hi)
     return ExactMatrix(rows)
+
+
+def random_weighted_graph(rng, n, wmax):
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            if rng.random() < 0.5:
+                rows[i][j] = rows[j][i] = rng.randint(1, wmax)
+    return WeightedGraph.from_weights(rows)
+
+
+def literal_trace_mixing(m):
+    """sum_r E_r o E_r entry by entry through Q[y]/(psi): the rational
+    reference route, independent of the integer trace weights."""
+    n = m.nrows
+    psi = squarefree_part(char_poly(m))
+    rc = resolvent_coeffs(m, psi)
+    w = inverse_mod(psi.derivative(), psi)
+    rows = [[F(0)] * n for _ in range(n)]
+    for u in range(n):
+        for v in range(n):
+            f = ExactPolynomial([bj[u, v] for bj in rc.matrices])
+            rows[u][v] = trace_mod(((f * w) * (f * w)) % psi, psi)
+    return ExactMatrix(rows)
+
+
+def _symmetric_from_upper(n, xs):
+    it = iter(xs)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(it)
+    return ExactMatrix(rows)
+
+
+symmetric_integer_matrices = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.integers(-5, 5), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
+    ).map(lambda xs: _symmetric_from_upper(n, xs))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(symmetric_integer_matrices)
+def test_integer_engine_matches_rational_reference(m):
+    assert average_mixing(m).mixing == literal_trace_mixing(m)
 
 
 class TestKnownValues:
@@ -179,6 +231,19 @@ class TestStrongCospectralKernel:
 
 
 class TestInvariants:
+    def test_hard_checks_raise_on_broken_numerators(self):
+        # numerator tables over one denominator, as the engine checks them
+        _check_mixing_invariants([[1, 1], [1, 1]], 2)
+        for table in ([[3, -1], [-1, 3]], [[1, 1], [1, 2]], [[1, 1], [0, 2]]):
+            with pytest.raises(AssertionError):
+                _check_mixing_invariants(table, 2)
+        assert _certify(4, 2, 2, False).d2_integral
+        with pytest.raises(AssertionError):
+            _certify(8, 2, 2, True)  # D^2 = 4 does not clear 8
+        with pytest.raises(AssertionError):
+            _certify(4, 2, 6, True)  # D_char = 6 does not clear 4
+        assert not _certify(4, 2, 0, False).d_integral_minpoly
+
     def test_row_sums_symmetry_nonnegativity(self):
         rng = random.Random(51)
         for _ in range(12):
@@ -193,23 +258,24 @@ class TestInvariants:
             assert r.min_poly.at_matrix(m).is_zero()
 
     def test_matches_literal_trace_formula(self):
-        # the production path precomputes the trace form; re-derive a few
-        # entries with the public operations and compare exactly
+        # the production path precomputes the trace form over one integer
+        # denominator; re-derive every entry with the rational reference
+        # operations (inverse_mod, trace_mod) and compare exactly
         rng = random.Random(53)
-        for _ in range(6):
-            n = rng.randint(2, 5)
-            m = random_symmetric(rng, n)
-            r = average_mixing(m)
-            psi = r.min_poly
-            rc = resolvent_coeffs(m, psi)
-            w = inverse_mod(psi.derivative(), psi)
-            for u in range(n):
-                for v in range(u, n):
-                    f = ExactPolynomial(
-                        [bj[u, v] for bj in rc.matrices]
-                    )
-                    h = ((f * w) * (f * w)) % psi
-                    assert trace_mod(h, psi) == r.mixing[u, v]
+        cases = [random_symmetric(rng, rng.randint(2, 5)) for _ in range(6)]
+        for n in (6, 7, 8):
+            g = random_weighted_graph(rng, n, wmax=5)
+            cases.append(matrix_of(add_loops(g, {0: rng.randint(1, 5)})))
+            cases.append(matrix_of(g, "laplacian"))
+        # repeated spectra, both bases
+        cases += [matrix_of(cycle_graph(n)) for n in (6, 7, 8)]
+        cases += [matrix_of(cycle_graph(8), "laplacian")]
+        cases += [matrix_of(complete_graph(n)) for n in (4, 5)]
+        cases += [matrix_of(complete_graph(6), "laplacian")]
+        # deg psi = 1: a single vertex and an empty graph
+        cases += [ExactMatrix([[3]]), ExactMatrix.zeros(5)]
+        for m in cases:
+            assert average_mixing(m).mixing == literal_trace_mixing(m)
 
     def test_matches_numeric_oracle(self):
         rng = random.Random(57)
