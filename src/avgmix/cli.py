@@ -5,13 +5,15 @@ family descriptor, a graph6 string, or a JSON weight matrix; results go
 out as JSON (exact "p/q" strings), CSV (12 significant digits, marked
 approximate), or an aligned text table.  Exit status: 0 on success, 1
 when a requested verification fails, 2 on unusable input, 3 when an
-internal invariant is violated.
+internal invariant is violated, 141 when the reader of stdout went away
+(as a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -165,16 +167,19 @@ def _parse_loops(text: str) -> dict[int, int]:
     return out
 
 
+def _require_rows(value, what: str) -> list[list]:
+    """value itself, once it is known to be a JSON list of lists."""
+    if not isinstance(value, list) or not all(isinstance(row, list) for row in value):
+        raise ValueError(f"{what} must be a list of rows")
+    return value
+
+
 def _read_weights_file(path: str) -> WeightedGraph:
     with open(path) as handle:
         data = json.load(handle)
     if not isinstance(data, dict) or "weights" not in data:
         raise ValueError("matrix file must be a JSON object with 'weights'")
-    weights = data["weights"]
-    if not isinstance(weights, list) or not all(
-        isinstance(row, list) for row in weights
-    ):
-        raise ValueError("matrix file 'weights' must be a list of rows")
+    weights = _require_rows(data["weights"], "matrix file 'weights'")
     if "n" in data and len(weights) != data["n"]:
         raise ValueError("matrix file 'n' does not match the weight rows")
     return WeightedGraph.from_weights(weights)
@@ -185,7 +190,7 @@ def _read_unitary_file(path: str) -> ExactMatrix:
         data = json.load(handle)
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError("unitary file must be a JSON object with 'entries'")
-    entries = data["entries"]
+    entries = _require_rows(data["entries"], "unitary file 'entries'")
     rows = [[Fraction(str(x)) for x in row] for row in entries]
     if "n" in data and len(rows) != data["n"]:
         raise ValueError("unitary file 'n' does not match the entry rows")
@@ -202,6 +207,10 @@ def _read_scheme_file(path: str) -> list[ExactMatrix]:
             "scheme file must be a JSON list of 0/1 matrices "
             "(or an object with 'matrices')"
         )
+    for k, rows in enumerate(data):
+        _require_rows(rows, f"scheme file matrix {k}")
+        if any(type(x) is not int for row in rows for x in row):
+            raise ValueError(f"scheme file matrix {k} must have integer entries")
     return [ExactMatrix(rows) for rows in data]
 
 
@@ -496,7 +505,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # the reader left (`avgmix ... | head`): send what is still buffered
+        # to devnull so the flush at exit cannot fail again, and exit the
+        # way a process killed by SIGPIPE does
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 141  # 128 + SIGPIPE
     except (ValueError, OSError, Graph6Error, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

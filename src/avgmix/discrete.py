@@ -27,23 +27,31 @@ The physical form uses that U, being real orthogonal, is normal, so
 every E_r is Hermitian and conj(E_r)_{uv} = (E_r)_{vu}.  Both are
 integer dot products over one shared denominator; `Fraction` appears
 only when the result is boxed into an `ExactMatrix`.
+
+The Cesaro error bound needs the idempotents themselves, in floats.  It
+evaluates the same integer resolvent, without the trace weights, at the
+roots theta_r of the monic psi_V(c y) / c^deg.  Each coefficient is
+scaled by an exact integer division (psi_k / c^(deg-k), B_j /
+c^(deg-1-j)), so every float has size about 1 even when c^deg does not
+fit a float.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
 
-from .exact import (
-    ExactMatrix,
-    char_poly,
-    lcm_int,
-    resolvent_coeffs,
-    squarefree_part,
+from .exact import ExactMatrix, lcm_int
+from .mixing import (
+    _boxed,
+    _check_mixing_invariants,
+    _entry_numerator,
+    _resolvent_form,
+    _trace_form,
 )
-from .mixing import _boxed, _check_mixing_invariants, _entry_numerator, _trace_form
 
 
 def _require_orthogonal(u: ExactMatrix) -> list[list[int]]:
@@ -121,18 +129,25 @@ def cesaro_partial(u: ExactMatrix, steps: int) -> np.ndarray:
     return total / steps
 
 
-def _numeric_idempotents(u: ExactMatrix):
-    """Projectors E_r from the exact resolvent at numeric roots of psi."""
-    psi = squarefree_part(char_poly(u))
-    coeffs = resolvent_coeffs(u, psi)
-    mats = [np.array(b.to_float(), dtype=complex) for b in coeffs.matrices]
-    roots = np.roots([float(c) for c in reversed(psi.coeffs)])
-    derivative = psi.derivative()
+def _numeric_idempotents(rows: list[list[int]]):
+    """Roots theta_r of psi and the projectors E_r of U, from the integer
+    resolvent of V = cU evaluated at the roots of psi_V(c y) / c^deg."""
+    _, psi, resolvent = _resolvent_form(rows)
+    deg = len(psi) - 1
+    # V^T V = c^2 I, so the first row of V has norm c
+    c = math.isqrt(sum(x * x for x in rows[0]))
+    # exact int true division keeps every float of size about 1, where
+    # c^deg itself may not fit a float
+    coeffs = [psi[k] / c ** (deg - k) for k in range(deg + 1)]
+    derivative = [k * psi[k] / c ** (deg - k) for k in range(1, deg + 1)]
+    mats = []
+    for j, b in enumerate(resolvent):
+        scale = c ** (deg - 1 - j)
+        mats.append(np.array([[x / scale for x in row] for row in b], dtype=complex))
+    roots = np.roots(coeffs[::-1])
     projectors = []
     for theta in roots:
-        value = sum(
-            complex(c) * theta**k for k, c in enumerate(derivative.coeffs)
-        )
+        value = sum(complex(a) * theta**k for k, a in enumerate(derivative))
         total = sum(mats[k] * theta**k for k in range(len(mats)))
         projectors.append(total / value)
     return roots, projectors
@@ -146,10 +161,10 @@ def cesaro_error_bound(u: ExactMatrix, steps: int) -> float:
     geometric sum of ratio theta_r / theta_s, bounded entrywise by
     2 max|E_r o E_s| / (N |1 - theta_r / theta_s|).
     """
-    _require_orthogonal(u)
+    rows = _require_orthogonal(u)
     if steps < 1:
         raise ValueError("the number of steps must be positive")
-    roots, projectors = _numeric_idempotents(u)
+    roots, projectors = _numeric_idempotents(rows)
     bound = 0.0
     for r in range(len(roots)):
         for s in range(len(roots)):

@@ -146,14 +146,6 @@ class ExactMatrix:
         c = _as_fraction(other)
         return ExactMatrix([[c * a for a in row] for row in self._rows])
 
-    def __pow__(self, k: int) -> "ExactMatrix":
-        if not self.is_square or k < 0:
-            raise ValueError("matrix power needs a square base and k >= 0")
-        result = ExactMatrix.identity(self.nrows)
-        for _ in range(k):
-            result = result * self
-        return result
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -991,14 +983,17 @@ def lcm_int(values: Iterable[int]) -> int:
     return out
 
 
-def matrix_in_span(target: ExactMatrix, basis: Sequence[ExactMatrix]) -> bool:
-    """Exact consistency of sum_i x_i B_i = T by Gaussian elimination."""
-    rows = [
-        [b[i, j] for b in basis] + [target[i, j]]
-        for i in range(target.nrows)
-        for j in range(target.ncols)
-    ]
-    cols = len(basis)
+def _rows_in_span(rows: Iterable[Sequence[Scalar]]) -> bool:
+    """Exact consistency of the linear system with the given augmented rows.
+
+    Each row holds the coefficients of one equation followed by its right
+    hand side.  Duplicate rows are dropped first: the distinct rows span
+    the same row space, so the answer cannot change, and a system built
+    from few distinct values (a span test over 0/1 classes) shrinks to a
+    handful of rows before the Gaussian elimination runs.
+    """
+    rows = [list(map(Fraction, row)) for row in dict.fromkeys(map(tuple, rows))]
+    cols = len(rows[0]) - 1
     pivot = 0
     for col in range(cols):
         hit = next(
@@ -1014,3 +1009,12 @@ def matrix_in_span(target: ExactMatrix, basis: Sequence[ExactMatrix]) -> bool:
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot])]
         pivot += 1
     return all(row[-1] == 0 for row in rows[pivot:])
+
+
+def matrix_in_span(target: ExactMatrix, basis: Sequence[ExactMatrix]) -> bool:
+    """Exact consistency of sum_i x_i B_i = T by Gaussian elimination."""
+    return _rows_in_span(
+        [b[i, j] for b in basis] + [target[i, j]]
+        for i in range(target.nrows)
+        for j in range(target.ncols)
+    )

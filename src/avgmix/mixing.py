@@ -151,15 +151,22 @@ class _TraceForm(NamedTuple):
         return [b[u][v] for b in self.resolvent]
 
 
+def _resolvent_form(
+    rows: list[list[int]],
+) -> tuple[list[int], list[int], list[list[list[int]]]]:
+    """Char poly, minimal polynomial psi and resolvent B_0..B_{deg-1} of M."""
+    phi = _charpoly_int(rows)
+    psi = _int_squarefree(phi)
+    return phi, psi, _resolvent_int(rows, psi)
+
+
 def _trace_form(rows: list[list[int]]) -> _TraceForm:
     """Char poly, minimal polynomial, resolvent and trace weights of M."""
     n = len(rows)
-    phi = _charpoly_int(rows)
-    psi = _int_squarefree(phi)
+    phi, psi, mats = _resolvent_form(rows)
     deg = len(psi) - 1
     disc_char = _int_disc(phi)
     disc_min = disc_char if deg == n else _int_disc(psi)
-    mats = _resolvent_int(rows, psi)
 
     # t / d = w = 1/psi' in Q[y]/(psi), so w^2 = (t^2 mod psi) / d^2
     t, d = _int_scaled_inverse(psi, _int_derivative(psi))

@@ -10,6 +10,16 @@ each with a concrete witness:
   (c) the classes commute pairwise,
   (d) every product of classes lies in their linear span.
 
+The axioms run on int64 arrays, built once after every entry has been
+checked to be 0 or 1.  That is exact: an entry of the product of two
+0/1 matrices of order n lies in [0, n], and an entry of the class sum
+is at most the number of classes.  Each product A_i A_j is computed
+once and shared by (c) and (d).  The span test of (d) has one equation
+per position, and `avgmix.exact` drops duplicate equations before its
+exact elimination, the only rational arithmetic of the check: for
+classes that partition the positions, at most (d+1) times the number
+of distinct product values remain, not n^2.
+
 For a verified scheme with symmetric classes the common eigenspaces are
 computed numerically (the classes commute, so simultaneous refinement
 terminates in exactly d+1 blocks), giving multiplicities, spectral
@@ -20,14 +30,11 @@ prime field are built directly from power residue cosets.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .exact import ExactMatrix, matrix_in_span
+from .exact import ExactMatrix, _rows_in_span
 from .numeric import ClusteringError
-
-F = Fraction
 
 
 @dataclass(frozen=True)
@@ -73,50 +80,47 @@ class SchemeReport:
     scheme: AssociationScheme | None
 
 
-def _validate_classes(matrices: list[ExactMatrix]) -> int:
+def _validate_classes(matrices: list[ExactMatrix]) -> list[np.ndarray]:
+    """The classes as int64 arrays, once every entry is known to be 0 or 1."""
     if not matrices:
         raise ValueError("a scheme needs at least one class matrix")
     n = matrices[0].nrows
+    arrays = []
     for m in matrices:
         if not (m.nrows == n and m.ncols == n):
             raise ValueError("class matrices must be square of equal order")
-        if any(x not in (0, 1) for x in m.entries()):
+        if any(x.denominator != 1 or x.numerator not in (0, 1) for x in m.entries()):
             raise ValueError("class matrices must have 0/1 entries")
-    return n
-
-
-def _axiom_a(matrices: list[ExactMatrix], out: list[SchemeViolation]) -> None:
-    n = matrices[0].nrows
-    identity_hits = [i for i, m in enumerate(matrices) if m == ExactMatrix.identity(n)]
-    if not identity_hits:
-        out.append(SchemeViolation("a", (), "no class equals the identity"))
-    for i, m in enumerate(matrices):
-        if m.is_zero():
-            out.append(SchemeViolation("a", (i,), f"class {i} is empty"))
-    total = ExactMatrix.zeros(n, n)
-    for m in matrices:
-        total = total + m
-    if total != ExactMatrix.ones(n):
-        cell = next(
-            (i, j)
-            for i in range(n)
-            for j in range(n)
-            if total[i, j] != 1
+        arrays.append(
+            np.array([[x.numerator for x in m.row(i)] for i in range(n)], dtype=np.int64)
         )
+    return arrays
+
+
+def _axiom_a(arrays: list[np.ndarray], out: list[SchemeViolation]) -> None:
+    n = arrays[0].shape[0]
+    identity = np.eye(n, dtype=np.int64)
+    if not any(np.array_equal(a, identity) for a in arrays):
+        out.append(SchemeViolation("a", (), "no class equals the identity"))
+    for i, a in enumerate(arrays):
+        if not a.any():
+            out.append(SchemeViolation("a", (i,), f"class {i} is empty"))
+    total = sum(arrays)
+    if not (total == 1).all():
+        cell = tuple(int(x) for x in np.argwhere(total != 1)[0])
         out.append(
             SchemeViolation(
                 "a",
                 cell,
                 f"class supports do not partition: position {cell} is "
-                f"covered {total[cell]} times",
+                f"covered {int(total[cell])} times",
             )
         )
 
 
-def _axiom_b(matrices: list[ExactMatrix], out: list[SchemeViolation]) -> None:
-    for i, m in enumerate(matrices):
-        t = m.transpose()
-        if all(t != other for other in matrices):
+def _axiom_b(arrays: list[np.ndarray], out: list[SchemeViolation]) -> None:
+    for i, a in enumerate(arrays):
+        if not any(np.array_equal(a.T, other) for other in arrays):
             out.append(
                 SchemeViolation(
                     "b", (i,), f"the transpose of class {i} is not a class"
@@ -125,13 +129,13 @@ def _axiom_b(matrices: list[ExactMatrix], out: list[SchemeViolation]) -> None:
 
 
 def _axiom_c(
-    matrices: list[ExactMatrix], out: list[SchemeViolation]
-) -> list[list[ExactMatrix]]:
+    arrays: list[np.ndarray], out: list[SchemeViolation]
+) -> list[list[np.ndarray]]:
     """Record non-commuting pairs; returns every product A_i A_j for axiom (d)."""
-    products = [[a * b for b in matrices] for a in matrices]
-    for i in range(len(matrices)):
-        for j in range(i + 1, len(matrices)):
-            if products[i][j] != products[j][i]:
+    products = [[a @ b for b in arrays] for a in arrays]
+    for i in range(len(arrays)):
+        for j in range(i + 1, len(arrays)):
+            if not np.array_equal(products[i][j], products[j][i]):
                 out.append(
                     SchemeViolation(
                         "c", (i, j), f"classes {i} and {j} do not commute"
@@ -141,42 +145,48 @@ def _axiom_c(
 
 
 def _axiom_d(
-    matrices: list[ExactMatrix],
-    products: list[list[ExactMatrix]],
+    arrays: list[np.ndarray],
+    products: list[list[np.ndarray]],
     out: list[SchemeViolation],
 ) -> None:
-    for i in range(len(matrices)):
-        for j in range(len(matrices)):
+    # one equation per position: the class entries, then the product entry
+    basis = np.stack([a.ravel() for a in arrays], axis=1)
+    for i in range(len(arrays)):
+        for j in range(len(arrays)):
             product = products[i][j]
-            if not matrix_in_span(product, matrices):
+            rows = np.column_stack((basis, product.ravel())).tolist()
+            if not _rows_in_span(rows):
                 detail = (
                     f"the product of classes {i} and {j} is not a linear "
                     f"combination of the classes"
                 )
-                conflict = _span_conflict(product, matrices)
+                conflict = _span_conflict(product, arrays)
                 if conflict is not None:
                     detail += conflict
                 out.append(SchemeViolation("d", (i, j), detail))
 
 
 def _span_conflict(
-    product: ExactMatrix, matrices: list[ExactMatrix]
+    product: np.ndarray, arrays: list[np.ndarray]
 ) -> str | None:
     """Two cells of one class support where the product coefficient differs.
 
     Only meaningful when the supports are disjoint; returns None when no
-    single-class conflict pins down the failure.
+    single-class conflict pins down the failure.  The cells named are the
+    first, in row-major order, of the lowest and of the highest value.
     """
-    n = product.nrows
-    for k, m in enumerate(matrices):
-        cells = [(i, j) for i in range(n) for j in range(n) if m[i, j] == 1]
-        values = {product[c] for c in cells}
-        if len(values) > 1:
-            lo = min(cells, key=product.__getitem__)
-            hi = max(cells, key=product.__getitem__)
+    n = product.shape[0]
+    flat = product.ravel()
+    for k, a in enumerate(arrays):
+        cells = np.flatnonzero(a.ravel())
+        values = flat[cells]
+        if values.size and values.min() != values.max():
+            lo = int(cells[np.argmin(values)])
+            hi = int(cells[np.argmax(values)])
             return (
                 f": on the support of class {k} it takes value "
-                f"{product[lo]} at {lo} but {product[hi]} at {hi}"
+                f"{int(flat[lo])} at {divmod(lo, n)} but "
+                f"{int(flat[hi])} at {divmod(hi, n)}"
             )
     return None
 
@@ -202,14 +212,14 @@ def _common_eigenspaces(
 
 
 def _spectral_data(
-    matrices: list[ExactMatrix], guard: float
+    classes: list[np.ndarray], guard: float
 ) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
-    arrays = [np.array(m.to_float()) for m in matrices]
+    arrays = [a.astype(float) for a in classes]
     n = arrays[0].shape[0]
     blocks = _common_eigenspaces(arrays, guard)
-    if len(blocks) != len(matrices):
+    if len(blocks) != len(arrays):
         raise ClusteringError(
-            f"expected {len(matrices)} joint eigenspaces, found {len(blocks)}"
+            f"expected {len(arrays)} joint eigenspaces, found {len(blocks)}"
         )
     ones = np.ones(n) / np.sqrt(n)
 
@@ -243,33 +253,38 @@ def verify_scheme(
     On success the returned scheme carries valencies always, and
     multiplicities with projectors when all classes are symmetric.
     """
-    _validate_classes(matrices)
+    arrays = _validate_classes(matrices)
     violations: list[SchemeViolation] = []
-    _axiom_a(matrices, violations)
-    _axiom_b(matrices, violations)
-    products = _axiom_c(matrices, violations)
-    _axiom_d(matrices, products, violations)
+    _axiom_a(arrays, violations)
+    _axiom_b(arrays, violations)
+    products = _axiom_c(arrays, violations)
+    _axiom_d(arrays, products, violations)
     if violations:
         return SchemeReport(False, tuple(violations), None)
 
-    ordered = sorted(
-        matrices,
-        key=lambda m: m != ExactMatrix.identity(m.nrows),
+    # stable: identity first, the rest in input order
+    identity = np.eye(arrays[0].shape[0], dtype=np.int64)
+    order = sorted(
+        range(len(arrays)), key=lambda i: not np.array_equal(arrays[i], identity)
     )
     valencies = []
-    for i, m in enumerate(ordered):
-        sums = set(m.row_sums())
+    for i, k in enumerate(order):
+        sums = set(arrays[k].sum(axis=1).tolist())
         if len(sums) != 1:
             raise AssertionError(
                 f"class {i} of a verified scheme has non-constant row sums"
             )
-        valencies.append(int(sums.pop()))
-    if all(m.is_symmetric() for m in ordered):
+        valencies.append(sums.pop())
+    ordered = [arrays[k] for k in order]
+    if all(np.array_equal(a, a.T) for a in ordered):
         multiplicities, projectors = _spectral_data(ordered, guard)
     else:
         multiplicities, projectors = None, None
     scheme = AssociationScheme(
-        tuple(ordered), tuple(valencies), multiplicities, projectors
+        tuple(matrices[k] for k in order),
+        tuple(valencies),
+        multiplicities,
+        projectors,
     )
     return SchemeReport(True, (), scheme)
 

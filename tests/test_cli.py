@@ -1,6 +1,9 @@
 """End-to-end command-line tests driving main(argv) directly."""
 
+import io
 import json
+import os
+import sys
 from fractions import Fraction
 
 import pytest
@@ -270,6 +273,24 @@ def test_scheme_accepts_file_input(tmp_path, capsys):
     assert payload["pseudocyclic"] is True
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ([5], "matrix 0 must be a list of rows"),
+        ([[[1, 0], [0, 1]], 5], "matrix 1 must be a list of rows"),
+        ([[[1, 0], 5]], "matrix 0 must be a list of rows"),
+        ([[[1.5]]], "matrix 0 must have integer entries"),
+        ([[[True]]], "matrix 0 must have integer entries"),
+    ],
+)
+def test_scheme_rejects_malformed_matrix_file(tmp_path, capsys, data, message):
+    path = tmp_path / "scheme.json"
+    path.write_text(json.dumps(data))
+    code, _, err = run(capsys, "scheme", "--matrix-file", str(path))
+    assert code == 2
+    assert message in err
+
+
 def test_scheme_argument_validation(capsys):
     code, _, err = run(capsys, "scheme", "--q", "13")
     assert code == 2
@@ -336,6 +357,15 @@ def test_discrete_rejects_non_orthogonal(tmp_path, capsys):
     assert "orthogonal" in err
 
 
+@pytest.mark.parametrize("entries", [5, [[1, 0], 5]])
+def test_discrete_rejects_malformed_entries(tmp_path, capsys, entries):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"entries": entries}))
+    code, _, err = run(capsys, "discrete", "--unitary-file", str(path))
+    assert code == 2
+    assert "'entries' must be a list of rows" in err
+
+
 # ---------------------------------------------------------------------------
 # input errors
 # ---------------------------------------------------------------------------
@@ -390,3 +420,31 @@ def test_subcommand_required(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def write(self, text: str) -> int:
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self._fd
+
+
+def test_broken_pipe_exits_quietly_with_sigpipe_status(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "stdout"
+    fd = os.open(target, os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        code = main(["compute", "--family", "path:4"])
+        # the descriptor now points at devnull, so late writes vanish
+        os.write(fd, b"late")
+    finally:
+        os.close(fd)
+    assert code == 141
+    assert capsys.readouterr().err == ""
+    assert target.read_bytes() == b""

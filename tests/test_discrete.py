@@ -293,6 +293,59 @@ def test_signed_permutation_partial_average_within_bound():
         assert gap <= cesaro_error_bound(u, 4096) + 1e-12
 
 
+def euclid_rotation_walk() -> ExactMatrix:
+    # four rotations from the Euclid triples of (m, k m // 5 + 1),
+    # m = 10**10 + k: the lcm of the denominators has 258 bits, so
+    # c^deg psi would overflow a float without the rescaling
+    n = 8
+    rows = [[F(0)] * n for _ in range(n)]
+    for k in range(1, 5):
+        m = 10**10 + k
+        p = k * m // 5 + 1
+        a, b, c = m * m - p * p, 2 * m * p, m * m + p * p
+        i = 2 * (k - 1)
+        rows[i][i] = rows[i + 1][i + 1] = F(a, c)
+        rows[i][i + 1], rows[i + 1][i] = F(-b, c), F(b, c)
+    return ExactMatrix(rows)
+
+
+def rational_route_bound(u: ExactMatrix, steps: int) -> float:
+    """The bound from the rational squarefree part and resolvent of U."""
+    psi = squarefree_part(char_poly(u))
+    mats = [np.array(b.to_float(), dtype=complex) for b in resolvent_coeffs(u, psi).matrices]
+    derivative = psi.derivative()
+    roots = np.roots([float(c) for c in reversed(psi.coeffs)])
+    projectors = [
+        sum(mats[k] * theta**k for k in range(len(mats)))
+        / sum(float(c) * theta**k for k, c in enumerate(derivative.coeffs))
+        for theta in roots
+    ]
+    return sum(
+        2.0 * float(np.max(np.abs(projectors[r] * projectors[s])))
+        / (steps * abs(1.0 - roots[r] / roots[s]))
+        for r in range(len(roots))
+        for s in range(len(roots))
+        if r != s
+    )
+
+
+def test_bound_with_large_denominators_matches_rational_route():
+    u = euclid_rotation_walk()
+    bound = cesaro_error_bound(u, 200)
+    expected = rational_route_bound(u, 200)
+    assert np.isfinite(bound)
+    assert abs(bound - expected) <= 1e-9 * expected
+
+
+def test_bound_matches_rational_route_on_random_walks():
+    rng = random.Random(97)
+    cases = [rotation_345(), orthogonal_third()]
+    cases += [signed_permutation(rng, rng.randint(1, 6)) for _ in range(6)]
+    for u in cases:
+        expected = rational_route_bound(u, 50)
+        assert abs(cesaro_error_bound(u, 50) - expected) <= 1e-9 * max(expected, 1.0)
+
+
 def test_identity_minus_literal_is_psd():
     # each partial average (1/N) sum U^t o U^-t has spectrum below 1,
     # and the property survives the limit

@@ -24,6 +24,7 @@ from avgmix.exact import (
     compose_mod,
     discriminant,
     inverse_mod,
+    matrix_in_span,
     poly_gcd,
     power_sums,
     resolvent_coeffs,
@@ -101,12 +102,6 @@ class TestExactMatrix:
         assert m.deleted(1) == ExactMatrix([[1, 3], [7, 9]])
         with pytest.raises(IndexError):
             m.deleted(3)
-
-    def test_power(self):
-        a = ExactMatrix([[0, 1], [1, 0]])
-        assert a**0 == ExactMatrix.identity(2)
-        assert a**2 == ExactMatrix.identity(2)
-        assert a**3 == a
 
 
 # ---------------------------------------------------------------------------
@@ -507,3 +502,67 @@ class TestComposeMod:
             )
             g = ExactPolynomial([rng.randint(-4, 4) for _ in range(deg)])
             assert compose_mod(g, poly(0, 1), psi) == g % psi
+
+
+class TestMatrixInSpan:
+    def test_combination_is_in_span(self):
+        a = ExactMatrix([[1, 0], [0, 1]])
+        b = ExactMatrix([[0, 1], [1, 0]])
+        assert matrix_in_span(3 * a - 2 * b, [a, b])
+        assert matrix_in_span(ExactMatrix.zeros(2, 2), [a, b])
+        assert matrix_in_span(ExactMatrix.zeros(2, 2), [])
+
+    def test_outside_span(self):
+        a = ExactMatrix([[1, 0], [0, 1]])
+        b = ExactMatrix([[0, 1], [1, 0]])
+        assert not matrix_in_span(ExactMatrix([[1, 0], [0, 0]]), [a, b])
+        assert not matrix_in_span(a, [])
+        # a repeated basis element adds nothing
+        assert not matrix_in_span(b, [a, a])
+
+    def test_rational_entries(self):
+        a = ExactMatrix([[F(1, 2), F(1, 3)], [F(-2, 7), 1]])
+        b = ExactMatrix([[F(5, 3), 0], [F(1, 9), F(-4, 5)]])
+        target = F(7, 11) * a - F(13, 4) * b
+        assert matrix_in_span(target, [a, b])
+        nudged = target + ExactMatrix([[0, 0], [0, F(1, 10**30)]])
+        assert not matrix_in_span(nudged, [a, b])
+
+    def test_many_duplicate_rows(self):
+        # 0/1 classes partitioning the positions of a 12 x 12 matrix give
+        # 144 equations with only a handful of distinct rows
+        n = 12
+        ident = ExactMatrix.identity(n)
+        even = ExactMatrix(
+            [[int(i != j and (i - j) % 2 == 0) for j in range(n)] for i in range(n)]
+        )
+        odd = ExactMatrix([[int((i - j) % 2 == 1) for j in range(n)] for i in range(n)])
+        basis = [ident, even, odd]
+        assert matrix_in_span(even * odd, basis)
+        assert matrix_in_span(odd * odd, basis)
+        assert matrix_in_span(5 * ident + F(2, 3) * odd, basis)
+        broken = (odd * odd).to_lists()
+        broken[n - 1][n - 1] += 1
+        assert not matrix_in_span(ExactMatrix(broken), basis)
+
+    def test_agrees_with_rank_on_random_systems(self):
+        rng = random.Random(53)
+        for _ in range(40):
+            rows, cols = rng.randint(1, 4), rng.randint(1, 4)
+            k = rng.randint(0, 3)
+            basis = [
+                ExactMatrix(
+                    [[rng.choice((0, 0, 1, -1, 2)) for _ in range(cols)] for _ in range(rows)]
+                )
+                for _ in range(k)
+            ]
+            target = ExactMatrix(
+                [[rng.choice((0, 1, -1)) for _ in range(cols)] for _ in range(rows)]
+            )
+            flat = np.array(
+                [[float(x) for x in b.entries()] for b in basis]
+            ).reshape(k, rows * cols).T
+            full = np.column_stack([flat, [float(x) for x in target.entries()]])
+            rank = np.linalg.matrix_rank(flat) if k else 0
+            expected = np.linalg.matrix_rank(full) == rank
+            assert matrix_in_span(target, basis) == expected

@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from avgmix.exact import ExactMatrix
+from avgmix.exact import ExactMatrix, matrix_in_span
 from avgmix.graphs import circulant_graph, complete_graph, matrix_of, path_graph
 from avgmix.schemes import (
     AssociationScheme,
@@ -118,6 +120,95 @@ def test_malformed_inputs_raise():
         verify_scheme([ExactMatrix.identity(2), ExactMatrix.identity(3)])
     with pytest.raises(ValueError):
         verify_scheme([ExactMatrix([[1, 0]])])
+
+
+def reference_verdict(mats: list[ExactMatrix]):
+    """Violations and valencies from ExactMatrix products and matrix_in_span."""
+    n = mats[0].nrows
+    ident = ExactMatrix.identity(n)
+    out = []
+    if ident not in mats:
+        out.append(("a", (), "no class equals the identity"))
+    out += [("a", (i,), f"class {i} is empty") for i, m in enumerate(mats) if m.is_zero()]
+    total = ExactMatrix.zeros(n, n)
+    for m in mats:
+        total = total + m
+    bad = [(i, j) for i in range(n) for j in range(n) if total[i, j] != 1]
+    if bad:
+        out.append(("a", bad[0], "class supports do not partition: position "
+                    f"{bad[0]} is covered {total[bad[0]]} times"))
+    out += [
+        ("b", (i,), f"the transpose of class {i} is not a class")
+        for i, m in enumerate(mats)
+        if m.transpose() not in mats
+    ]
+    k = len(mats)
+    products = [[a * b for b in mats] for a in mats]
+    out += [
+        ("c", (i, j), f"classes {i} and {j} do not commute")
+        for i in range(k)
+        for j in range(i + 1, k)
+        if products[i][j] != products[j][i]
+    ]
+    for i in range(k):
+        for j in range(k):
+            p = products[i][j]
+            if matrix_in_span(p, mats):
+                continue
+            detail = (f"the product of classes {i} and {j} is not a linear "
+                      f"combination of the classes")
+            for c, m in enumerate(mats):
+                cells = [(r, t) for r in range(n) for t in range(n) if m[r, t] == 1]
+                if len({p[x] for x in cells}) > 1:
+                    lo = min(cells, key=p.__getitem__)
+                    hi = max(cells, key=p.__getitem__)
+                    detail += (f": on the support of class {c} it takes value "
+                               f"{p[lo]} at {lo} but {p[hi]} at {hi}")
+                    break
+            out.append(("d", (i, j), detail))
+    if out:
+        return out, None
+    ordered = sorted(mats, key=lambda m: m != ident)
+    return out, tuple(int(m.row_sums()[0]) for m in ordered)
+
+
+@st.composite
+def class_lists(draw):
+    """Random partitions of the positions into 0/1 classes, with or
+    without the identity as a class of its own, symmetric or not."""
+    n = draw(st.integers(1, 5))
+    k = draw(st.integers(1, 4))
+    symmetric = draw(st.booleans())
+    with_identity = draw(st.booleans())
+    cells = [
+        (i, j)
+        for i in range(n)
+        for j in range(i if symmetric else 0, n)
+        if not (with_identity and i == j)
+    ]
+    owners = draw(st.lists(st.integers(0, k - 1), min_size=len(cells), max_size=len(cells)))
+    rows = [[[0] * n for _ in range(n)] for _ in range(k)]
+    for (i, j), c in zip(cells, owners):
+        rows[c][i][j] = 1
+        if symmetric:
+            rows[c][j][i] = 1
+    mats = [ExactMatrix(r) for r in rows]
+    if with_identity:
+        mats.insert(draw(st.integers(0, k)), ExactMatrix.identity(n))
+    return mats
+
+
+@settings(max_examples=150, deadline=None)
+@given(class_lists())
+def test_integer_axioms_match_exact_reference(mats):
+    report = verify_scheme(mats)
+    violations, valencies = reference_verdict(mats)
+    assert report.ok == (not violations)
+    assert [(v.axiom, v.witness, v.detail) for v in report.violations] == violations
+    if report.ok:
+        assert report.scheme.valencies == valencies
+        ident = ExactMatrix.identity(mats[0].nrows)
+        assert report.scheme.matrices == tuple(sorted(mats, key=lambda m: m != ident))
 
 
 # ---------------------------------------------------------------------------
