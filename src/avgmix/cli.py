@@ -27,7 +27,7 @@ from .analysis import (
     pst_necessary,
     verify_closed_form,
 )
-from .discrete import avg_mixing_literal, avg_mixing_physical
+from .discrete import avg_mixing_limits
 from .exact import ExactMatrix
 from .graphs import (
     Graph6Error,
@@ -390,8 +390,7 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
 
 def _cmd_discrete(args: argparse.Namespace) -> int:
     u = _read_unitary_file(args.unitary_file)
-    literal = avg_mixing_literal(u)
-    physical = avg_mixing_physical(u)
+    literal, physical = avg_mixing_limits(u)
     selected = literal if args.mode == "literal" else physical
     payload = {
         "n": u.nrows,

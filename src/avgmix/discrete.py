@@ -46,6 +46,7 @@ import numpy as np
 
 from .exact import ExactMatrix, lcm_int
 from .mixing import (
+    _TraceForm,
     _boxed,
     _check_mixing_invariants,
     _entry_numerator,
@@ -73,11 +74,8 @@ def _require_orthogonal(u: ExactMatrix) -> list[list[int]]:
     return rows
 
 
-def avg_mixing_literal(u: ExactMatrix) -> ExactMatrix:
-    """sum_r E_r o E_r, exactly; symmetric and rational, but its rows
-    need not sum to 1 when U is not symmetric."""
-    form = _trace_form(_require_orthogonal(u))
-    n = u.nrows
+def _literal(form: _TraceForm) -> ExactMatrix:
+    n = len(form.resolvent[0])
     nums = []
     for a in range(n):
         row = []
@@ -90,11 +88,8 @@ def avg_mixing_literal(u: ExactMatrix) -> ExactMatrix:
     return _boxed(nums, form.denom)
 
 
-def avg_mixing_physical(u: ExactMatrix) -> ExactMatrix:
-    """sum_r E_r o conj(E_r), exactly: the Cesaro limit of the step
-    mixing matrices, doubly stochastic with nonnegative entries."""
-    form = _trace_form(_require_orthogonal(u))
-    n = u.nrows
+def _physical(form: _TraceForm) -> ExactMatrix:
+    n = len(form.resolvent[0])
     nums = [[0] * n for _ in range(n)]
     for a in range(n):
         for b in range(a, n):
@@ -103,6 +98,24 @@ def avg_mixing_physical(u: ExactMatrix) -> ExactMatrix:
             )
     _check_mixing_invariants(nums, form.denom)
     return _boxed(nums, form.denom)
+
+
+def avg_mixing_literal(u: ExactMatrix) -> ExactMatrix:
+    """sum_r E_r o E_r, exactly; symmetric and rational, but its rows
+    need not sum to 1 when U is not symmetric."""
+    return _literal(_trace_form(_require_orthogonal(u)))
+
+
+def avg_mixing_physical(u: ExactMatrix) -> ExactMatrix:
+    """sum_r E_r o conj(E_r), exactly: the Cesaro limit of the step
+    mixing matrices, doubly stochastic with nonnegative entries."""
+    return _physical(_trace_form(_require_orthogonal(u)))
+
+
+def avg_mixing_limits(u: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
+    """(literal, physical), both read off one trace form of U."""
+    form = _trace_form(_require_orthogonal(u))
+    return _literal(form), _physical(form)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +152,7 @@ def _numeric_idempotents(rows: list[list[int]]):
     # exact int true division keeps every float of size about 1, where
     # c^deg itself may not fit a float
     coeffs = [psi[k] / c ** (deg - k) for k in range(deg + 1)]
-    derivative = [k * psi[k] / c ** (deg - k) for k in range(1, deg + 1)]
+    dpsi = [k * psi[k] / c ** (deg - k) for k in range(1, deg + 1)]
     mats = []
     for j, b in enumerate(resolvent):
         scale = c ** (deg - 1 - j)
@@ -147,7 +160,7 @@ def _numeric_idempotents(rows: list[list[int]]):
     roots = np.roots(coeffs[::-1])
     projectors = []
     for theta in roots:
-        value = sum(complex(a) * theta**k for k, a in enumerate(derivative))
+        value = sum(complex(a) * theta**k for k, a in enumerate(dpsi))
         total = sum(mats[k] * theta**k for k in range(len(mats)))
         projectors.append(total / value)
     return roots, projectors

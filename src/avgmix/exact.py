@@ -1,26 +1,26 @@
-"""Exact rational linear algebra and univariate polynomial arithmetic.
+"""Exact matrices at the API boundary and integer polynomial kernels.
 
-Scalars are `fractions.Fraction` (always stored reduced, denominator > 0).
-Matrices are dense and immutable; polynomials are dense coefficient tuples
-in ascending order with no trailing zeros, so the zero polynomial is the
-empty tuple and `degree` of zero is -1.
+`ExactMatrix` and `ExactPolynomial` are the immutable rational values the
+package takes and returns: scalars are `fractions.Fraction` (stored
+reduced, denominator > 0), polynomials dense ascending coefficient tuples
+with no trailing zeros, so the zero polynomial is the empty tuple and has
+degree -1.
 
-Everything here is exact.  The characteristic polynomial is computed by
-fraction-free (Bareiss) elimination at integer sample points followed by
-Newton interpolation, never by cofactor expansion.  Polynomial gcds and
-resultants over the integers use the primitive and subresultant remainder
-sequences, which keep intermediate coefficients at subresultant size
-instead of exploding the way naive rational remainder sequences do.
+All polynomial work runs on plain lists of Python ints in the `_int_*`
+kernels: primitive and subresultant remainder sequences for gcds and
+resultants (coefficients stay at subresultant size), Newton power sums,
+and fraction-free Bareiss elimination, which gives determinants, the
+characteristic polynomial (at n+1 integer points, then Newton
+interpolation) and scaled inverses modulo a polynomial.  `char_poly` and
+`matrix_in_span` are the only rational entry points.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence, Union
 
-Rational = Fraction
 Scalar = Union[int, Fraction]
 
 
@@ -171,11 +171,6 @@ class ExactMatrix:
             [self.column(j) for j in range(self.ncols)]
         )
 
-    def trace(self) -> Fraction:
-        if not self.is_square:
-            raise ValueError("trace of a non-square matrix")
-        return sum((self._rows[i][i] for i in range(self.nrows)), Fraction(0))
-
     def is_symmetric(self) -> bool:
         if not self.is_square:
             return False
@@ -194,16 +189,6 @@ class ExactMatrix:
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, Fraction(0)) for row in self._rows)
 
-    def schur(self, other: "ExactMatrix") -> "ExactMatrix":
-        """Entrywise (Schur) product."""
-        self._check_same_shape(other)
-        return ExactMatrix(
-            [
-                [a * b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
-
     def deleted(self, i: int, j: int | None = None) -> "ExactMatrix":
         """Copy with row i and column j removed (j defaults to i)."""
         j = i if j is None else j
@@ -217,41 +202,6 @@ class ExactMatrix:
             ]
         )
 
-    def determinant(self) -> Fraction:
-        """Exact determinant by rational Gaussian elimination."""
-        if not self.is_square:
-            raise ValueError("determinant of a non-square matrix")
-        n = self.nrows
-        work = [list(row) for row in self._rows]
-        det = Fraction(1)
-        for k in range(n):
-            pivot_row = next(
-                (r for r in range(k, n) if work[r][k] != 0), None
-            )
-            if pivot_row is None:
-                return Fraction(0)
-            if pivot_row != k:
-                work[k], work[pivot_row] = work[pivot_row], work[k]
-                det = -det
-            pivot = work[k][k]
-            det *= pivot
-            for r in range(k + 1, n):
-                factor = work[r][k] / pivot
-                if factor:
-                    work[r] = [
-                        a - factor * b for a, b in zip(work[r], work[k])
-                    ]
-        return det
-
-    def leading_principal_minors(self) -> tuple[Fraction, ...]:
-        """Determinants of the k x k top-left blocks, k = 1..n."""
-        if not self.is_square:
-            raise ValueError("principal minors of a non-square matrix")
-        return tuple(
-            ExactMatrix([row[: k + 1] for row in self._rows[: k + 1]]).determinant()
-            for k in range(self.nrows)
-        )
-
 
 # ---------------------------------------------------------------------------
 # polynomials
@@ -259,7 +209,11 @@ class ExactMatrix:
 
 
 class ExactPolynomial:
-    """Univariate polynomial over the rationals, dense ascending coefficients."""
+    """Immutable rational polynomial, dense ascending coefficients.
+
+    A value type for results (`char_poly`, `AvgMixReport`); polynomial
+    arithmetic runs in the integer kernels below.
+    """
 
     __slots__ = ("_coeffs",)
 
@@ -269,24 +223,6 @@ class ExactPolynomial:
             cs.pop()
         self._coeffs = tuple(cs)
 
-    @classmethod
-    def zero(cls) -> "ExactPolynomial":
-        return cls([])
-
-    @classmethod
-    def one(cls) -> "ExactPolynomial":
-        return cls([1])
-
-    @classmethod
-    def x(cls) -> "ExactPolynomial":
-        return cls([0, 1])
-
-    @classmethod
-    def constant(cls, c: Scalar) -> "ExactPolynomial":
-        return cls([c])
-
-    # -- access ------------------------------------------------------------
-
     @property
     def coeffs(self) -> tuple[Fraction, ...]:
         return self._coeffs
@@ -295,25 +231,8 @@ class ExactPolynomial:
     def degree(self) -> int:
         return len(self._coeffs) - 1
 
-    def coeff(self, i: int) -> Fraction:
-        if 0 <= i < len(self._coeffs):
-            return self._coeffs[i]
-        return Fraction(0)
-
-    @property
-    def leading(self) -> Fraction:
-        if not self._coeffs:
-            raise ValueError("zero polynomial has no leading coefficient")
-        return self._coeffs[-1]
-
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def is_monic(self) -> bool:
-        return bool(self._coeffs) and self._coeffs[-1] == 1
-
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self._coeffs)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactPolynomial):
@@ -324,128 +243,12 @@ class ExactPolynomial:
         return hash(self._coeffs)
 
     def __repr__(self) -> str:
-        if not self._coeffs:
-            return "ExactPolynomial(0)"
         terms = []
-        for i in range(self.degree, -1, -1):
-            c = self.coeff(i)
-            if c == 0:
-                continue
-            if i == 0:
-                terms.append(str(c))
-            elif i == 1:
-                terms.append(f"{c}*x" if c != 1 else "x")
-            else:
-                terms.append(f"{c}*x^{i}" if c != 1 else f"x^{i}")
-        return "ExactPolynomial(" + " + ".join(terms) + ")"
-
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        a, b = self._coeffs, other._coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return ExactPolynomial(out)
-
-    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        return self + (-other)
-
-    def __neg__(self) -> "ExactPolynomial":
-        return ExactPolynomial([-c for c in self._coeffs])
-
-    def __mul__(self, other: "ExactPolynomial | Scalar") -> "ExactPolynomial":
-        if not isinstance(other, ExactPolynomial):
-            c = _as_fraction(other)
-            return ExactPolynomial([c * a for a in self._coeffs])
-        a, b = self._coeffs, other._coeffs
-        if not a or not b:
-            return ExactPolynomial.zero()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return ExactPolynomial(out)
-
-    def __rmul__(self, other: Scalar) -> "ExactPolynomial":
-        return self * other
-
-    def __divmod__(
-        self, other: "ExactPolynomial"
-    ) -> tuple["ExactPolynomial", "ExactPolynomial"]:
-        if other.is_zero():
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self._coeffs)
-        div = other._coeffs
-        dd = len(div) - 1
-        lead = div[-1]
-        if len(rem) - 1 < dd:
-            return ExactPolynomial.zero(), ExactPolynomial(rem)
-        quot = [Fraction(0)] * (len(rem) - dd)
-        for k in range(len(rem) - 1, dd - 1, -1):
-            c = rem[k]
-            if c == 0:
-                continue
-            q = c / lead
-            quot[k - dd] = q
-            for i in range(dd + 1):
-                rem[k - dd + i] -= q * div[i]
-        return ExactPolynomial(quot), ExactPolynomial(rem)
-
-    def __floordiv__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        return divmod(self, other)[0]
-
-    def __mod__(self, other: "ExactPolynomial") -> "ExactPolynomial":
-        return divmod(self, other)[1]
-
-    def derivative(self) -> "ExactPolynomial":
-        return ExactPolynomial(
-            [i * c for i, c in enumerate(self._coeffs)][1:]
-        )
-
-    def monic(self) -> "ExactPolynomial":
-        if self.is_zero():
-            raise ValueError("cannot normalize the zero polynomial")
-        lead = self._coeffs[-1]
-        if lead == 1:
-            return self
-        return ExactPolynomial([c / lead for c in self._coeffs])
-
-    def __call__(self, x: Scalar) -> Fraction:
-        """Evaluate by Horner's rule."""
-        acc = Fraction(0)
-        for c in reversed(self._coeffs):
-            acc = acc * x + c
-        return acc
-
-    def at_matrix(self, m: ExactMatrix) -> ExactMatrix:
-        """Evaluate at a square matrix by Horner's rule."""
-        if not m.is_square:
-            raise ValueError("polynomial evaluation needs a square matrix")
-        acc = ExactMatrix.zeros(m.nrows)
-        ident = ExactMatrix.identity(m.nrows)
-        for c in reversed(self._coeffs):
-            acc = acc * m + ident * c
-        return acc
-
-
-@dataclass(frozen=True)
-class ResolventCoefficients:
-    """Matrices B_0..B_{m-1} with Phi(M, y) = sum_j B_j y^j.
-
-    Phi(x, y) = (psi(x) - psi(y)) / (x - y) for a monic annihilating
-    polynomial psi of degree m; evaluating at a root theta_r of psi gives
-    Phi(M, theta_r) = psi'(theta_r) E_r, the scaled spectral idempotent.
-    """
-
-    matrices: tuple[ExactMatrix, ...]
-
-    @property
-    def count(self) -> int:
-        return len(self.matrices)
+        for i, c in reversed(list(enumerate(self._coeffs))):
+            power = "x" if i == 1 else f"x^{i}"
+            if c != 0:
+                terms.append(str(c) if i == 0 else power if c == 1 else f"{c}*{power}")
+        return "ExactPolynomial(" + (" + ".join(terms) or "0") + ")"
 
 
 # ---------------------------------------------------------------------------
@@ -591,8 +394,7 @@ def _int_squarefree(p: Sequence[int]) -> list[int]:
         return work
     # exact division: g is primitive and divides the monic work, so the
     # quotient is again monic with integer coefficients
-    q = _int_exact_div(work, g)
-    return q
+    return _int_exact_div(work, g)
 
 
 def _int_exact_div(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -618,6 +420,8 @@ def _int_exact_div(f: Sequence[int], g: Sequence[int]) -> list[int]:
 
 def _int_power_sums(psi: Sequence[int], upto: int) -> list[int]:
     """Power sums p_0..p_upto of the roots of a monic integer polynomial."""
+    if len(psi) < 2 or psi[-1] != 1:
+        raise ValueError("power sums need a monic polynomial of degree >= 1")
     m = len(psi) - 1
     p = [0] * (upto + 1)
     p[0] = m
@@ -783,9 +587,7 @@ def char_poly(m: ExactMatrix) -> ExactPolynomial:
     if not m.is_square:
         raise ValueError("characteristic polynomial needs a square matrix")
     n = m.nrows
-    denom = 1
-    for x in m.entries():
-        denom = denom * x.denominator // math.gcd(denom, x.denominator)
+    denom = lcm_int(x.denominator for x in m.entries())
     scaled = [
         [int(m[i, j] * denom) for j in range(n)] for i in range(n)
     ]
@@ -796,184 +598,6 @@ def char_poly(m: ExactMatrix) -> ExactPolynomial:
     return ExactPolynomial(
         [Fraction(c, denom ** (n - k)) for k, c in enumerate(ints)]
     )
-
-
-# ---------------------------------------------------------------------------
-# rational-coefficient operations built on the integer kernels
-# ---------------------------------------------------------------------------
-
-
-def _clear_denominators(p: ExactPolynomial) -> tuple[list[int], Fraction]:
-    """Write p = c * P with P primitive integer, positive leading coeff."""
-    if p.is_zero():
-        return [], Fraction(0)
-    denom = 1
-    for c in p.coeffs:
-        denom = denom * c.denominator // math.gcd(denom, c.denominator)
-    ints = [int(c * denom) for c in p.coeffs]
-    g = _int_content(ints)
-    if ints[-1] < 0:
-        g = -g
-    ints = [c // g for c in ints]
-    return ints, Fraction(g, denom)
-
-
-def squarefree_part(p: ExactPolynomial) -> ExactPolynomial:
-    """Monic product of the distinct irreducible factors of p."""
-    if p.is_zero():
-        raise ValueError("squarefree part of the zero polynomial")
-    if p.degree == 0:
-        return ExactPolynomial.one()
-    ints, _ = _clear_denominators(p)
-    g = _int_gcd(ints, _int_derivative(ints))
-    if len(g) == 1:
-        q = ints
-    else:
-        q = _int_exact_div(ints, g)
-    lead = q[-1]
-    if lead == 1:
-        return ExactPolynomial(q)
-    return ExactPolynomial([Fraction(c, lead) for c in q])
-
-
-def discriminant(p: ExactPolynomial) -> Fraction:
-    """disc(p) = (-1)^(m(m-1)/2) Res(p, p') / lc(p), zero iff p has a repeated root."""
-    m = p.degree
-    if m < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if m == 1:
-        return Fraction(1)
-    ints, c = _clear_denominators(p)
-    res = Fraction(_int_resultant(ints, _int_derivative(ints)))
-    res *= c ** (2 * m - 2)
-    res /= ints[-1]
-    return -res if (m * (m - 1) // 2) % 2 == 1 else res
-
-
-def poly_gcd(p: ExactPolynomial, q: ExactPolynomial) -> ExactPolynomial:
-    """Monic gcd over the rationals (zero if both inputs are zero)."""
-    if p.is_zero() and q.is_zero():
-        return ExactPolynomial.zero()
-    if p.is_zero():
-        return q.monic()
-    if q.is_zero():
-        return p.monic()
-    a, _ = _clear_denominators(p)
-    b, _ = _clear_denominators(q)
-    g = _int_gcd(a, b)
-    return ExactPolynomial(g).monic()
-
-
-def inverse_mod(a: ExactPolynomial, m: ExactPolynomial) -> ExactPolynomial:
-    """Inverse of a in Q[y]/(m) by the extended Euclidean algorithm."""
-    if m.degree < 1:
-        raise ValueError("modulus must have degree >= 1")
-    r0, s0 = m, ExactPolynomial.zero()
-    r1, s1 = a % m, ExactPolynomial.one()
-    if r1.is_zero():
-        raise NonInvertibleError("zero is not invertible")
-    # keep every remainder monic so coefficient growth stays tame
-    lead = r1.leading
-    if lead != 1:
-        r1 = r1.monic()
-        s1 = s1 * (1 / lead)
-    while not r1.is_zero() and r1.degree > 0:
-        q, r2 = divmod(r0, r1)
-        s2 = s0 - q * s1
-        if not r2.is_zero():
-            lead = r2.leading
-            if lead != 1:
-                r2 = r2.monic()
-                s2 = s2 * (1 / lead)
-        r0, s0 = r1, s1
-        r1, s1 = r2, s2
-    if r1.is_zero():
-        raise NonInvertibleError(
-            f"gcd with the modulus has degree {r0.degree}"
-        )
-    # r1 is the constant 1 after normalization
-    return s1 % m
-
-
-def power_sums(p: ExactPolynomial, upto: int) -> list[Fraction]:
-    """Power sums p_0..p_upto of the roots of monic p, with multiplicity.
-
-    Newton's identities; no root is ever computed.
-    """
-    if not p.is_monic() or p.degree < 1:
-        raise ValueError("power sums need a monic polynomial of degree >= 1")
-    if upto < 0:
-        raise ValueError("upto must be >= 0")
-    m = p.degree
-    c = p.coeffs
-    sums = [Fraction(0)] * (upto + 1)
-    sums[0] = Fraction(m)
-    for k in range(1, upto + 1):
-        if k <= m:
-            acc = k * c[m - k]
-            for i in range(1, k):
-                acc += c[m - i] * sums[k - i]
-        else:
-            acc = Fraction(0)
-            for i in range(1, m + 1):
-                acc += c[m - i] * sums[k - i]
-        sums[k] = -acc
-    return sums
-
-
-def trace_mod(h: ExactPolynomial, psi: ExactPolynomial) -> Fraction:
-    """Sum of h over the roots of psi: sum_j h_j p_j with p the power sums.
-
-    psi must be monic and squarefree with deg(h) < deg(psi); together with
-    linearity this evaluates sum_r h(theta_r) without touching any root.
-    """
-    if not psi.is_monic() or psi.degree < 1:
-        raise ValueError("trace needs a monic modulus of degree >= 1")
-    if h.degree >= psi.degree:
-        raise ValueError("polynomial degree must be below the modulus degree")
-    if h.is_zero():
-        return Fraction(0)
-    sums = power_sums(psi, h.degree)
-    return sum(
-        (c * sums[j] for j, c in enumerate(h.coeffs)), Fraction(0)
-    )
-
-
-def resolvent_coeffs(
-    m: ExactMatrix, psi: ExactPolynomial
-) -> ResolventCoefficients:
-    """Coefficients B_j of Phi(M, y) = (psi(M) - psi(y.I))/(M - y.I), as matrices.
-
-    Horner recurrence: B_{m-1} = I and B_{j-1} = M B_j + c_j I, where c_j are
-    the coefficients of psi.  The final step reconstructs psi(M), which must
-    vanish; otherwise psi does not annihilate M and the call fails.
-    """
-    if not m.is_square:
-        raise ValueError("resolvent coefficients need a square matrix")
-    if not psi.is_monic() or psi.degree < 1:
-        raise ValueError("psi must be monic of degree >= 1")
-    deg = psi.degree
-    ident = ExactMatrix.identity(m.nrows)
-    mats = [ident]
-    current = ident
-    for j in range(deg - 1, 0, -1):
-        current = m * current + ident * psi.coeff(j)
-        mats.append(current)
-    check = m * current + ident * psi.coeff(0)
-    if not check.is_zero():
-        raise NotAnnihilatingError("psi(M) != 0")
-    mats.reverse()
-    return ResolventCoefficients(tuple(mats))
-
-
-def compose_mod(
-    g: ExactPolynomial, u: ExactPolynomial, psi: ExactPolynomial
-) -> ExactPolynomial:
-    """g(u(y)) reduced mod psi, by Horner with reduction at every step."""
-    acc = ExactPolynomial.zero()
-    for c in reversed(g.coeffs):
-        acc = (acc * u + ExactPolynomial.constant(c)) % psi
-    return acc
 
 
 def lcm_int(values: Iterable[int]) -> int:

@@ -100,9 +100,6 @@ class WeightedGraph:
             for u, row in enumerate(self.weights)
         )
 
-    def is_regular(self) -> bool:
-        return len(set(self.degrees())) == 1
-
     def components(self) -> list[list[int]]:
         """Connected components of the nonzero off-diagonal support."""
         seen = [False] * self.n
@@ -202,13 +199,13 @@ def family(descriptor: str) -> WeightedGraph:
 
 
 def add_loops(g: WeightedGraph, loops: Mapping[int, int]) -> WeightedGraph:
-    """Set diagonal weights from a vertex -> weight map."""
+    """Set diagonal weights from a vertex -> weight map, checked by from_weights."""
     for v in loops:
         if not (0 <= v < g.n):
             raise IndexError(f"vertex {v} out of range for n={g.n}")
     rows = [list(row) for row in g.weights]
     for v, w in loops.items():
-        rows[v][v] = int(w)
+        rows[v][v] = w
     return WeightedGraph.from_weights(rows)
 
 
@@ -266,6 +263,8 @@ def _g6_read_n(data: bytes) -> tuple[int, int]:
             if not 63 <= b <= 126:
                 raise Graph6Error(f"invalid order byte {b}", k)
             value = (value << 6) | (b - 63)
+        if value < 258048:
+            raise Graph6Error("overlong order encoding", 2)
         return value, 8
     if len(data) < 4:
         raise Graph6Error("truncated 4-byte order field", len(data))

@@ -8,6 +8,8 @@ from fractions import Fraction
 
 import pytest
 
+import avgmix.cli
+import avgmix.discrete as discrete
 from avgmix.cli import main
 
 F = Fraction
@@ -355,6 +357,32 @@ def test_discrete_rejects_non_orthogonal(tmp_path, capsys):
     code, _, err = run(capsys, "discrete", "--unitary-file", str(path))
     assert code == 2
     assert "orthogonal" in err
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_discrete_builds_one_trace_form(tmp_path, capsys, monkeypatch, fmt):
+    # both limits come from one trace form, and stdout matches the output
+    # of the two separate limit functions byte for byte
+    path = tmp_path / "third.json"
+    rows = [["2/3", "-2/3", "1/3"], ["1/3", "2/3", "2/3"], ["2/3", "1/3", "-2/3"]]
+    path.write_text(json.dumps({"n": 3, "entries": rows}))
+    argv = ("discrete", "--unitary-file", str(path), "--format", fmt)
+    calls = []
+    engine = discrete._trace_form
+    monkeypatch.setattr(discrete, "_trace_form", lambda v: calls.append(1) or engine(v))
+    code, out, _ = run(capsys, *argv)
+    assert code == 0 and len(calls) == 1
+    monkeypatch.setattr(
+        avgmix.cli,
+        "avg_mixing_limits",
+        lambda u: (discrete.avg_mixing_literal(u), discrete.avg_mixing_physical(u)),
+    )
+    assert run(capsys, *argv) == (0, out, "")
+    assert len(calls) == 3
+    if fmt == "json":
+        payload = json.loads(out)
+        assert payload["physical"][0] == ["51/121", "51/121", "19/121"]
+        assert payload["literal"][0] == ["51/121", "-48/121", "8/121"]
 
 
 @pytest.mark.parametrize("entries", [5, [[1, 0], 5]])

@@ -13,16 +13,8 @@ from avgmix.discrete import (
     cesaro_error_bound,
     cesaro_partial,
 )
-from avgmix.exact import (
-    ExactMatrix,
-    ExactPolynomial,
-    char_poly,
-    compose_mod,
-    inverse_mod,
-    resolvent_coeffs,
-    squarefree_part,
-    trace_mod,
-)
+import reference
+from avgmix.exact import ExactMatrix
 
 F = Fraction
 
@@ -172,23 +164,14 @@ def test_walk_wrapper_validates_and_delegates():
 
 
 def rational_reference(u: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """(literal, physical) through Q[y]/(psi) with the rational operations:
+    """(literal, physical) through Q[y]/(psi) by `tests/reference.py`:
     g_uv = (f_uv w) mod psi interpolates (E_r)_uv, and the conjugate
     eigenvalue is paired in by composing with y^-1 mod psi."""
-    psi = squarefree_part(char_poly(u))
-    rc = resolvent_coeffs(u, psi)
-    w = inverse_mod(psi.derivative(), psi)
-    y_inverse = inverse_mod(ExactPolynomial.x(), psi)
-    n = u.nrows
-    literal = [[F(0)] * n for _ in range(n)]
-    physical = [[F(0)] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            g = (ExactPolynomial([m[a, b] for m in rc.matrices]) * w) % psi
-            literal[a][b] = trace_mod((g * g) % psi, psi)
-            paired = compose_mod(g, y_inverse, psi)
-            physical[a][b] = trace_mod((g * paired) % psi, psi)
-    return ExactMatrix(literal), ExactMatrix(physical)
+    rows = u.to_lists()
+    return (
+        ExactMatrix(reference.mixing(rows)),
+        ExactMatrix(reference.mixing(rows, conjugate=True)),
+    )
 
 
 def test_integer_engine_matches_rational_reference():
@@ -311,13 +294,14 @@ def euclid_rotation_walk() -> ExactMatrix:
 
 def rational_route_bound(u: ExactMatrix, steps: int) -> float:
     """The bound from the rational squarefree part and resolvent of U."""
-    psi = squarefree_part(char_poly(u))
-    mats = [np.array(b.to_float(), dtype=complex) for b in resolvent_coeffs(u, psi).matrices]
-    derivative = psi.derivative()
-    roots = np.roots([float(c) for c in reversed(psi.coeffs)])
+    rows = u.to_lists()
+    psi = reference.squarefree(reference.char_poly(rows))
+    mats = [np.array(b, dtype=complex) for b in reference.resolvent(rows, psi)]
+    derivative = reference.derivative(psi)
+    roots = np.roots([float(c) for c in reversed(psi)])
     projectors = [
         sum(mats[k] * theta**k for k in range(len(mats)))
-        / sum(float(c) * theta**k for k, c in enumerate(derivative.coeffs))
+        / sum(float(c) * theta**k for k, c in enumerate(derivative))
         for theta in roots
     ]
     return sum(

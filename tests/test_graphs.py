@@ -81,6 +81,15 @@ class TestModification:
         with pytest.raises(IndexError):
             add_loops(path_graph(2), {2: 1})
 
+    @pytest.mark.parametrize("weight", [1.7, True, "2"])
+    def test_add_loops_rejects_non_integer_weight(self, weight):
+        with pytest.raises(ValueError, match=r"weight at \(0, 0\) is not an integer"):
+            add_loops(path_graph(3), {0: weight})
+
+    def test_add_loops_accepts_integer_valued_float(self):
+        g = add_loops(path_graph(3), {1: 2.0})
+        assert g.weights[1][1] == 2 and type(g.weights[1][1]) is int
+
     def test_complement(self):
         assert complement(complete_graph(3)).edges() == []
         assert complement(path_graph(2)).edges() == []
@@ -192,6 +201,15 @@ class TestGraph6:
             parse_graph6("A_~")  # trailing junk
         with pytest.raises(Graph6Error):
             parse_graph6("A" + chr(5))  # byte out of range
+
+    def test_overlong_order_rejected(self):
+        # n = 2 fits the one-byte field; the 4- and 8-byte forms are overlong
+        with pytest.raises(Graph6Error, match="overlong") as info:
+            parse_graph6("~??A" + chr(95))
+        assert info.value.offset == 1
+        with pytest.raises(Graph6Error, match="overlong") as info:
+            parse_graph6("~~?????A" + chr(95))
+        assert info.value.offset == 2
 
     def test_weighted_rejected(self):
         with pytest.raises(ValueError):

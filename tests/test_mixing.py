@@ -16,15 +16,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgmix.exact import (
-    ExactMatrix,
-    ExactPolynomial,
-    char_poly,
-    inverse_mod,
-    resolvent_coeffs,
-    squarefree_part,
-    trace_mod,
-)
+import reference
+from avgmix.exact import ExactMatrix, ExactPolynomial
 from avgmix.graphs import (
     WeightedGraph,
     add_loops,
@@ -83,17 +76,8 @@ def random_weighted_graph(rng, n, wmax):
 
 def literal_trace_mixing(m):
     """sum_r E_r o E_r entry by entry through Q[y]/(psi): the rational
-    reference route, independent of the integer trace weights."""
-    n = m.nrows
-    psi = squarefree_part(char_poly(m))
-    rc = resolvent_coeffs(m, psi)
-    w = inverse_mod(psi.derivative(), psi)
-    rows = [[F(0)] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(n):
-            f = ExactPolynomial([bj[u, v] for bj in rc.matrices])
-            rows[u][v] = trace_mod(((f * w) * (f * w)) % psi, psi)
-    return ExactMatrix(rows)
+    reference route of `tests/reference.py`, independent of the engine."""
+    return ExactMatrix(reference.mixing(m.to_lists()))
 
 
 def _symmetric_from_upper(n, xs):
@@ -254,13 +238,17 @@ class TestInvariants:
             assert all(s == 1 for s in r.mixing.row_sums())
             assert all(x >= 0 for x in r.mixing.entries())
             assert r.simple_spectrum == (r.disc_char != 0)
-            assert r.min_poly == squarefree_part(r.char_poly)
-            assert r.min_poly.at_matrix(m).is_zero()
+            rows = m.to_lists()
+            assert r.char_poly.coeffs == tuple(reference.char_poly(rows))
+            assert list(r.min_poly.coeffs) == reference.squarefree(r.char_poly.coeffs)
+            psi = r.min_poly.coeffs
+            at_m = reference.combine(psi, reference.powers(rows, len(psi)))
+            assert not any(map(any, at_m))
 
     def test_matches_literal_trace_formula(self):
         # the production path precomputes the trace form over one integer
         # denominator; re-derive every entry with the rational reference
-        # operations (inverse_mod, trace_mod) and compare exactly
+        # (Euclid inverse, multiplication-matrix traces) and compare exactly
         rng = random.Random(53)
         cases = [random_symmetric(rng, rng.randint(2, 5)) for _ in range(6)]
         for n in (6, 7, 8):
