@@ -24,7 +24,6 @@ from .analysis import (
     verify_closed_form,
 )
 from .discrete import (
-    DiscreteWalk,
     avg_mixing_literal,
     avg_mixing_physical,
     cesaro_error_bound,
@@ -76,7 +75,6 @@ __all__ = [
     "AssociationScheme",
     "AvgMixReport",
     "ClosedForm",
-    "DiscreteWalk",
     "ExactMatrix",
     "ExactPolynomial",
     "Graph6Error",

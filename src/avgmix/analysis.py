@@ -1,28 +1,28 @@
 """Structural analysis of average mixing: closed forms, cospectrality, transfer.
 
 Closed forms cover paths (adjacency and Laplacian), cycles, and
-pseudocyclic class graphs; each is a small exact matrix expression that
-the full pipeline can be checked against.  Cospectrality of a vertex
-pair is decided through vertex-deleted characteristic polynomials and
-cross-checked against closed-walk counts, strong cospectrality through
-the kernel of the average mixing matrix, and the perfect state transfer
-verdict reports the necessary conditions only; nothing here claims
-sufficiency.
+pseudocyclic class graphs; each is (aJ + bI + cT) / denom with integers
+a, b, c, denom and T the reversal of a path or the antipodal map of an
+even cycle, which the full pipeline can be checked against.
+Cospectrality of a vertex pair is decided through vertex-deleted
+characteristic polynomials and cross-checked against closed-walk
+counts, both on the integer rows of the graph's matrix, strong
+cospectrality through the kernel of the average mixing matrix, and the
+perfect state transfer verdict reports the necessary conditions only;
+nothing here claims sufficiency.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from fractions import Fraction
+from operator import mul
 
 import numpy as np
 
-from .exact import ExactMatrix, char_poly, matrix_in_span
-from .graphs import WeightedGraph, cycle_graph, matrix_of, path_graph
-from .mixing import AvgMixReport, average_mixing, strong_cospectral_kernel
-
-F = Fraction
+from .exact import ExactMatrix, _charpoly_int, _rows_in_span
+from .graphs import WeightedGraph, basis_rows, cycle_graph, matrix_of, path_graph
+from .mixing import AvgMixReport, _boxed, average_mixing, strong_cospectral_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -44,46 +44,42 @@ class ClosedForm:
     m: int | None = None
 
 
-def _reversal(n: int) -> ExactMatrix:
-    return ExactMatrix(
-        [[1 if j == n - 1 - i else 0 for j in range(n)] for i in range(n)]
-    )
-
-
-def _antipodal(n: int) -> ExactMatrix:
-    half = n // 2
-    return ExactMatrix(
-        [[1 if j == (i + half) % n else 0 for j in range(n)] for i in range(n)]
-    )
-
-
 def closed_form_matrix(form: ClosedForm) -> ExactMatrix:
     """The predicted average mixing matrix for a known family."""
     n = form.n
     if n < 1:
         raise ValueError("closed forms need n >= 1")
-    ident = ExactMatrix.identity(n)
-    ones = ExactMatrix.ones(n)
+    # (a J + b I + c T) / denom
     if form.family == "path_adjacency":
-        return (2 * ones + ident + _reversal(n)) * F(1, 2 * n + 2)
-    if form.family == "path_laplacian":
+        a, b, c, denom = 2, 1, 1, 2 * n + 2
+    elif form.family == "path_laplacian":
         if n < 2:
             raise ValueError("Laplacian path form needs n >= 2")
-        return ((n - 1) * ones + F(n, 2) * (ident + _reversal(n))) * F(1, n * n)
-    if form.family == "cycle_odd":
+        a, b, c, denom = 2 * n - 2, n, n, 2 * n * n
+    elif form.family == "cycle_odd":
         if n < 3 or n % 2 == 0:
             raise ValueError("odd cycle form needs odd n >= 3")
-        return F(n - 1, n * n) * ones + F(1, n) * ident
-    if form.family == "cycle_even":
+        a, b, c, denom = n - 1, n, 0, n * n
+    elif form.family == "cycle_even":
         if n < 4 or n % 2 == 1:
             raise ValueError("even cycle form needs even n >= 4")
-        return F(n - 2, n * n) * ones + F(1, n) * (ident + _antipodal(n))
-    if form.family == "pseudocyclic":
+        a, b, c, denom = n - 2, n, n, n * n
+    elif form.family == "pseudocyclic":
         m = form.m
         if m is None or not (1 <= m <= n - 1) or (n - 1) % m != 0:
             raise ValueError("pseudocyclic form needs a valency m dividing n-1")
-        return F(n - m + 1, n * n) * ones + F(m - 1, n) * ident
-    raise ValueError(f"unknown closed form family {form.family!r}")
+        a, b, c, denom = n - m + 1, n * (m - 1), 0, n * n
+    else:
+        raise ValueError(f"unknown closed form family {form.family!r}")
+    if form.family == "cycle_even":
+        partner = [(i + n // 2) % n for i in range(n)]  # antipodal map
+    else:
+        partner = [n - 1 - i for i in range(n)]  # reversal
+    nums = [
+        [a + b * (i == j) + c * (j == partner[i]) for j in range(n)]
+        for i in range(n)
+    ]
+    return _boxed(nums, denom)
 
 
 def verify_closed_form(
@@ -124,19 +120,21 @@ def verify_closed_form(
 # ---------------------------------------------------------------------------
 
 
-def _walk_diagonal(matrix: ExactMatrix, u: int, upto: int) -> list[Fraction]:
+def _walk_diagonal(rows: list[list[int]], u: int, upto: int) -> list[int]:
     """Closed-walk weights (M^k)_{uu} for k = 0..upto, by vector iteration."""
-    n = matrix.nrows
-    vec = [F(1) if i == u else F(0) for i in range(n)]
-    rows = matrix.to_lists()
+    vec = [int(i == u) for i in range(len(rows))]
     out = [vec[u]]
     for _ in range(upto):
-        vec = [
-            sum((rows[i][j] * vec[j] for j in range(n)), F(0))
-            for i in range(n)
-        ]
+        vec = [sum(map(mul, row, vec)) for row in rows]
         out.append(vec[u])
     return out
+
+
+def _deleted_char_poly(rows: list[list[int]], u: int) -> list[int]:
+    """Characteristic polynomial of M with row and column u removed."""
+    return _charpoly_int(
+        [row[:u] + row[u + 1 :] for k, row in enumerate(rows) if k != u]
+    )
 
 
 def are_cospectral(
@@ -150,15 +148,11 @@ def are_cospectral(
     """
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise IndexError("vertex out of range")
-    matrix = matrix_of(g, basis)
+    rows = basis_rows(g, basis)
     if u == v:
         return True
-    if g.n == 1:
-        return True
-    deleted = char_poly(matrix.deleted(u)) == char_poly(matrix.deleted(v))
-    walks = _walk_diagonal(matrix, u, g.n - 1) == _walk_diagonal(
-        matrix, v, g.n - 1
-    )
+    deleted = _deleted_char_poly(rows, u) == _deleted_char_poly(rows, v)
+    walks = _walk_diagonal(rows, u, g.n - 1) == _walk_diagonal(rows, v, g.n - 1)
     if deleted != walks:
         raise AssertionError(
             "vertex-deleted and closed-walk cospectrality criteria disagree"
@@ -193,13 +187,9 @@ def are_strongly_cospectral(
 
 def is_walk_regular(g: WeightedGraph, basis: str = "adjacency") -> bool:
     """All vertex-deleted characteristic polynomials equal."""
-    matrix = matrix_of(g, basis)
-    if g.n == 1:
-        return True
-    first = char_poly(matrix.deleted(0))
-    return all(
-        char_poly(matrix.deleted(u)) == first for u in range(1, g.n)
-    )
+    rows = basis_rows(g, basis)
+    first = _deleted_char_poly(rows, 0)
+    return all(_deleted_char_poly(rows, u) == first for u in range(1, g.n))
 
 
 def all_strongly_cospectral_check(
@@ -282,11 +272,13 @@ class SpanClass(enum.Enum):
 def ij_span_check(report: AvgMixReport) -> SpanClass:
     """Classify Mhat against span{I, J} and span{I, J, T} exactly."""
     n = report.n
-    ident = ExactMatrix.identity(n)
-    ones = ExactMatrix.ones(n)
-    if matrix_in_span(report.mixing, [ident, ones]):
+    mixing = report.mixing
+    cells = [(i, j) for i in range(n) for j in range(n)]
+    if _rows_in_span([int(i == j), 1, mixing[i, j]] for i, j in cells):
         return SpanClass.IJ
-    if matrix_in_span(report.mixing, [ident, ones, _reversal(n)]):
+    if _rows_in_span(
+        [int(i == j), 1, int(i + j == n - 1), mixing[i, j]] for i, j in cells
+    ):
         return SpanClass.IJT
     return SpanClass.OTHER
 

@@ -21,7 +21,6 @@ from .analysis import (
     ClosedForm,
     are_cospectral,
     are_strongly_cospectral,
-    closed_form_matrix,
     ij_span_check,
     is_walk_regular,
     pst_necessary,
@@ -86,19 +85,15 @@ def _report_payload(report: AvgMixReport, basis: str) -> dict:
     }
 
 
-def _emit_matrix_csv(m: ExactMatrix) -> list[str]:
+def _emit_matrix_csv(cells: list[list[str]]) -> list[str]:
     lines = ["# approximate decimal values, 12 significant digits"]
-    for row in m.to_lists():
-        lines.append(",".join(format(float(x), ".12g") for x in row))
+    for row in cells:
+        lines.append(",".join(format(float(Fraction(x)), ".12g") for x in row))
     return lines
 
 
-def _emit_pretty_matrix(m: ExactMatrix) -> list[str]:
-    cells = [[_rat(x) for x in row] for row in m.to_lists()]
-    widths = [
-        max(len(cells[i][j]) for i in range(m.nrows))
-        for j in range(m.ncols)
-    ]
+def _emit_pretty_matrix(cells: list[list[str]]) -> list[str]:
+    widths = [max(len(cell) for cell in column) for column in zip(*cells)]
     return [
         "  ".join(cell.rjust(w) for cell, w in zip(row, widths))
         for row in cells
@@ -108,9 +103,10 @@ def _emit_pretty_matrix(m: ExactMatrix) -> list[str]:
 def _emit(payload: dict, fmt: str, matrix_keys: tuple[str, ...]) -> None:
     """Print payload in the chosen format.
 
-    matrix_keys name the entries holding exact matrices; CSV prints the
-    first of them as a numeric table and the remaining scalars as
-    key,value rows, pretty prints aligned tables plus scalar lines.
+    matrix_keys name the entries holding exact matrices, as rows of "p/q"
+    strings; CSV prints the first of them as a numeric table and the
+    remaining scalars as key,value rows, pretty prints aligned tables
+    plus scalar lines.
     """
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -121,9 +117,7 @@ def _emit(payload: dict, fmt: str, matrix_keys: tuple[str, ...]) -> None:
         for key, value in payload.items():
             if key in matrix_keys:
                 if not emitted_matrix:
-                    lines.extend(
-                        _emit_matrix_csv(_matrix_from_payload(value))
-                    )
+                    lines.extend(_emit_matrix_csv(value))
                     emitted_matrix = True
                 continue
             if isinstance(value, dict):
@@ -135,7 +129,7 @@ def _emit(payload: dict, fmt: str, matrix_keys: tuple[str, ...]) -> None:
     for key, value in payload.items():
         if key in matrix_keys:
             print(f"{key}:")
-            for line in _emit_pretty_matrix(_matrix_from_payload(value)):
+            for line in _emit_pretty_matrix(value):
                 print(f"  {line}")
         elif isinstance(value, dict):
             flat = ", ".join(f"{k}={v}" for k, v in value.items())
@@ -146,24 +140,23 @@ def _emit(payload: dict, fmt: str, matrix_keys: tuple[str, ...]) -> None:
             print(f"{key}: {value}")
 
 
-def _matrix_from_payload(rows: list[list[str]]) -> ExactMatrix:
-    return ExactMatrix([[Fraction(x) for x in row] for row in rows])
-
-
 # ---------------------------------------------------------------------------
 # input parsing
 # ---------------------------------------------------------------------------
 
 
-def _parse_loops(text: str) -> dict[int, int]:
-    out: dict[int, int] = {}
+def _parse_loops(text: str) -> dict[int, object]:
+    """vertex=weight pairs; each weight is parsed as JSON and left to
+    `add_loops` to check like any other weight."""
+    out: dict[int, object] = {}
     for chunk in text.split(","):
-        if "=" not in chunk:
+        vertex, _, weight = chunk.partition("=")
+        try:
+            out[int(vertex)] = json.loads(weight)
+        except ValueError:
             raise ValueError(
                 f"loop entry {chunk!r} is not of the form vertex=weight"
-            )
-        vertex, weight = chunk.split("=", 1)
-        out[int(vertex)] = int(weight)
+            ) from None
     return out
 
 

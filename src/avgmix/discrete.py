@@ -39,7 +39,6 @@ fit a float.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from operator import mul
 
 import numpy as np
@@ -187,29 +186,3 @@ def cesaro_error_bound(u: ExactMatrix, steps: int) -> float:
             size = float(np.max(np.abs(projectors[r] * projectors[s])))
             bound += 2.0 * size / (steps * abs(1.0 - ratio))
     return bound
-
-
-@dataclass(frozen=True)
-class DiscreteWalk:
-    """A validated orthogonal step matrix with the mixing computations."""
-
-    matrix: ExactMatrix
-
-    def __post_init__(self) -> None:
-        _require_orthogonal(self.matrix)
-
-    @property
-    def n(self) -> int:
-        return self.matrix.nrows
-
-    def literal(self) -> ExactMatrix:
-        return avg_mixing_literal(self.matrix)
-
-    def physical(self) -> ExactMatrix:
-        return avg_mixing_physical(self.matrix)
-
-    def partial_average(self, steps: int) -> np.ndarray:
-        return cesaro_partial(self.matrix, steps)
-
-    def error_bound(self, steps: int) -> float:
-        return cesaro_error_bound(self.matrix, steps)

@@ -1,18 +1,19 @@
 """Exact matrices at the API boundary and integer polynomial kernels.
 
 `ExactMatrix` and `ExactPolynomial` are the immutable rational values the
-package takes and returns: scalars are `fractions.Fraction` (stored
-reduced, denominator > 0), polynomials dense ascending coefficient tuples
-with no trailing zeros, so the zero polynomial is the empty tuple and has
-degree -1.
+package takes and returns, with no arithmetic of their own: scalars are
+`fractions.Fraction` (stored reduced, denominator > 0; ints are taken,
+bools are not), polynomials dense ascending coefficient tuples with no
+trailing zeros, so the zero polynomial is the empty tuple, of degree -1.
 
-All polynomial work runs on plain lists of Python ints in the `_int_*`
-kernels: primitive and subresultant remainder sequences for gcds and
-resultants (coefficients stay at subresultant size), Newton power sums,
-and fraction-free Bareiss elimination, which gives determinants, the
-characteristic polynomial (at n+1 integer points, then Newton
-interpolation) and scaled inverses modulo a polynomial.  `char_poly` and
-`matrix_in_span` are the only rational entry points.
+All matrix and polynomial work runs on plain lists of Python ints in the
+`_int_*` kernels: primitive and subresultant remainder sequences for gcds
+and resultants (coefficients stay at subresultant size), Newton power
+sums, and fraction-free Bareiss elimination, which gives determinants,
+the characteristic polynomial (at n+1 integer points, then Newton
+interpolation) and scaled inverses modulo a polynomial.  The one
+rational routine is `_rows_in_span`, the exact span elimination shared
+by scheme axiom (d) and the span classification of `avgmix.analysis`.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ class NotAnnihilatingError(ValueError):
 def _as_fraction(x: Scalar) -> Fraction:
     if isinstance(x, Fraction):
         return x
-    if isinstance(x, int):
+    if isinstance(x, int) and not isinstance(x, bool):
         return Fraction(x)
     raise TypeError(f"expected an integer or Fraction, got {type(x).__name__}")
 
@@ -46,7 +47,7 @@ def _as_fraction(x: Scalar) -> Fraction:
 
 
 class ExactMatrix:
-    """Immutable dense matrix over the rationals."""
+    """Immutable dense matrix over the rationals, a value with no arithmetic."""
 
     __slots__ = ("_rows", "nrows", "ncols")
 
@@ -62,11 +63,6 @@ class ExactMatrix:
         self._rows = data
         self.nrows = len(data)
         self.ncols = width
-
-    @classmethod
-    def zeros(cls, nrows: int, ncols: int | None = None) -> "ExactMatrix":
-        ncols = nrows if ncols is None else ncols
-        return cls([[0] * ncols for _ in range(nrows)])
 
     @classmethod
     def identity(cls, n: int) -> "ExactMatrix":
@@ -102,50 +98,6 @@ class ExactMatrix:
         for row in self._rows:
             yield from row
 
-    # -- arithmetic --------------------------------------------------------
-
-    def __add__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
-
-    def __sub__(self, other: "ExactMatrix") -> "ExactMatrix":
-        self._check_same_shape(other)
-        return ExactMatrix(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self._rows, other._rows)
-            ]
-        )
-
-    def __neg__(self) -> "ExactMatrix":
-        return ExactMatrix([[-a for a in row] for row in self._rows])
-
-    def __mul__(self, other: "ExactMatrix | Scalar") -> "ExactMatrix":
-        if isinstance(other, ExactMatrix):
-            if self.ncols != other.nrows:
-                raise ValueError(
-                    f"cannot multiply {self.nrows}x{self.ncols} by "
-                    f"{other.nrows}x{other.ncols}"
-                )
-            cols = [other.column(j) for j in range(other.ncols)]
-            return ExactMatrix(
-                [
-                    [sum(a * b for a, b in zip(row, col)) for col in cols]
-                    for row in self._rows
-                ]
-            )
-        c = _as_fraction(other)
-        return ExactMatrix([[c * a for a in row] for row in self._rows])
-
-    def __rmul__(self, other: Scalar) -> "ExactMatrix":
-        c = _as_fraction(other)
-        return ExactMatrix([[c * a for a in row] for row in self._rows])
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
@@ -160,16 +112,7 @@ class ExactMatrix:
         )
         return f"ExactMatrix({self.nrows}x{self.ncols}: {body})"
 
-    def _check_same_shape(self, other: "ExactMatrix") -> None:
-        if (self.nrows, self.ncols) != (other.nrows, other.ncols):
-            raise ValueError("matrix shapes differ")
-
     # -- structure ---------------------------------------------------------
-
-    def transpose(self) -> "ExactMatrix":
-        return ExactMatrix(
-            [self.column(j) for j in range(self.ncols)]
-        )
 
     def is_symmetric(self) -> bool:
         if not self.is_square:
@@ -183,24 +126,8 @@ class ExactMatrix:
     def is_integral(self) -> bool:
         return all(x.denominator == 1 for x in self.entries())
 
-    def is_zero(self) -> bool:
-        return all(x == 0 for x in self.entries())
-
     def row_sums(self) -> tuple[Fraction, ...]:
         return tuple(sum(row, Fraction(0)) for row in self._rows)
-
-    def deleted(self, i: int, j: int | None = None) -> "ExactMatrix":
-        """Copy with row i and column j removed (j defaults to i)."""
-        j = i if j is None else j
-        if not (0 <= i < self.nrows and 0 <= j < self.ncols):
-            raise IndexError("row or column out of range")
-        return ExactMatrix(
-            [
-                [x for c, x in enumerate(row) if c != j]
-                for r, row in enumerate(self._rows)
-                if r != i
-            ]
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -211,8 +138,8 @@ class ExactMatrix:
 class ExactPolynomial:
     """Immutable rational polynomial, dense ascending coefficients.
 
-    A value type for results (`char_poly`, `AvgMixReport`); polynomial
-    arithmetic runs in the integer kernels below.
+    A value type for results (the polynomials of an `AvgMixReport`);
+    polynomial arithmetic runs in the integer kernels below.
     """
 
     __slots__ = ("_coeffs",)
@@ -582,24 +509,6 @@ def _int_scaled_inverse(psi: Sequence[int], a: Sequence[int]) -> tuple[list[int]
     return t, d
 
 
-def char_poly(m: ExactMatrix) -> ExactPolynomial:
-    """Characteristic polynomial det(xI - M), monic of degree n."""
-    if not m.is_square:
-        raise ValueError("characteristic polynomial needs a square matrix")
-    n = m.nrows
-    denom = lcm_int(x.denominator for x in m.entries())
-    scaled = [
-        [int(m[i, j] * denom) for j in range(n)] for i in range(n)
-    ]
-    ints = _charpoly_int(scaled)
-    if denom == 1:
-        return ExactPolynomial(ints)
-    # char_M(x) = denom^-n * char_{denom*M}(denom * x)
-    return ExactPolynomial(
-        [Fraction(c, denom ** (n - k)) for k, c in enumerate(ints)]
-    )
-
-
 def lcm_int(values: Iterable[int]) -> int:
     out = 1
     for v in values:
@@ -633,12 +542,3 @@ def _rows_in_span(rows: Iterable[Sequence[Scalar]]) -> bool:
                 rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot])]
         pivot += 1
     return all(row[-1] == 0 for row in rows[pivot:])
-
-
-def matrix_in_span(target: ExactMatrix, basis: Sequence[ExactMatrix]) -> bool:
-    """Exact consistency of sum_i x_i B_i = T by Gaussian elimination."""
-    return _rows_in_span(
-        [b[i, j] for b in basis] + [target[i, j]]
-        for i in range(target.nrows)
-        for j in range(target.ncols)
-    )

@@ -9,7 +9,7 @@ degree) and is only defined for loop-free graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping
 
 from .exact import ExactMatrix
 
@@ -220,24 +220,24 @@ def complement(g: WeightedGraph) -> WeightedGraph:
     return WeightedGraph.from_weights(rows)
 
 
-def matrix_of(g: WeightedGraph, basis: str = "adjacency") -> ExactMatrix:
-    """Adjacency or Laplacian matrix of the graph, with exact entries."""
+def basis_rows(g: WeightedGraph, basis: str = "adjacency") -> list[list[int]]:
+    """Integer rows of the adjacency or Laplacian matrix of the graph."""
     if basis == "adjacency":
-        return ExactMatrix(g.weights)
+        return [list(row) for row in g.weights]
     if basis == "laplacian":
         if not g.is_loop_free():
             raise ValueError("Laplacian requires a loop-free graph")
         degs = g.degrees()
-        return ExactMatrix(
-            [
-                [
-                    degs[i] if i == j else -g.weights[i][j]
-                    for j in range(g.n)
-                ]
-                for i in range(g.n)
-            ]
-        )
+        return [
+            [degs[i] if i == j else -g.weights[i][j] for j in range(g.n)]
+            for i in range(g.n)
+        ]
     raise ValueError(f"unknown basis {basis!r}")
+
+
+def matrix_of(g: WeightedGraph, basis: str = "adjacency") -> ExactMatrix:
+    """Adjacency or Laplacian matrix of the graph, with exact entries."""
+    return ExactMatrix(basis_rows(g, basis))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ differ from the engine's: Faddeev-LeVerrier for the characteristic
 polynomial, Gaussian elimination for determinants, Euclid over Q for gcds
 and inverses modulo psi, the resolvent as a sum of matrix powers, sums
 over the roots of psi as traces of multiplication matrices (not Newton
-power sums), and the conjugate pairing by composing with y^-1.
+power sums), the conjugate pairing by composing with y^-1, and span
+membership as a rank comparison of flattened matrices (no duplicate
+equations dropped).
 """
 
 from fractions import Fraction
@@ -162,3 +164,58 @@ def mixing(rows, conjugate=False):
         paired = compose_mod(g, y_inverse, psi) if conjugate else g
         out[u][v] = trace(poly_divmod(mul(g, paired), psi)[1], traces)
     return out
+
+
+def rank(vectors):
+    """Rank of a list of equal-length vectors by elimination over Q."""
+    work, done = [[Fraction(x) for x in v] for v in vectors], 0
+    for col in range(len(work[0]) if work else 0):
+        pivot = next((r for r in range(done, len(work)) if work[r][col]), None)
+        if pivot is None:
+            continue
+        work[done], work[pivot] = work[pivot], work[done]
+        for r in range(done + 1, len(work)):
+            f = work[r][col] / work[done][col]
+            work[r] = [a - f * b for a, b in zip(work[r], work[done])]
+        done += 1
+    return done
+
+
+def scheme_verdict(mats):
+    """(axiom, witness, detail) violations of the scheme axioms by the 0/1
+    class matrices, in the order avgmix reports them, and the valencies
+    (identity first) when there are none.  A product lies in the span of
+    the classes when adding it, flattened, to the flattened classes leaves
+    the rank unchanged."""
+    n, k = len(mats[0]), len(mats)
+    ident = [[int(i == j) for j in range(n)] for i in range(n)]
+    out = [("a", (), "no class equals the identity")] if ident not in mats else []
+    out += [("a", (i,), f"class {i} is empty") for i, m in enumerate(mats) if not any(map(any, m))]
+    total = [[sum(m[i][j] for m in mats) for j in range(n)] for i in range(n)]
+    bad = [(i, j) for i in range(n) for j in range(n) if total[i][j] != 1]
+    if bad:
+        out.append(("a", bad[0], "class supports do not partition: position "
+                    f"{bad[0]} is covered {total[bad[0][0]][bad[0][1]]} times"))
+    out += [("b", (i,), f"the transpose of class {i} is not a class")
+            for i, m in enumerate(mats) if [list(c) for c in zip(*m)] not in mats]
+    products = [[matmul(a, b) for b in mats] for a in mats]
+    out += [("c", (i, j), f"classes {i} and {j} do not commute")
+            for i in range(k) for j in range(i + 1, k) if products[i][j] != products[j][i]]
+    flat = [[x for row in m for x in row] for m in mats]
+    for i, j in product(range(k), repeat=2):
+        p = products[i][j]
+        if rank(flat + [[x for row in p for x in row]]) == rank(flat):
+            continue
+        detail = (f"the product of classes {i} and {j} is not a linear "
+                  f"combination of the classes")
+        for c, m in enumerate(mats):
+            values = {(r, t): p[r][t] for r in range(n) for t in range(n) if m[r][t]}
+            if len(set(values.values())) > 1:
+                lo, hi = min(values, key=values.get), max(values, key=values.get)
+                detail += (f": on the support of class {c} it takes value "
+                           f"{values[lo]} at {lo} but {values[hi]} at {hi}")
+                break
+        out.append(("d", (i, j), detail))
+    if out:
+        return out, None
+    return out, tuple(sum(m[0]) for m in sorted(mats, key=lambda m: m != ident))

@@ -476,3 +476,23 @@ def test_broken_pipe_exits_quietly_with_sigpipe_status(tmp_path, capsys, monkeyp
     assert code == 141
     assert capsys.readouterr().err == ""
     assert target.read_bytes() == b""
+
+
+@pytest.mark.parametrize(
+    "loops, message",
+    [
+        ("0=1.7", "weight at (0, 0) is not an integer: 1.7"),
+        ("0=true", "weight at (0, 0) is not an integer: True"),
+        ("0=x", "loop entry '0=x'"),
+        ("x=2", "loop entry 'x=2'"),
+    ],
+)
+def test_loop_weights_follow_the_library_rules(capsys, loops, message):
+    code, _, err = run(capsys, "compute", "--family", "path:3", "--loops", loops)
+    assert code == 2
+    assert message in err
+
+
+def test_integer_valued_float_loop_weight_accepted(capsys):
+    as_float = run_json(capsys, "compute", "--family", "path:3", "--loops", "0=2.0")
+    assert as_float == run_json(capsys, "compute", "--family", "path:3", "--loops", "0=2")

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from avgmix.discrete import (
-    DiscreteWalk,
     avg_mixing_literal,
     avg_mixing_physical,
     cesaro_error_bound,
@@ -93,8 +92,10 @@ def test_swap_mixes_completely():
 def test_cyclic_shift_separates_literal_from_physical():
     shift = ExactMatrix([[0, 1, 0], [0, 0, 1], [1, 0, 0]])
     third = F(1, 3)
-    assert avg_mixing_literal(shift) == third * ExactMatrix.identity(3)
-    assert avg_mixing_physical(shift) == third * ExactMatrix.ones(3)
+    assert avg_mixing_literal(shift) == ExactMatrix(
+        [[third if i == j else 0 for j in range(3)] for i in range(3)]
+    )
+    assert avg_mixing_physical(shift) == ExactMatrix([[third] * 3] * 3)
 
 
 def test_block_sum_of_rotation_and_fixed_point():
@@ -147,15 +148,6 @@ def test_step_counts_must_be_positive():
         cesaro_partial(rotation_345(), 0)
     with pytest.raises(ValueError):
         cesaro_error_bound(rotation_345(), -3)
-
-
-def test_walk_wrapper_validates_and_delegates():
-    walk = DiscreteWalk(rotation_345())
-    assert walk.n == 2
-    assert walk.physical() == avg_mixing_physical(rotation_345())
-    assert walk.literal() == avg_mixing_literal(rotation_345())
-    with pytest.raises(ValueError):
-        DiscreteWalk(ExactMatrix([[1, 1], [0, 1]]))
 
 
 # ---------------------------------------------------------------------------

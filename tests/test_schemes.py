@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from avgmix.exact import ExactMatrix, matrix_in_span
+import reference
+from avgmix.exact import ExactMatrix
 from avgmix.graphs import circulant_graph, complete_graph, matrix_of, path_graph
 from avgmix.schemes import (
     AssociationScheme,
@@ -16,10 +17,19 @@ from avgmix.schemes import (
 )
 
 
-def shift(n: int, k: int) -> ExactMatrix:
+def shift(n: int, *ks: int) -> ExactMatrix:
+    """The sum of the cyclic shifts i -> i + k over the given k."""
     return ExactMatrix(
-        [[1 if j == (i + k) % n else 0 for j in range(n)] for i in range(n)]
+        [[1 if (j - i) % n in ks else 0 for j in range(n)] for i in range(n)]
     )
+
+
+def off_diagonal(n: int) -> ExactMatrix:
+    return ExactMatrix([[int(i != j) for j in range(n)] for i in range(n)])
+
+
+# the complement of the path 0 - 1 - 2 without loops
+P3_REST = ExactMatrix([[0, 0, 1], [0, 0, 0], [1, 0, 0]])
 
 
 def c4_scheme() -> list[ExactMatrix]:
@@ -31,8 +41,7 @@ def c4_scheme() -> list[ExactMatrix]:
 
 
 def k4_scheme() -> list[ExactMatrix]:
-    ident = ExactMatrix.identity(4)
-    return [ident, ExactMatrix.ones(4) - ident]
+    return [ExactMatrix.identity(4), off_diagonal(4)]
 
 
 # ---------------------------------------------------------------------------
@@ -43,8 +52,7 @@ def k4_scheme() -> list[ExactMatrix]:
 def test_path_partition_is_rejected_with_closure_witness():
     ident = ExactMatrix.identity(3)
     adj = matrix_of(path_graph(3))
-    rest = ExactMatrix.ones(3) - ident - adj
-    report = verify_scheme([ident, adj, rest])
+    report = verify_scheme([ident, adj, P3_REST])
     assert not report.ok
     assert report.scheme is None
     closure = [v for v in report.violations if v.axiom == "d"]
@@ -57,8 +65,7 @@ def test_path_partition_is_rejected_with_closure_witness():
 def test_path_partition_span_witness_names_conflicting_cells():
     ident = ExactMatrix.identity(3)
     adj = matrix_of(path_graph(3))
-    rest = ExactMatrix.ones(3) - ident - adj
-    report = verify_scheme([ident, adj, rest])
+    report = verify_scheme([ident, adj, P3_REST])
     squared = [v for v in report.violations if v.witness == (1, 1)]
     assert len(squared) == 1
     # the square of the path class is 2 on the middle diagonal cell but 1
@@ -76,9 +83,8 @@ def test_missing_identity_is_reported():
 
 
 def test_empty_class_is_reported():
-    ident = ExactMatrix.identity(3)
     report = verify_scheme(
-        [ident, ExactMatrix.zeros(3, 3), ExactMatrix.ones(3) - ident]
+        [ExactMatrix.identity(3), ExactMatrix([[0] * 3] * 3), off_diagonal(3)]
     )
     assert not report.ok
     assert any(
@@ -101,7 +107,7 @@ def test_transpose_closure_failure_collected_alongside_span():
     mats = [
         ExactMatrix.identity(4),
         shift(4, 1),
-        shift(4, 2) + shift(4, 3),
+        shift(4, 2, 3),
     ]
     report = verify_scheme(mats)
     assert not report.ok
@@ -122,60 +128,11 @@ def test_malformed_inputs_raise():
         verify_scheme([ExactMatrix([[1, 0]])])
 
 
-def reference_verdict(mats: list[ExactMatrix]):
-    """Violations and valencies from ExactMatrix products and matrix_in_span."""
-    n = mats[0].nrows
-    ident = ExactMatrix.identity(n)
-    out = []
-    if ident not in mats:
-        out.append(("a", (), "no class equals the identity"))
-    out += [("a", (i,), f"class {i} is empty") for i, m in enumerate(mats) if m.is_zero()]
-    total = ExactMatrix.zeros(n, n)
-    for m in mats:
-        total = total + m
-    bad = [(i, j) for i in range(n) for j in range(n) if total[i, j] != 1]
-    if bad:
-        out.append(("a", bad[0], "class supports do not partition: position "
-                    f"{bad[0]} is covered {total[bad[0]]} times"))
-    out += [
-        ("b", (i,), f"the transpose of class {i} is not a class")
-        for i, m in enumerate(mats)
-        if m.transpose() not in mats
-    ]
-    k = len(mats)
-    products = [[a * b for b in mats] for a in mats]
-    out += [
-        ("c", (i, j), f"classes {i} and {j} do not commute")
-        for i in range(k)
-        for j in range(i + 1, k)
-        if products[i][j] != products[j][i]
-    ]
-    for i in range(k):
-        for j in range(k):
-            p = products[i][j]
-            if matrix_in_span(p, mats):
-                continue
-            detail = (f"the product of classes {i} and {j} is not a linear "
-                      f"combination of the classes")
-            for c, m in enumerate(mats):
-                cells = [(r, t) for r in range(n) for t in range(n) if m[r, t] == 1]
-                if len({p[x] for x in cells}) > 1:
-                    lo = min(cells, key=p.__getitem__)
-                    hi = max(cells, key=p.__getitem__)
-                    detail += (f": on the support of class {c} it takes value "
-                               f"{p[lo]} at {lo} but {p[hi]} at {hi}")
-                    break
-            out.append(("d", (i, j), detail))
-    if out:
-        return out, None
-    ordered = sorted(mats, key=lambda m: m != ident)
-    return out, tuple(int(m.row_sums()[0]) for m in ordered)
-
-
 @st.composite
 def class_lists(draw):
-    """Random partitions of the positions into 0/1 classes, with or
-    without the identity as a class of its own, symmetric or not."""
+    """Random partitions of the positions into 0/1 classes, each a list of
+    rows, with or without the identity as a class of its own, symmetric
+    or not."""
     n = draw(st.integers(1, 5))
     k = draw(st.integers(1, 4))
     symmetric = draw(st.booleans())
@@ -187,28 +144,29 @@ def class_lists(draw):
         if not (with_identity and i == j)
     ]
     owners = draw(st.lists(st.integers(0, k - 1), min_size=len(cells), max_size=len(cells)))
-    rows = [[[0] * n for _ in range(n)] for _ in range(k)]
+    mats = [[[0] * n for _ in range(n)] for _ in range(k)]
     for (i, j), c in zip(cells, owners):
-        rows[c][i][j] = 1
+        mats[c][i][j] = 1
         if symmetric:
-            rows[c][j][i] = 1
-    mats = [ExactMatrix(r) for r in rows]
+            mats[c][j][i] = 1
     if with_identity:
-        mats.insert(draw(st.integers(0, k)), ExactMatrix.identity(n))
+        ident = [[int(i == j) for j in range(n)] for i in range(n)]
+        mats.insert(draw(st.integers(0, k)), ident)
     return mats
 
 
 @settings(max_examples=150, deadline=None)
 @given(class_lists())
 def test_integer_axioms_match_exact_reference(mats):
-    report = verify_scheme(mats)
-    violations, valencies = reference_verdict(mats)
+    report = verify_scheme([ExactMatrix(m) for m in mats])
+    violations, valencies = reference.scheme_verdict(mats)
     assert report.ok == (not violations)
     assert [(v.axiom, v.witness, v.detail) for v in report.violations] == violations
     if report.ok:
         assert report.scheme.valencies == valencies
-        ident = ExactMatrix.identity(mats[0].nrows)
-        assert report.scheme.matrices == tuple(sorted(mats, key=lambda m: m != ident))
+        ident = ExactMatrix.identity(len(mats[0]))
+        ordered = sorted(map(ExactMatrix, mats), key=lambda m: m != ident)
+        assert report.scheme.matrices == tuple(ordered)
 
 
 # ---------------------------------------------------------------------------
