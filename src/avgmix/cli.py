@@ -230,9 +230,12 @@ def _load_graph(args: argparse.Namespace) -> WeightedGraph:
 
 def _parse_pair(text: str, n: int) -> tuple[int, int]:
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError("the pair must be two comma-separated vertices")
-    u, v = (int(p) for p in parts)
+    try:
+        u, v = (int(p) for p in parts)
+    except ValueError:
+        raise ValueError(
+            f"--pair {text!r} is not two comma-separated vertices"
+        ) from None
     if not (0 <= u < n and 0 <= v < n):
         raise IndexError("pair vertex out of range")
     return u, v

@@ -49,6 +49,7 @@ from .mixing import (
     _boxed,
     _check_mixing_invariants,
     _entry_numerator,
+    _gram_numerators,
     _resolvent_form,
     _trace_form,
 )
@@ -88,13 +89,16 @@ def _literal(form: _TraceForm) -> ExactMatrix:
 
 
 def _physical(form: _TraceForm) -> ExactMatrix:
-    n = len(form.resolvent[0])
-    nums = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(a, n):
-            nums[a][b] = nums[b][a] = _entry_numerator(
-                form.entry_polynomial(a, b), form.entry_polynomial(b, a), form.tau
-            )
+    if form.disc_char:
+        nums = _gram_numerators(form)
+    else:
+        n = len(form.resolvent[0])
+        nums = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(a, n):
+                nums[a][b] = nums[b][a] = _entry_numerator(
+                    form.entry_polynomial(a, b), form.entry_polynomial(b, a), form.tau
+                )
     _check_mixing_invariants(nums, form.denom)
     return _boxed(nums, form.denom)
 

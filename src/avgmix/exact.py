@@ -9,9 +9,10 @@ trailing zeros, so the zero polynomial is the empty tuple, of degree -1.
 All matrix and polynomial work runs on plain lists of Python ints in the
 `_int_*` kernels: primitive and subresultant remainder sequences for gcds
 and resultants (coefficients stay at subresultant size), Newton power
-sums, and fraction-free Bareiss elimination, which gives determinants,
-the characteristic polynomial (at n+1 integer points, then Newton
-interpolation) and scaled inverses modulo a polynomial.  The one
+sums, the characteristic polynomial (Hessenberg form modulo fixed 62-bit
+primes, joined by the Chinese remainder theorem under a Hadamard bound),
+and fraction-free Bareiss elimination for scaled inverses modulo a
+polynomial.  The one
 rational routine is `_rows_in_span`, the exact span elimination shared
 by scheme axiom (d) and the span classification of `avgmix.analysis`.
 """
@@ -20,6 +21,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -416,54 +418,149 @@ def _bareiss_forward(work: list[list[int]]) -> int:
     return sign
 
 
-def _bareiss_det(rows: list[list[int]]) -> int:
-    """Determinant of an integer matrix by Bareiss fraction-free elimination."""
+# The 12 smallest primes as Miller-Rabin bases decide primality for every
+# n < 3.18e23 (Jiang and Deng, 2014), which covers all 62-bit integers.
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+# 62-bit primes, descending from 2^62; extended on demand, always in the
+# same order, so a given matrix always uses the same primes
+_PRIMES: list[int] = []
+
+
+def _is_prime_62(n: int) -> bool:
+    """Deterministic Miller-Rabin for 1 < n < 2^64."""
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _prime(k: int) -> int:
+    """The k-th largest prime below 2^62 (k = 0, 1, ...)."""
+    while len(_PRIMES) <= k:
+        candidate = (_PRIMES[-1] if _PRIMES else 2**62 + 1) - 2
+        while not _is_prime_62(candidate):
+            candidate -= 2
+        _PRIMES.append(candidate)
+    return _PRIMES[k]
+
+
+def _charpoly_bound(rows: list[list[int]]) -> int:
+    """An integer bounding |c_k| for every coefficient of det(xI - M).
+
+    c_(n-k) is +- the sum of the C(n, k) principal k x k minors, and by
+    Hadamard each is at most B^k, with B the largest row 2-norm of M
+    (a row of a minor is part of a row of M).  B^k = sqrt(N^k) for the
+    integer N = B^2 is rounded up exactly with `isqrt`.
+    """
     n = len(rows)
-    if n == 0:
-        return 1
-    work = [row[:] for row in rows]
-    sign = _bareiss_forward(work)
-    return sign * work[n - 1][n - 1]
+    norm2 = max((sum(x * x for x in row) for row in rows), default=0)
+    bound = 1
+    power = 1
+    for k in range(1, n + 1):
+        power *= norm2
+        root = math.isqrt(power)
+        if root * root < power:
+            root += 1
+        bound = max(bound, math.comb(n, k) * root)
+    return bound
+
+
+def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
+    """det(xI - M) mod p, ascending, via Hessenberg form over GF(p).
+
+    Similarity by elimination with row pivoting brings M to upper
+    Hessenberg form H; the leading principal char polys then follow the
+    recurrence P_(k+1) = (x - h_kk) P_k
+    - sum_(i<k) h_ik (h_(i+1,i) ... h_(k,k-1)) P_i.
+    """
+    n = len(rows)
+    h = [[x % p for x in row] for row in rows]
+    for m in range(1, n - 1):
+        pivot = next((r for r in range(m, n) if h[r][m - 1]), None)
+        if pivot is None:
+            continue
+        if pivot != m:
+            h[m], h[pivot] = h[pivot], h[m]
+            for row in h:
+                row[m], row[pivot] = row[pivot], row[m]
+        inv = pow(h[m][m - 1], -1, p)
+        row_m = h[m]
+        factors = [0] * n
+        for r in range(m + 1, n):
+            row_r = h[r]
+            u = row_r[m - 1] * inv % p
+            if u:
+                factors[r] = u
+                row_r[m - 1 :] = [
+                    (a - u * b) % p for a, b in zip(row_r[m - 1 :], row_m[m - 1 :])
+                ]
+        # the inverse similarity: column m gains u_r times column r
+        tail = factors[m + 1 :]
+        if any(tail):
+            for row in h:
+                row[m] = (row[m] + sum(map(mul, tail, row[m + 1 :]))) % p
+    polys = [[1]]
+    for k in range(n):
+        prev = polys[k]
+        diag = h[k][k]
+        nxt = [0] + prev
+        for d, c in enumerate(prev):
+            nxt[d] -= diag * c
+        chain = 1
+        for i in range(k - 1, -1, -1):
+            chain = chain * h[i + 1][i] % p
+            if not chain:
+                break
+            coef = h[i][k] * chain % p
+            if coef:
+                for d, c in enumerate(polys[i]):
+                    nxt[d] -= coef * c
+        polys.append([c % p for c in nxt])
+    return polys[n]
 
 
 def _charpoly_int(rows: list[list[int]]) -> list[int]:
-    """det(xI - M) for an integer matrix, ascending integer coefficients.
+    """det(xI - M) for a square integer matrix, ascending integer coefficients.
 
-    Evaluates the determinant at n+1 integer points with Bareiss
-    elimination and recovers the coefficients by Newton interpolation.
-    Divided differences of an integer polynomial at integer nodes are
-    integers, so every division is exact and checked; the result must
-    come out monic of degree n.
+    Multimodular: the polynomial is computed mod each of a fixed sequence
+    of 62-bit primes (`_prime`, found by a deterministic Miller-Rabin
+    test) by Hessenberg reduction over GF(p), and the residues are joined
+    by the Chinese remainder theorem into signed coefficients.  Primes are
+    added until their product exceeds twice the Hadamard bound of
+    `_charpoly_bound`, so the signed residues are the coefficients; no
+    prime is chosen at random and none is retried.  The result must come
+    out monic of degree n.
     """
     n = len(rows)
-    points: list[int] = []
-    k = 0
-    while len(points) < n + 1:
-        points.append(k)
-        k = -k if k > 0 else -k + 1
-    values = []
-    for x in points:
-        shifted = [
-            [(x if i == j else 0) - rows[i][j] for j in range(n)]
-            for i in range(n)
-        ]
-        values.append(_bareiss_det(shifted))
-    # Newton's divided differences, then Horner expansion to monomials
-    coeffs_nd = values
-    for level in range(1, n + 1):
-        for i in range(n, level - 1, -1):
-            q, r = divmod(
-                coeffs_nd[i] - coeffs_nd[i - 1], points[i] - points[i - level]
-            )
-            if r:
-                raise ArithmeticError("interpolation did not produce integers")
-            coeffs_nd[i] = q
+    bound2 = 2 * _charpoly_bound(rows)
+    modulus = 1
     poly = [0] * (n + 1)
-    for i in range(n, -1, -1):
-        x = points[i]
-        for j in range(n, 0, -1):
-            poly[j] = poly[j - 1] - x * poly[j]
-        poly[0] = coeffs_nd[i] - x * poly[0]
+    k = 0
+    while modulus <= bound2:
+        p = _prime(k)
+        k += 1
+        residues = _charpoly_mod(rows, p)
+        # Garner step: poly stays the residue mod the product so far
+        lift = pow(modulus % p, -1, p)
+        for i, r in enumerate(residues):
+            poly[i] += modulus * ((r - poly[i]) * lift % p)
+        modulus *= p
+    half = modulus // 2
+    poly = [c - modulus if c > half else c for c in poly]
     if poly[-1] != 1:
         raise ArithmeticError("characteristic polynomial is not monic")
     return poly

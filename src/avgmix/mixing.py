@@ -26,11 +26,25 @@ All of it runs in integers over one shared denominator.  A fraction-free
 solve of the multiplication-by-psi' system gives t = D w with integer
 coefficients, D = +-disc(psi); then w^2 = (t^2 mod psi) / D^2, the
 weights tau_k become integers over one denominator, and so does every
-entry.  Invariants and integrality certificates are checked on the
-integer numerators; `Fraction` appears only when the result is boxed
-into an `ExactMatrix`.  The discrete walks of `avgmix.discrete` run on
-the same engine.  Entries only share read-only precomputed state, so
-distinct entries may be computed concurrently in any order.
+entry.
+
+Two routes read the entries off that state, chosen by the exact integer
+D_char = disc(char poly):
+
+- D_char != 0, a simple spectrum: every E_r has rank one, so
+  (E_r)_uv^2 = (E_r)_uu (E_r)_vv and Mhat = F T F^T / denom, with row u
+  of F the coefficients of f_uu and T[j][k] = tau_(j+k) the Hankel
+  matrix of the trace weights (`_gram_numerators`, n deg^2 + n^2 deg / 2
+  integer products, where deg = n);
+- D_char == 0, a repeated spectrum: each entry is its own dot product
+  of f_uv^2 with tau (`_entry_numerator`, about n^2 deg^2 / 2 products).
+
+Both give the same integer numerators wherever both apply.  Invariants
+and integrality certificates are checked on them, whichever route ran;
+`Fraction` appears only when the result is boxed into an `ExactMatrix`.
+The discrete walks of `avgmix.discrete` run on the same engine.  Entries
+only share read-only precomputed state, so distinct entries may be
+computed concurrently in any order.
 """
 
 from __future__ import annotations
@@ -185,6 +199,31 @@ def _trace_form(rows: list[list[int]]) -> _TraceForm:
     return _TraceForm(phi, psi, disc_char, disc_min, mats, tau_num, denom)
 
 
+def _gram_numerators(form: _TraceForm) -> list[list[int]]:
+    """The numerators of sum_r (E_r)_uu (E_r)_vv over form.denom, as F T F^T.
+
+    Row u of F holds the coefficients of f_uu, and T[j][k] = tau[j+k] is
+    the Hankel matrix of the trace weights, so G = F T costs n deg^2
+    products and each entry G[u] . F[v] another deg.  When the spectrum
+    is simple every E_r has rank one, (E_r)_uv^2 = (E_r)_uu (E_r)_vv, and
+    this is the average mixing matrix; for a normal matrix E_r is also
+    Hermitian, and it is the physical limit sum_r |(E_r)_uv|^2.
+    """
+    n = len(form.resolvent[0])
+    deg = len(form.resolvent)
+    tau = form.tau
+    diag = [[b[u][u] for b in form.resolvent] for u in range(n)]
+    gram = [
+        [sum(map(mul, f, tau[k : k + deg])) for k in range(deg)] for f in diag
+    ]
+    nums = [[0] * n for _ in range(n)]
+    for u in range(n):
+        g = gram[u]
+        for v in range(u, n):
+            nums[u][v] = nums[v][u] = sum(map(mul, g, diag[v]))
+    return nums
+
+
 def _boxed(nums: list[list[int]], denom: int) -> ExactMatrix:
     """The symmetric rational matrix nums / denom; each off-diagonal
     Fraction is built once and shared between (u, v) and (v, u)."""
@@ -211,11 +250,14 @@ def average_mixing(m: ExactMatrix) -> AvgMixReport:
 
     form = _trace_form(rows)
     denom = form.denom
-    nums = [[0] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u, n):
-            f = form.entry_polynomial(u, v)
-            nums[u][v] = nums[v][u] = _entry_numerator(f, f, form.tau)
+    if form.disc_char:
+        nums = _gram_numerators(form)
+    else:
+        nums = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u, n):
+                f = form.entry_polynomial(u, v)
+                nums[u][v] = nums[v][u] = _entry_numerator(f, f, form.tau)
 
     _check_mixing_invariants(nums, denom)
     common = 0
@@ -297,20 +339,3 @@ def strong_cospectral_kernel(report: AvgMixReport, u: int, v: int) -> bool:
     if u == v:
         raise ValueError("strong cospectrality needs two distinct vertices")
     return report.mixing.column(u) == report.mixing.column(v)
-
-
-def minpoly_integrality_counterexamples(
-    matrices: list[ExactMatrix],
-) -> list[int]:
-    """Indices whose average mixing matrix violates D_min * Mhat integral.
-
-    Whether the minimal-polynomial discriminant always clears the
-    denominators is open for repeated spectra; this scans a batch of
-    candidates and reports any violation found (none are known).
-    """
-    bad = []
-    for idx, m in enumerate(matrices):
-        report = average_mixing(m)
-        if not report.certificates.d_integral_minpoly:
-            bad.append(idx)
-    return bad

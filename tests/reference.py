@@ -6,7 +6,8 @@ differ from the engine's: Faddeev-LeVerrier for the characteristic
 polynomial, Gaussian elimination for determinants, Euclid over Q for gcds
 and inverses modulo psi, the resolvent as a sum of matrix powers, sums
 over the roots of psi as traces of multiplication matrices (not Newton
-power sums), the conjugate pairing by composing with y^-1, and span
+power sums), the conjugate pairing by composing with y^-1, simple
+spectra by closed walks and the power-sum Hankel matrix, and span
 membership as a rank comparison of flattened matrices (no duplicate
 equations dropped).
 """
@@ -164,6 +165,43 @@ def mixing(rows, conjugate=False):
         paired = compose_mod(g, y_inverse, psi) if conjugate else g
         out[u][v] = trace(poly_divmod(mul(g, paired), psi)[1], traces)
     return out
+
+
+def solve(a, b):
+    """X with a X = b for a nonsingular square a, by Gauss-Jordan over Q."""
+    n = len(a)
+    work = [[Fraction(x) for x in row] + [Fraction(x) for x in rhs]
+            for row, rhs in zip(a, b)]
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if work[r][col]), None)
+        if pivot is None:
+            raise ZeroDivisionError("singular system")
+        work[col], work[pivot] = work[pivot], work[col]
+        lead = work[col][col]
+        work[col] = [x / lead for x in work[col]]
+        for r in range(n):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+    return [row[n:] for row in work]
+
+
+def simple_spectrum_mixing(rows):
+    """sum_r E_r o conj(E_r) for a normal matrix A with a simple spectrum,
+    which is sum_r E_r o E_r when A is symmetric, as W H^-1 W^T.
+
+    Every E_r is x_r x_r^* of rank one, so with X[u][r] = |x_ru|^2 the
+    result is X X^T.  Closed walks give W[u][k] = (A^k)_uu = (X V)[u][k]
+    for the Vandermonde V[r][k] = theta_r^k, and H = V^T V is the Hankel
+    matrix of the power sums p_(j+k) = tr A^(j+k); det H = disc(phi) is
+    nonzero, and X X^T = W H^-1 W^T.  No resolvent and no 1/psi'.
+    """
+    n = len(rows)
+    pw = powers(rows, 2 * n - 1)
+    w = [[pw[k][u][u] for k in range(n)] for u in range(n)]
+    h = [[sum(pw[j + k][i][i] for i in range(n)) for k in range(n)]
+         for j in range(n)]
+    return matmul(w, solve(h, [list(col) for col in zip(*w)]))
 
 
 def rank(vectors):

@@ -228,6 +228,16 @@ def test_analyze_bad_pair(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("pair", ["0,x", "0", "0,1,2", "0,1.5"])
+def test_analyze_malformed_pair_names_the_option(capsys, pair):
+    code, out, err = run(
+        capsys, "analyze", "--family", "path:3", "--pair", pair
+    )
+    assert code == 2
+    assert out == ""
+    assert f"--pair {pair!r}" in err
+
+
 # ---------------------------------------------------------------------------
 # scheme
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from avgmix.discrete import (
+    _require_orthogonal,
     avg_mixing_literal,
     avg_mixing_physical,
     cesaro_error_bound,
@@ -14,6 +15,7 @@ from avgmix.discrete import (
 )
 import reference
 from avgmix.exact import ExactMatrix
+from avgmix.mixing import _boxed, _entry_numerator, _gram_numerators, _trace_form
 
 F = Fraction
 
@@ -187,6 +189,50 @@ def test_integer_engine_matches_rational_reference():
         literal, physical = rational_reference(u)
         assert avg_mixing_literal(u) == literal
         assert avg_mixing_physical(u) == physical
+
+
+def signed_cycle(rng: random.Random, n: int) -> ExactMatrix:
+    """A signed permutation that is one n-cycle: its eigenvalues are the
+    n distinct roots of x^n = +-1, a simple spectrum."""
+    order = list(range(n))
+    rng.shuffle(order)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[order[i]][order[(i + 1) % n]] = rng.choice([1, -1])
+    return ExactMatrix(rows)
+
+
+def physical_entry_route(form):
+    n = len(form.resolvent[0])
+    return [
+        [
+            _entry_numerator(
+                form.entry_polynomial(a, b), form.entry_polynomial(b, a), form.tau
+            )
+            for b in range(n)
+        ]
+        for a in range(n)
+    ]
+
+
+def test_physical_gram_route_on_simple_spectra():
+    rng = random.Random(97)
+    cases = [signed_cycle(rng, n) for n in range(1, 9) for _ in range(2)]
+    # Q (rotation + fixed point) Q^T: eigenvalues 3/5 +- 4i/5 and 1
+    r = rotation_345()
+    block = [[r[0, 0], r[0, 1], 0], [r[1, 0], r[1, 1], 0], [0, 0, 1]]
+    q = orthogonal_third().to_lists()
+    qt = [list(col) for col in zip(*q)]
+    cases.append(ExactMatrix(reference.matmul(reference.matmul(q, block), qt)))
+    for u in cases:
+        rows = _require_orthogonal(u)
+        form = _trace_form(rows)
+        assert form.disc_char != 0
+        gram = _gram_numerators(form)
+        assert gram == physical_entry_route(form)
+        physical = avg_mixing_physical(u)
+        assert physical == _boxed(gram, form.denom)
+        assert physical == ExactMatrix(reference.simple_spectrum_mixing(rows))
 
 
 def test_physical_invariants_on_signed_permutations():

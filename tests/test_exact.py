@@ -22,13 +22,15 @@ from avgmix.exact import (
     ExactPolynomial,
     NonInvertibleError,
     NotAnnihilatingError,
-    _bareiss_det,
+    _charpoly_bound,
     _charpoly_int,
     _int_disc,
     _int_power_sums,
     _int_resultant,
     _int_scaled_inverse,
     _int_squarefree,
+    _is_prime_62,
+    _prime,
     _rows_in_span,
 )
 from avgmix.mixing import _resolvent_int
@@ -90,19 +92,6 @@ class TestExactMatrix:
         assert a.is_symmetric()
         b = ExactMatrix([[1, 2], [3, 5]])
         assert not b.is_symmetric()
-
-    def test_determinant(self):
-        # the Bareiss kernel against hand values, elimination over Q and numpy
-        assert _bareiss_det([[2]]) == 2
-        assert _bareiss_det([[1, 2], [3, 4]]) == -2
-        assert _bareiss_det([[1, 2], [2, 4]]) == 0
-        assert _bareiss_det([[0, 1], [1, 0]]) == -1
-        rng = random.Random(7)
-        for _ in range(10):
-            rows = random_symmetric(rng, 4)
-            exact = _bareiss_det(rows)
-            assert exact == reference.determinant(rows)
-            assert abs(exact - np.linalg.det(np.array(rows, dtype=float))) < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -193,6 +182,60 @@ def test_charpoly_int_matches_determinant(rows, points):
         ]
         value = sum(c * x**k for k, c in enumerate(coeffs))
         assert value == reference.determinant(shifted)
+
+
+def random_integer_rows(rng, n, size):
+    # asymmetric, with some zeros so that Hessenberg pivoting is exercised
+    return [
+        [rng.randint(-size, size) if rng.random() < 0.7 else 0 for _ in range(n)]
+        for _ in range(n)
+    ]
+
+
+def test_charpoly_int_matches_faddeev_leverrier_with_huge_entries():
+    # entries up to 10^30 need many 62-bit primes; small entries need one
+    rng = random.Random(17)
+    for n in range(1, 10):
+        for size in (1, 9, 10**6, 10**30):
+            for _ in range(2):
+                rows = random_integer_rows(rng, n, size)
+                assert _charpoly_int(rows) == reference.char_poly(rows)
+    huge = random_integer_rows(random.Random(1), 9, 10**30)
+    assert _charpoly_bound(huge).bit_length() > 10 * 62
+
+
+def test_charpoly_bound_dominates_the_coefficients():
+    rng = random.Random(19)
+    cases = [[[0] * 4] * 4, [[-7]], [[1, 1], [1, 1]]]
+    cases += [[[2] * n for _ in range(n)] for n in range(1, 8)]
+    cases += [
+        random_integer_rows(rng, rng.randint(1, 9), rng.choice((1, 30, 10**30)))
+        for _ in range(60)
+    ]
+    for rows in cases:
+        coeffs = reference.char_poly(rows)
+        assert max(abs(c) for c in coeffs) <= _charpoly_bound(rows)
+
+
+def test_charpoly_of_empty_matrix_is_one():
+    assert _charpoly_int([]) == [1]
+
+
+def test_prime_sequence_is_fixed_and_prime():
+    # 2^62 - 57 is the largest prime below 2^62
+    assert _prime(0) == 2**62 - 57
+    primes = [_prime(k) for k in range(12)]
+    assert primes == sorted(primes, reverse=True) and len(set(primes)) == 12
+    assert all(p.bit_length() == 62 and _is_prime_62(p) for p in primes)
+    # a strong pseudoprime to every prime base up to 23 (but not 29)
+    assert not _is_prime_62(3825123056546413051)
+    sieve = [True] * 2000
+    sieve[0] = sieve[1] = False
+    for i in range(2, 2000):
+        if sieve[i]:
+            for j in range(i * i, 2000, i):
+                sieve[j] = False
+    assert [_is_prime_62(k) for k in range(2, 2000)] == sieve[2:]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -27,11 +27,14 @@ from avgmix.graphs import (
     path_graph,
 )
 from avgmix.mixing import (
+    _boxed,
     _certify,
     _check_mixing_invariants,
+    _entry_numerator,
+    _gram_numerators,
+    _trace_form,
     average_mixing,
     certify_integrality,
-    minpoly_integrality_counterexamples,
     strong_cospectral_kernel,
 )
 
@@ -86,13 +89,13 @@ def _symmetric_from_upper(n, xs):
     for i in range(n):
         for j in range(i, n):
             rows[i][j] = rows[j][i] = next(it)
-    return ExactMatrix(rows)
+    return rows
 
 
 symmetric_integer_matrices = st.integers(1, 6).flatmap(
     lambda n: st.lists(
         st.integers(-5, 5), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
-    ).map(lambda xs: _symmetric_from_upper(n, xs))
+    ).map(lambda xs: ExactMatrix(_symmetric_from_upper(n, xs)))
 )
 
 
@@ -100,6 +103,53 @@ symmetric_integer_matrices = st.integers(1, 6).flatmap(
 @given(symmetric_integer_matrices)
 def test_integer_engine_matches_rational_reference(m):
     assert average_mixing(m).mixing == literal_trace_mixing(m)
+
+
+# weighted graphs with loops: weights 0..6, zero meaning no edge
+looped_weighted_rows = st.integers(1, 7).flatmap(
+    lambda n: st.lists(
+        st.integers(0, 6), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
+    ).map(lambda xs: _symmetric_from_upper(n, xs))
+)
+
+
+def entry_route_numerators(form):
+    n = len(form.resolvent[0])
+    return [
+        [
+            _entry_numerator(
+                form.entry_polynomial(u, v), form.entry_polynomial(u, v), form.tau
+            )
+            for v in range(n)
+        ]
+        for u in range(n)
+    ]
+
+
+@settings(max_examples=60, deadline=None)
+@given(looped_weighted_rows)
+def test_gram_route_matches_entry_route_and_reference(rows):
+    form = _trace_form(rows)
+    assume(form.disc_char != 0)
+    gram = _gram_numerators(form)
+    assert gram == entry_route_numerators(form)
+    mixing = average_mixing(ExactMatrix(rows)).mixing
+    assert mixing == _boxed(gram, form.denom)
+    assert mixing == ExactMatrix(reference.simple_spectrum_mixing(rows))
+
+
+def test_repeated_spectrum_takes_the_entry_route(monkeypatch):
+    # the Gram form is wrong off a simple spectrum: for K3 it would give
+    # rank-one products of the diagonal, so the switch must avoid it
+    form = _trace_form([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
+    assert form.disc_char == 0
+    assert _gram_numerators(form) != entry_route_numerators(form)
+
+    def refuse(form):
+        raise AssertionError("the Gram route ran on a repeated spectrum")
+
+    monkeypatch.setattr("avgmix.mixing._gram_numerators", refuse)
+    assert average_mixing(matrix_of(complete_graph(3))).mixing.is_symmetric()
 
 
 class TestKnownValues:
@@ -189,10 +239,10 @@ class TestCertificates:
         assert certs.d_integral_minpoly  # observed: 9 clears 9
 
     def test_search_harness_runs(self):
-        mats = [
-            matrix_of(complete_graph(n)) for n in (2, 3, 4, 5)
-        ]
-        assert minpoly_integrality_counterexamples(mats) == []
+        # repeated spectra, where D_min * Mhat integrality is only observed
+        for n in (2, 3, 4, 5):
+            m = matrix_of(complete_graph(n))
+            assert average_mixing(m).certificates.d_integral_minpoly
 
 
 class TestStrongCospectralKernel:
