@@ -48,7 +48,6 @@ from .mixing import (
     AvgMixReport,
     IntegralityCertificates,
     average_mixing,
-    certify_integrality,
     strong_cospectral_kernel,
 )
 from .numeric import (
@@ -94,7 +93,6 @@ __all__ = [
     "average_upto",
     "avg_mixing_literal",
     "avg_mixing_physical",
-    "certify_integrality",
     "cesaro_error_bound",
     "cesaro_partial",
     "circulant_graph",

@@ -8,13 +8,13 @@ trailing zeros, so the zero polynomial is the empty tuple, of degree -1.
 
 All matrix and polynomial work runs on plain lists of Python ints in the
 `_int_*` kernels: primitive and subresultant remainder sequences for gcds
-and resultants (coefficients stay at subresultant size), Newton power
-sums, the characteristic polynomial (Hessenberg form modulo fixed 62-bit
-primes, joined by the Chinese remainder theorem under a Hadamard bound),
-and fraction-free Bareiss elimination for scaled inverses modulo a
-polynomial.  The one
-rational routine is `_rows_in_span`, the exact span elimination shared
-by scheme axiom (d) and the span classification of `avgmix.analysis`.
+and resultants (coefficients stay at subresultant size; the resultant
+also carries the cofactor that scales an inverse modulo a polynomial),
+Newton power sums, and the characteristic polynomial (Hessenberg form
+modulo fixed 62-bit primes, joined by the Chinese remainder theorem
+under a Hadamard bound).  The one rational routine is `_rows_in_span`,
+the exact span elimination shared by scheme axiom (d) and the span
+classification of `avgmix.analysis`.
 """
 
 from __future__ import annotations
@@ -25,10 +25,6 @@ from operator import mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
-
-
-class NonInvertibleError(ValueError):
-    """Raised when an element of Q[y]/(m) has no inverse."""
 
 
 class NotAnnihilatingError(ValueError):
@@ -228,26 +224,31 @@ def _int_mul(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return out
 
 
-def _int_prem(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """Pseudo-remainder: lc(g)^(deg f - deg g + 1) * f reduced mod g."""
-    r = list(f)
+def _int_prem(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]]:
+    """Pseudo-division: (q, r) with lc(g)^(deg f - deg g + 1) f = q g + r
+    and deg r < deg g."""
+    r = _int_trim(list(f))
     dg = len(g) - 1
     lead = g[-1]
-    steps = len(f) - len(g) + 1
-    while len(_int_trim(r)) - 1 >= dg and r:
-        dr = len(r) - 1
+    steps = len(r) - dg
+    q = [0] * max(steps, 0)
+    while len(r) > dg:
+        shift = len(r) - 1 - dg
         top = r[-1]
-        r = [lead * c for c in r]
-        shift = dr - dg
+        if lead != 1:
+            r = [lead * c for c in r]
+            q = [lead * c for c in q]
+        q[shift] = top
         for i in range(dg + 1):
             r[shift + i] -= top * g[i]
         r = _int_trim(r)
         steps -= 1
     # early exit leaves unapplied lc factors
-    if steps > 0 and r:
+    if steps > 0:
         scale = lead**steps
         r = [scale * c for c in r]
-    return r
+        q = [scale * c for c in q]
+    return _int_trim(q), r
 
 
 def _int_gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
@@ -265,7 +266,7 @@ def _int_gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
     if len(a) < len(b):
         a, b = b, a
     while b:
-        r = _int_primitive(_int_prem(a, b))
+        r = _int_primitive(_int_prem(a, b)[1])
         a, b = b, r
     a = _int_primitive(a)
     if len(a) == 1:
@@ -273,23 +274,38 @@ def _int_gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
     return a
 
 
-def _int_resultant(f: Sequence[int], g: Sequence[int]) -> int:
-    """Resultant of integer polynomials via the subresultant sequence."""
+def _int_resultant(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int]]:
+    """Res(f, g) and t with t g = Res(f, g) mod f, deg t < deg f.
+
+    The subresultant remainder sequence of the primitive parts carries the
+    cofactor of g: each remainder is u f + v g, and v goes through the
+    same pseudo-division and exact division as the remainder itself.  The
+    cofactors are determinants like the subresultants, so every division
+    is exact, and checked.  When the last remainder is a constant of a
+    degree-dropping (abnormal) step, it and its cofactor are scaled up to
+    the resultant.  A shared factor gives (0, []).
+    """
     a = _int_trim(list(f))
     b = _int_trim(list(g))
     if not a or not b:
-        return 0
+        return 0, []
     sign = 1
-    if len(a) < len(b):
+    swapped = len(a) < len(b)
+    if swapped:
         if ((len(a) - 1) * (len(b) - 1)) % 2 == 1:
             sign = -sign
         a, b = b, a
     if len(b) == 1:
-        return sign * b[0] ** (len(a) - 1)
+        # Res = b0^deg a; modulo a constant f nothing is left of t
+        da = len(a) - 1
+        return sign * b[0] ** da, [b[0] ** (da - 1)] if da and not swapped else []
     ca, cb = _int_content(a), _int_content(b)
     a = [c // ca for c in a]
     b = [c // cb for c in b]
     scale = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+    # va, vb: the cofactors of g / content(g) in a and b
+    va, vb = ([1], []) if swapped else ([], [1])
+    scale_t = scale // (ca if swapped else cb)
     g_ = 1
     h = 1
     while True:
@@ -297,18 +313,30 @@ def _int_resultant(f: Sequence[int], g: Sequence[int]) -> int:
         delta = da - db
         if da % 2 == 1 and db % 2 == 1:
             sign = -sign
-        r = _int_prem(a, b)
+        q, r = _int_prem(a, b)
         if not r:
-            return 0  # common factor of positive degree
+            return 0, []  # common factor of positive degree
+        # lc(b)^(delta+1) a = q b + r, so r has cofactor lc^(delta+1) va - q vb
+        lead = b[-1] ** (delta + 1)
+        vr = [-c for c in _int_mul(q, vb)]
+        vr += [0] * (len(va) - len(vr))
+        for i, c in enumerate(va):
+            vr[i] += lead * c
         divisor = g_ * h**delta
-        a, b = b, [c // divisor for c in r]
+        a, b = b, _int_exact_div(r, [divisor])
+        va, vb = vb, _int_exact_div(_int_trim(vr), [divisor])
         g_ = a[-1]
         if delta > 0:
             h = g_**delta // h ** (delta - 1)
         if len(b) == 1:
+            # b is the subresultant of index deg a - 1; the resultant is
+            # b * (b / h)^(deg a - 1)
             da = len(a) - 1
-            h = b[0] ** da // h ** (da - 1) if da > 0 else h
-            return sign * scale * h
+            lift = b[0] ** (da - 1)
+            h_last = h ** (da - 1)
+            res = _int_exact_div([b[0] * lift], [h_last])[0]
+            t = _int_exact_div([lift * c for c in vb], [h_last])
+            return sign * scale * res, [sign * scale_t * c for c in t]
 
 
 def _int_squarefree(p: Sequence[int]) -> list[int]:
@@ -328,9 +356,19 @@ def _int_squarefree(p: Sequence[int]) -> list[int]:
 
 def _int_exact_div(f: Sequence[int], g: Sequence[int]) -> list[int]:
     """Quotient f / g when g divides f exactly over the integers."""
-    rem = list(f)
     dg = len(g) - 1
     lead = g[-1]
+    if dg == 0:
+        if lead == 1:
+            return list(f)
+        quot = []
+        for c in f:
+            q, leftover = divmod(c, lead)
+            if leftover:
+                raise ArithmeticError("division was expected to be exact")
+            quot.append(q)
+        return quot
+    rem = list(f)
     quot = [0] * (len(f) - dg)
     for k in range(len(rem) - 1, dg - 1, -1):
         c = rem[k]
@@ -367,55 +405,9 @@ def _int_power_sums(psi: Sequence[int], upto: int) -> list[int]:
     return p
 
 
-def _int_disc(psi: Sequence[int]) -> int:
-    """Discriminant of a monic integer polynomial."""
-    m = len(psi) - 1
-    if m < 1:
-        raise ValueError("discriminant needs degree >= 1")
-    if m == 1:
-        return 1
-    res = _int_resultant(psi, _int_derivative(psi))
-    return -res if (m * (m - 1) // 2) % 2 == 1 else res
-
-
 # ---------------------------------------------------------------------------
-# determinants and characteristic polynomials (fraction-free)
+# characteristic polynomials (multimodular)
 # ---------------------------------------------------------------------------
-
-
-def _bareiss_forward(work: list[list[int]]) -> int:
-    """Bareiss fraction-free elimination of the leading square block, in place.
-
-    Rows may carry extra columns to the right (an augmented right-hand
-    side); they are eliminated along with the block.  Afterwards the
-    block is upper triangular, every division having been exact, and
-    its last diagonal entry is sign * det.  Returns the sign of the row
-    permutation applied, or 0 when a zero column shows the block is
-    singular before the last step.
-    """
-    n = len(work)
-    width = len(work[0])
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if work[k][k] == 0:
-            pivot_row = next(
-                (r for r in range(k + 1, n) if work[r][k] != 0), None
-            )
-            if pivot_row is None:
-                return 0
-            work[k], work[pivot_row] = work[pivot_row], work[k]
-            sign = -sign
-        pivot = work[k][k]
-        row_k = work[k]
-        for r in range(k + 1, n):
-            row_r = work[r]
-            factor = row_r[k]
-            for j in range(k + 1, width):
-                row_r[j] = (pivot * row_r[j] - factor * row_k[j]) // prev
-            row_r[k] = 0
-        prev = pivot
-    return sign
 
 
 # The 12 smallest primes as Miller-Rabin bases decide primality for every
@@ -564,46 +556,6 @@ def _charpoly_int(rows: list[list[int]]) -> list[int]:
     if poly[-1] != 1:
         raise ArithmeticError("characteristic polynomial is not monic")
     return poly
-
-
-def _int_scaled_inverse(psi: Sequence[int], a: Sequence[int]) -> tuple[list[int], int]:
-    """t and d with t / d = 1 / a in Q[y]/(psi), psi monic, deg a < deg psi.
-
-    Multiplication by a on Z[y]/(psi) has the integer matrix whose
-    column k holds y^k a mod psi; its determinant is Res(psi, a).  A
-    fraction-free solve of that system against e_0 returns d = +-det
-    and t = d * a^-1, an integer vector by Cramer's rule; every division
-    of the back-substitution is exact and checked.
-    """
-    deg = len(psi) - 1
-    if deg < 1:
-        raise ValueError("modulus must have degree >= 1")
-    col = list(a) + [0] * (deg - len(a))
-    cols = []
-    for _ in range(deg):
-        cols.append(col)
-        top = col[-1]
-        col = [0] + col[:-1]
-        if top:
-            col = [c - top * p for c, p in zip(col, psi)]
-    work = [
-        [cols[k][i] for k in range(deg)] + [1 if i == 0 else 0]
-        for i in range(deg)
-    ]
-    d = work[-1][-2] if _bareiss_forward(work) else 0
-    if d == 0:
-        raise NonInvertibleError("the element shares a factor with the modulus")
-    t = [0] * deg
-    for i in range(deg - 1, -1, -1):
-        row = work[i]
-        acc = d * row[deg]
-        for j in range(i + 1, deg):
-            acc -= row[j] * t[j]
-        q, r = divmod(acc, row[i])
-        if r:
-            raise ArithmeticError("back-substitution was expected to be exact")
-        t[i] = q
-    return t, d
 
 
 def lcm_int(values: Iterable[int]) -> int:

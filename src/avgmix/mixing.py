@@ -22,11 +22,11 @@ trace of y^k w(y)^2, each entry is an integer dot product
 against a precomputed vector, identical to reducing mod psi and applying
 the trace because evaluation at a root is a ring homomorphism.
 
-All of it runs in integers over one shared denominator.  A fraction-free
-solve of the multiplication-by-psi' system gives t = D w with integer
-coefficients, D = +-disc(psi); then w^2 = (t^2 mod psi) / D^2, the
-weights tau_k become integers over one denominator, and so does every
-entry.
+All of it runs in integers over one shared denominator.  The subresultant
+sequence of (psi, psi') gives D = Res(psi, psi') = +-disc(psi) together
+with its cofactor t = D w, which has integer coefficients; then
+w^2 = (t^2 mod psi) / D^2, the weights tau_k become integers over one
+denominator, and so does every entry.
 
 Two routes read the entries off that state, chosen by the exact integer
 D_char = disc(char poly):
@@ -62,13 +62,11 @@ from .exact import (
     _charpoly_int,
     _int_content,
     _int_derivative,
-    _int_disc,
     _int_mul,
     _int_power_sums,
     _int_prem,
-    _int_scaled_inverse,
+    _int_resultant,
     _int_squarefree,
-    lcm_int,
 )
 
 
@@ -76,10 +74,14 @@ from .exact import (
 class IntegralityCertificates:
     """Denominator-bound flags for an average mixing matrix.
 
-    With D the discriminant of the minimal polynomial, D^2 Mhat is always
-    integral, and D_char Mhat is integral whenever the spectrum is simple;
-    both are hard guarantees.  Integrality of D Mhat for non-simple
-    spectra is only observed, never asserted.
+    With D the discriminant of the minimal polynomial psi, D Mhat (so
+    also D^2 Mhat) is integral for every spectrum, and D_char Mhat is
+    integral whenever the spectrum is simple; all three are hard
+    guarantees, checked on every result, so every flag is True.  For
+    k < deg psi, y_k = (M^k)_uv = sum_r theta_r^k (E_r)_uv, so
+    Mhat_uv = y^T H^-1 y with the integer Hankel matrix
+    H[j][k] = p_(j+k) of the power sums of psi; det H = D, and
+    D Mhat_uv = y^T adj(H) y is an integer.
     """
 
     d2_integral: bool
@@ -179,14 +181,17 @@ def _trace_form(rows: list[list[int]]) -> _TraceForm:
     n = len(rows)
     phi, psi, mats = _resolvent_form(rows)
     deg = len(psi) - 1
-    disc_char = _int_disc(phi)
-    disc_min = disc_char if deg == n else _int_disc(psi)
-
-    # t / d = w = 1/psi' in Q[y]/(psi), so w^2 = (t^2 mod psi) / d^2
-    t, d = _int_scaled_inverse(psi, _int_derivative(psi))
-    if d * d != disc_min * disc_min:
-        raise AssertionError("the pivot of the psi' system must be +-disc(psi)")
-    t2 = _int_prem(_int_mul(t, t), psi)
+    # t psi' = d mod psi with d = Res(psi, psi'), so t / d = w = 1/psi'
+    # in Q[y]/(psi) and w^2 = (t^2 mod psi) / d^2
+    dpsi = _int_derivative(psi)
+    d, t = _int_resultant(psi, dpsi)
+    if _int_prem(_int_mul(t, dpsi), psi)[1] != [d]:
+        raise AssertionError("t psi' must be Res(psi, psi') modulo psi")
+    disc_min = -d if deg * (deg - 1) // 2 % 2 else d
+    # psi is the squarefree part of phi, so deg psi < n exactly when phi
+    # has a repeated root, and otherwise psi = phi
+    disc_char = disc_min if deg == n else 0
+    t2 = _int_prem(_int_mul(t, t), psi)[1]
     d2 = d * d
     g = math.gcd(d2, _int_content(t2))
     denom = d2 // g
@@ -298,33 +303,15 @@ def _certify(
     denominator: int, d_min: int, d_char: int, simple: bool
 ) -> IntegralityCertificates:
     """Certificates from the lcm of the reduced entry denominators: every
-    entry denominator divides X exactly when that lcm divides X."""
-    d2_ok = (d_min * d_min) % denominator == 0
-    if not d2_ok:
+    entry denominator divides X exactly when that lcm divides X.  Each
+    bound is guaranteed, so a failure raises."""
+    if (d_min * d_min) % denominator:
         raise AssertionError("D^2 Mhat must be integral")
-    if simple:
-        simple_ok = d_char % denominator == 0
-        if not simple_ok:
-            raise AssertionError("D Mhat must be integral for simple spectra")
-    else:
-        simple_ok = True  # vacuous
-    minpoly_ok = d_min % denominator == 0
-    return IntegralityCertificates(d2_ok, simple_ok, minpoly_ok)
-
-
-def certify_integrality(report: AvgMixReport) -> IntegralityCertificates:
-    """Check the denominator bounds on an average mixing matrix.
-
-    Failure of a guaranteed bound (D^2 always, D_char for simple spectra)
-    raises instead of returning False; the minimal-polynomial bound for
-    repeated spectra carries no guarantee and is reported as observed.
-    """
-    return _certify(
-        lcm_int(x.denominator for x in report.mixing.entries()),
-        int(report.disc_min),
-        int(report.disc_char),
-        report.simple_spectrum,
-    )
+    if simple and d_char % denominator:
+        raise AssertionError("D_char Mhat must be integral for simple spectra")
+    if d_min % denominator:
+        raise AssertionError("D_min Mhat must be integral")
+    return IntegralityCertificates(True, True, True)
 
 
 def strong_cospectral_kernel(report: AvgMixReport, u: int, v: int) -> bool:

@@ -204,6 +204,32 @@ def simple_spectrum_mixing(rows):
     return matmul(w, solve(h, [list(col) for col in zip(*w)]))
 
 
+def power_hankel(psi):
+    """H[j][k] = p_(j+k), the power sums of the roots of psi, j, k < deg psi.
+    H = V V^T for the Vandermonde V[j][r] = theta_r^j, so det H = disc(psi)."""
+    m = len(psi) - 1
+    sums = power_traces(psi, 2 * m - 1)
+    return [[sums[j + k] for k in range(m)] for j in range(m)]
+
+
+def hankel_mixing(rows):
+    """sum_r E_r o E_r for a symmetric A with any spectrum, as y^T H^-1 y.
+
+    With psi the squarefree part of the characteristic polynomial, the
+    walk counts y_k = (A^k)_uv = sum_r theta_r^k (E_r)_uv for k < deg psi
+    are y = V x with x_r = (E_r)_uv, so sum_r x_r^2 = y^T (V V^T)^-1 y
+    and V V^T is `power_hankel(psi)`.  No resolvent and no 1/psi'.
+    """
+    n, psi = len(rows), squarefree(char_poly(rows))
+    m = len(psi) - 1
+    pw = powers(rows, m)
+    pairs = [(u, v) for u in range(n) for v in range(n)]
+    ys = [[pw[k][u][v] for u, v in pairs] for k in range(m)]
+    xs = solve(power_hankel(psi), ys)
+    values = [sum(ys[k][i] * xs[k][i] for k in range(m)) for i in range(len(pairs))]
+    return [values[u * n:(u + 1) * n] for u in range(n)]
+
+
 def rank(vectors):
     """Rank of a list of equal-length vectors by elimination over Q."""
     work, done = [[Fraction(x) for x in v] for v in vectors], 0

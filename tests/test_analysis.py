@@ -16,8 +16,6 @@ from avgmix.analysis import (
     closed_form_matrix,
     ij_span_check,
     is_walk_regular,
-    path_idempotent_oracle,
-    path_laplacian_idempotent_oracle,
     pst_necessary,
     verify_closed_form,
 )
@@ -312,6 +310,37 @@ def test_span_class_even_cycle_is_other():
 # ---------------------------------------------------------------------------
 # trigonometric idempotent oracles
 # ---------------------------------------------------------------------------
+
+
+def path_idempotent_oracle(n, r):
+    """Numeric adjacency idempotent of the path: eigenvalue 2cos(r pi/(n+1)).
+
+    Entries (2/(n+1)) sin((j+1) r pi/(n+1)) sin((k+1) r pi/(n+1)) with
+    0-based j, k; valid for r = 1..n.
+    """
+    if not 1 <= r <= n:
+        raise ValueError("path idempotent index must satisfy 1 <= r <= n")
+    angles = np.array(
+        [np.sin((j + 1) * r * np.pi / (n + 1)) for j in range(n)]
+    )
+    return (2.0 / (n + 1)) * np.outer(angles, angles)
+
+
+def path_laplacian_idempotent_oracle(n, r):
+    """Numeric Laplacian idempotent of the path: eigenvalue 4 sin^2(r pi/(2n)).
+
+    r = 0 gives the constant idempotent J/n; for r = 1..n-1 the entries
+    are (2/n) cos((2j+1) r pi/(2n)) cos((2k+1) r pi/(2n)) with 0-based j, k.
+    """
+    if not 0 <= r <= n - 1:
+        raise ValueError("Laplacian idempotent index must satisfy 0 <= r <= n-1")
+    if r == 0:
+        return np.full((n, n), 1.0 / n)
+    angles = np.array(
+        [np.cos((2 * j + 1) * r * np.pi / (2 * n)) for j in range(n)]
+    )
+    return (2.0 / n) * np.outer(angles, angles)
+
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 8])

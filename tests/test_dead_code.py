@@ -1,0 +1,56 @@
+"""Every private module-level function and class of avgmix has a caller.
+
+A helper only the tests reach is dead weight in the library: the guard
+parses each module of `src/avgmix` and looks for a use of every
+`_`-prefixed top-level function or class outside its own definition.
+Imports do not count as uses, and neither does recursion.
+"""
+
+import ast
+from pathlib import Path
+
+import avgmix
+
+SOURCES = sorted(Path(avgmix.__file__).parent.glob("*.py"))
+
+
+def _private_definitions(tree):
+    return [
+        node
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+    ]
+
+
+def _uses(tree, skip):
+    """Names read by Name or Attribute nodes of tree, outside the skipped nodes."""
+    found = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node in skip:
+            continue
+        if isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        stack.extend(ast.iter_child_nodes(node))
+    return found
+
+
+def test_every_private_definition_is_used_in_the_library():
+    trees = {path.name: ast.parse(path.read_text()) for path in SOURCES}
+    checked = 0
+    unused = []
+    for name, tree in trees.items():
+        for node in _private_definitions(tree):
+            checked += 1
+            if not any(
+                node.name in _uses(other, {node} if other is tree else set())
+                for other in trees.values()
+            ):
+                unused.append(f"{name}::{node.name}")
+    assert checked > 50
+    assert unused == []

@@ -20,14 +20,12 @@ import reference
 from avgmix.exact import (
     ExactMatrix,
     ExactPolynomial,
-    NonInvertibleError,
     NotAnnihilatingError,
     _charpoly_bound,
     _charpoly_int,
-    _int_disc,
+    _int_exact_div,
     _int_power_sums,
     _int_resultant,
-    _int_scaled_inverse,
     _int_squarefree,
     _is_prime_62,
     _prime,
@@ -239,7 +237,7 @@ def test_prime_sequence_is_fixed_and_prime():
 
 
 # ---------------------------------------------------------------------------
-# squarefree parts and discriminants
+# squarefree parts, discriminants and resultants
 # ---------------------------------------------------------------------------
 
 
@@ -248,6 +246,28 @@ def sylvester_resultant(p, q):
     rows = [[0] * i + p[::-1] + [0] * (m - 1 - i) for i in range(m)]
     rows += [[0] * i + q[::-1] + [0] * (n - 1 - i) for i in range(n)]
     return reference.determinant(rows)
+
+
+def resultant_and_cofactor(f, g):
+    """_int_resultant(f, g), checked: Res against the Sylvester determinant,
+    t g = Res modulo f with deg t < deg f, and t / Res = 1/g mod f."""
+    res, t = _int_resultant(f, g)
+    assert res == (sylvester_resultant(f, g) if g else 0)
+    assert len(t) < len(f)
+    gap = reference.add(reference.mul(t, g), [-res])
+    assert reference.poly_divmod(gap, f)[1] == []
+    if res == 0:
+        assert t == []
+    elif len(f) > 1:
+        assert [F(c, res) for c in t] == reference.inverse_mod(g, f)
+    return res, t
+
+
+def disc(p):
+    """disc(p) = (-1)^(m(m-1)/2) Res(p, p') for a monic p of degree m."""
+    m = len(p) - 1
+    res, _ = _int_resultant(p, [k * c for k, c in enumerate(p)][1:])
+    return -res if m * (m - 1) // 2 % 2 else res
 
 
 class TestSquarefreeAndDiscriminant:
@@ -270,34 +290,30 @@ class TestSquarefreeAndDiscriminant:
             p = random_monic(rng, rng.randint(1, 6))
             sf = _int_squarefree(p)
             assert sf == reference.squarefree(p)
-            assert sf[-1] == 1 and _int_disc(sf) != 0
+            assert sf[-1] == 1 and disc(sf) != 0
             # same roots: sf divides p
             assert reference.poly_divmod(p, sf)[1] == []
 
     def test_discriminant_values(self):
-        assert _int_disc([-1, 0, 1]) == 4
-        assert _int_disc([0, 0, 1]) == 0
-        assert _int_disc([3, 1]) == 1
+        assert disc([-1, 0, 1]) == 4
+        assert disc([0, 0, 1]) == 0
+        assert disc([3, 1]) == 1
         # b^2 - 4c for a monic quadratic
-        assert _int_disc([-1, 3, 1]) == 13
+        assert disc([-1, 3, 1]) == 13
         # -4p^3 - 27q^2 for x^3 + px + q
-        assert _int_disc([1, -2, 0, 1]) == 32 - 27
-
-    def test_discriminant_constant_rejected(self):
-        with pytest.raises(ValueError):
-            _int_disc([3])
+        assert disc([1, -2, 0, 1]) == 32 - 27
 
     def test_discriminant_iff_gcd(self):
         rng = random.Random(19)
         for _ in range(40):
             p = random_monic(rng, rng.randint(1, 6), -3, 3)
             g = reference.gcd(p, reference.derivative(p))
-            assert (_int_disc(p) == 0) == (len(g) > 1)
+            assert (disc(p) == 0) == (len(g) > 1)
             m = len(p) - 1
             if m > 1:
                 sign = -1 if (m * (m - 1) // 2) % 2 else 1
                 res = sylvester_resultant(p, reference.derivative(p))
-                assert _int_disc(p) == sign * res
+                assert disc(p) == sign * res
 
     def test_resultant_matches_sylvester(self):
         rng = random.Random(23)
@@ -306,15 +322,16 @@ class TestSquarefreeAndDiscriminant:
             dq = rng.randint(1, 5)
             p = [rng.randint(-4, 4) for _ in range(dp)] + [rng.randint(1, 4)]
             q = [rng.randint(-4, 4) for _ in range(dq)] + [rng.randint(1, 4)]
-            assert _int_resultant(p, q) == sylvester_resultant(p, q)
-        # sparse coefficients: remainders that drop more than one degree
-        for _ in range(200):
+            resultant_and_cofactor(p, q)
+        # sparse coefficients: remainders that drop more than one degree,
+        # in the middle of the sequence and at its last step
+        for _ in range(250):
             p, q = (
-                [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(rng.randint(1, 7))]
+                [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(rng.randint(0, 8))]
                 + [rng.randint(1, 3)]
                 for _ in range(2)
             )
-            assert _int_resultant(p, q) == sylvester_resultant(p, q)
+            resultant_and_cofactor(p, q)
 
 
 # ---------------------------------------------------------------------------
@@ -324,57 +341,77 @@ class TestSquarefreeAndDiscriminant:
 
 class TestModular:
     def test_inverse_mod_example(self):
-        # 1/y mod y^2 - 2 is y/2
-        t, d = _int_scaled_inverse([-2, 0, 1], [0, 1])
-        assert [F(c, d) for c in t] == [0, F(1, 2)]
+        # Res(y^2 - 2, y) = -2 and -y * y = -2 mod y^2 - 2: 1/y is y/2
+        assert resultant_and_cofactor([-2, 0, 1], [0, 1]) == (-2, [0, -1])
         assert reference.inverse_mod([0, 1], [-2, 0, 1]) == [0, F(1, 2)]
 
     def test_inverse_of_one(self):
-        t, d = _int_scaled_inverse([-2, 0, 1], [1])
-        assert [F(c, d) for c in t] == [1, 0]
+        assert resultant_and_cofactor([-2, 0, 1], [1]) == (1, [1])
+        # a constant g: Res = g^deg f and t = g^(deg f - 1)
+        assert resultant_and_cofactor([1, 0, 0, 1], [3]) == (27, [9])
 
     def test_non_invertible(self):
-        with pytest.raises(NonInvertibleError):
-            _int_scaled_inverse([0, 0, 1], [0, 1])  # y mod y^2
-        with pytest.raises(NonInvertibleError):
-            _int_scaled_inverse([-2, 0, 1], [])
+        # a shared factor, or g = 0: Res = 0 and no cofactor
+        assert resultant_and_cofactor([0, 0, 1], [0, 1]) == (0, [])
+        assert resultant_and_cofactor([-2, 0, 1], []) == (0, [])
+        assert resultant_and_cofactor([2, -3, 1], [-4, 2]) == (0, [])
         with pytest.raises(ZeroDivisionError):
             reference.inverse_mod([0, 1], [0, 0, 1])
 
     def test_inverse_random(self):
-        # a t = d mod psi, deg t < deg psi
+        # t g = Res mod f for monic f, deg t < deg f; Res = 0 iff a shared factor
         rng = random.Random(29)
         for _ in range(20):
             deg = rng.randint(1, 7)
             psi = random_monic(rng, deg, -5, 5)
             a = reference.trim([rng.randint(-5, 5) for _ in range(deg)])
+            a = [int(c) for c in a]
             if not a:
                 continue
-            if len(reference.gcd(a, psi)) > 1:
-                with pytest.raises(NonInvertibleError):
-                    _int_scaled_inverse(psi, a)
-                continue
-            t, d = _int_scaled_inverse(psi, a)
-            assert len(t) == deg
-            assert reference.poly_divmod(reference.mul(a, t), psi)[1] == [d]
+            res, _ = resultant_and_cofactor(psi, a)
+            assert (res == 0) == (len(reference.gcd(a, psi)) > 1)
 
     def test_scaled_inverse_matches_inverse_mod(self):
-        # t / d is the inverse, d = +-Res(psi, a), and a shared factor raises
+        # non-monic f and g, in either order of degree
         rng = random.Random(31)
         for _ in range(40):
-            deg = rng.randint(1, 7)
-            psi = random_monic(rng, deg, -5, 5)
-            a = [rng.randint(-5, 5) for _ in range(rng.randint(1, deg))]
-            if not any(a):
-                continue
-            if len(reference.gcd(a, psi)) > 1:
-                with pytest.raises(NonInvertibleError):
-                    _int_scaled_inverse(psi, a)
-                continue
-            t, d = _int_scaled_inverse(psi, a)
-            assert abs(d) == abs(sylvester_resultant(psi, reference.trim(a)))
-            w = reference.inverse_mod(a, psi)
-            assert reference.trim([F(c, d) for c in t]) == w
+            f, g = (
+                [rng.randint(-5, 5) for _ in range(rng.randint(0, 6))]
+                + [rng.choice((-3, -1, 1, 2, 4))]
+                for _ in range(2)
+            )
+            res, _ = resultant_and_cofactor(f, g)
+            assert (res == 0) == (len(reference.gcd(f, g)) > 1)
+
+    def test_cofactor_on_abnormal_sequences(self):
+        # remainders that drop several degrees at once: y^4 + 1 = 1 mod
+        # y^3 in one step, and y^4 = -1 gives -y * y^3 = 1
+        assert resultant_and_cofactor([1, 0, 0, 0, 1], [0, 0, 0, 1]) == (1, [0, -1])
+        resultant_and_cofactor([1, 1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1])
+        resultant_and_cofactor([0, 0, 0, 0, 0, 1, 0, 0, 1], [1, 0, 0, 1])
+
+    def test_cofactor_with_content(self):
+        # psi = y^2 - 2, psi' = 2y: Res = 2^2 Res(psi, y) = -8 = -disc(psi)
+        assert resultant_and_cofactor([-2, 0, 1], [0, 2]) == (-8, [0, -2])
+        # lc(f) times 6y at the roots +-sqrt(2): 2 (6 sqrt 2)(-6 sqrt 2)
+        assert resultant_and_cofactor([-4, 0, 2], [0, 6])[0] == -144
+        resultant_and_cofactor([6, 0, 0, 3], [4, 0, 2])
+        resultant_and_cofactor([4, 0, 2], [6, 0, 0, 3])
+
+    def test_cofactor_of_degree_one(self):
+        assert resultant_and_cofactor([5, 1], [1]) == (1, [1])
+        assert resultant_and_cofactor([5, 1], [7]) == (7, [1])
+        # Res(2y + 5, y + 3) = 2 (-5/2 + 3) = 1, and 2 (y + 3) = 1 mod 2y + 5
+        assert resultant_and_cofactor([5, 2], [3, 1]) == (1, [2])
+        # a constant f leaves no cofactor
+        assert resultant_and_cofactor([3], [1, 0, 1]) == (9, [])
+
+    def test_exact_division_is_checked(self):
+        assert _int_exact_div([6, -4, 2], [2]) == [3, -2, 1]
+        with pytest.raises(ArithmeticError):
+            _int_exact_div([6, -3, 2], [2])
+        with pytest.raises(ArithmeticError):
+            _int_exact_div([1, 0, 1], [1, 1])
 
     def test_power_sums_examples(self):
         assert _int_power_sums([-1, 0, 1], 2) == [2, 0, 2]
@@ -415,7 +452,7 @@ class TestModular:
         while checked < 15:
             deg = rng.randint(2, 8)
             p = random_monic(rng, deg, -5, 5)
-            if _int_disc(p) == 0:
+            if disc(p) == 0:
                 continue
             checked += 1
             h = reference.trim([rng.randint(-5, 5) for _ in range(deg)])

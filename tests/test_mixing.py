@@ -17,7 +17,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from avgmix.exact import ExactMatrix, ExactPolynomial
+from avgmix.exact import ExactMatrix, ExactPolynomial, lcm_int
 from avgmix.graphs import (
     WeightedGraph,
     add_loops,
@@ -27,6 +27,7 @@ from avgmix.graphs import (
     path_graph,
 )
 from avgmix.mixing import (
+    IntegralityCertificates,
     _boxed,
     _certify,
     _check_mixing_invariants,
@@ -34,7 +35,6 @@ from avgmix.mixing import (
     _gram_numerators,
     _trace_form,
     average_mixing,
-    certify_integrality,
     strong_cospectral_kernel,
 )
 
@@ -138,6 +138,96 @@ def test_gram_route_matches_entry_route_and_reference(rows):
     assert mixing == ExactMatrix(reference.simple_spectrum_mixing(rows))
 
 
+def _circulant_rows(n, weights, loop):
+    # weights[k - 1] joins vertices at circular distance k
+    return [
+        [loop if i == j else weights[min((j - i) % n, (i - j) % n) - 1]
+         for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def _multipartite_rows(sizes, weight, loops):
+    part = [p for p, size in enumerate(sizes) for _ in range(size)]
+    return [
+        [loops[a] if i == j else 0 if a == b else weight
+         for j, b in enumerate(part)]
+        for i, a in enumerate(part)
+    ]
+
+
+def _twin_tree_rows(parents, weights, loops, hub, twin_weight, twin_loop):
+    # a weighted tree with loops, plus three twin leaves on one vertex:
+    # e_a - e_b for twins a, b is an eigenvector, twice over
+    k = len(parents) + 1
+    n = k + 3
+    rows = [[0] * n for _ in range(n)]
+    for child, (parent, w) in enumerate(zip(parents, weights), start=1):
+        rows[child][parent % child] = rows[parent % child][child] = w
+    for i in range(k):
+        rows[i][i] = loops[i]
+    for leaf in range(k, n):
+        rows[leaf][hub % k] = rows[hub % k][leaf] = twin_weight
+        rows[leaf][leaf] = twin_loop
+    return rows
+
+
+def _complement_rows(rows, loop):
+    n = len(rows)
+    return [
+        [loop if i == j else int(not rows[i][j]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+repeated_spectrum_rows = st.one_of(
+    st.integers(3, 9).flatmap(
+        lambda n: st.builds(
+            _circulant_rows,
+            st.just(n),
+            st.lists(st.integers(0, 4), min_size=n // 2, max_size=n // 2),
+            st.integers(0, 3),
+        )
+    ),
+    st.lists(st.integers(1, 3), min_size=1, max_size=2).flatmap(
+        lambda sizes: st.builds(
+            _multipartite_rows,
+            st.just([3] + sizes),
+            st.integers(1, 4),
+            st.lists(st.integers(0, 3), min_size=3, max_size=3),
+        )
+    ),
+    st.integers(0, 5).flatmap(
+        lambda k: st.builds(
+            _twin_tree_rows,
+            st.lists(st.integers(0, 10), min_size=k, max_size=k),
+            st.lists(st.integers(1, 4), min_size=k, max_size=k),
+            st.lists(st.integers(0, 3), min_size=k + 1, max_size=k + 1),
+            st.integers(0, 5),
+            st.integers(1, 4),
+            st.integers(0, 3),
+        )
+    ),
+)
+repeated_spectrum_rows = st.one_of(
+    repeated_spectrum_rows,
+    st.builds(_complement_rows, repeated_spectrum_rows, st.integers(0, 3)),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_spectrum_rows)
+def test_repeated_spectra_match_the_hankel_reference(rows):
+    r = average_mixing(ExactMatrix(rows))
+    assert not r.simple_spectrum
+    assert r.mixing == ExactMatrix(reference.hankel_mixing(rows))
+    # disc(psi) = det H clears every denominator of y^T H^-1 y
+    disc = reference.determinant(reference.power_hankel(r.min_poly.coeffs))
+    assert r.disc_min == disc
+    assert all((disc * x).denominator == 1 for x in r.mixing.entries())
+    assert r.certificates.d_integral_minpoly
+
+
 def test_repeated_spectrum_takes_the_entry_route(monkeypatch):
     # the Gram form is wrong off a simple spectrum: for K3 it would give
     # rank-one products of the diagonal, so the switch must avoid it
@@ -225,7 +315,11 @@ class TestValidation:
 class TestCertificates:
     def test_golden_certificates(self):
         r = average_mixing(matrix_of(looped_p6()))
-        certs = certify_integrality(r)
+        # the certificates are checked on the lcm of the entry denominators
+        assert r.common_denominator == lcm_int(
+            x.denominator for x in r.mixing.entries()
+        )
+        certs = r.certificates
         assert certs.d2_integral
         assert certs.d_integral_simple
         # disc/denominator = 864 exactly, so D * Mhat is integral
@@ -236,10 +330,10 @@ class TestCertificates:
         certs = r.certificates
         assert certs.d2_integral  # 81 clears denominator 9
         assert certs.d_integral_simple  # vacuous: repeated spectrum
-        assert certs.d_integral_minpoly  # observed: 9 clears 9
+        assert certs.d_integral_minpoly  # 9 clears 9
 
     def test_search_harness_runs(self):
-        # repeated spectra, where D_min * Mhat integrality is only observed
+        # repeated spectra, where D_min * Mhat is integral by the Hankel proof
         for n in (2, 3, 4, 5):
             m = matrix_of(complete_graph(n))
             assert average_mixing(m).certificates.d_integral_minpoly
@@ -271,12 +365,13 @@ class TestInvariants:
         for table in ([[3, -1], [-1, 3]], [[1, 1], [1, 2]], [[1, 1], [0, 2]]):
             with pytest.raises(AssertionError):
                 _check_mixing_invariants(table, 2)
-        assert _certify(4, 2, 2, False).d2_integral
+        assert _certify(4, 4, 0, False) == IntegralityCertificates(True, True, True)
         with pytest.raises(AssertionError):
             _certify(8, 2, 2, True)  # D^2 = 4 does not clear 8
         with pytest.raises(AssertionError):
             _certify(4, 2, 6, True)  # D_char = 6 does not clear 4
-        assert not _certify(4, 2, 0, False).d_integral_minpoly
+        with pytest.raises(AssertionError):
+            _certify(4, 2, 0, False)  # D_min = 2 does not clear 4
 
     def test_row_sums_symmetry_nonnegativity(self):
         rng = random.Random(51)
