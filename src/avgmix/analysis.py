@@ -20,7 +20,7 @@ from operator import mul
 
 from .exact import ExactMatrix, _charpoly_int, _rows_in_span
 from .graphs import WeightedGraph, basis_rows, cycle_graph, matrix_of, path_graph
-from .mixing import AvgMixReport, _boxed, average_mixing, strong_cospectral_kernel
+from .mixing import AvgMixReport, average_mixing, strong_cospectral_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -77,7 +77,7 @@ def closed_form_matrix(form: ClosedForm) -> ExactMatrix:
         [a + b * (i == j) + c * (j == partner[i]) for j in range(n)]
         for i in range(n)
     ]
-    return _boxed(nums, denom)
+    return ExactMatrix(nums, denom)
 
 
 def verify_closed_form(
@@ -194,11 +194,8 @@ def all_strongly_cospectral_check(
     g: WeightedGraph, basis: str = "adjacency"
 ) -> bool:
     """Whether every vertex pair is strongly cospectral (true only for tiny graphs)."""
-    if g.n == 1:
-        return True
-    report = average_mixing(matrix_of(g, basis))
-    first = report.mixing.column(0)
-    return all(report.mixing.column(u) == first for u in range(1, g.n))
+    # Mhat is symmetric, so its columns are its rows
+    return len(set(average_mixing(matrix_of(g, basis)).mixing.numerators)) == 1
 
 
 # ---------------------------------------------------------------------------
@@ -245,7 +242,8 @@ def pst_necessary(
         report = average_mixing(matrix_of(g, basis))
     elif report.n != g.n:
         raise ValueError("report order does not match the graph")
-    columns = [report.mixing.column(w) for w in range(g.n)]
+    # Mhat is symmetric, so its columns are its rows
+    columns = report.mixing.numerators
     no_pst = len(set(columns)) == g.n
     if columns[u] != columns[v]:
         return PstVerdict(
@@ -268,14 +266,15 @@ class SpanClass(enum.Enum):
 
 
 def ij_span_check(report: AvgMixReport) -> SpanClass:
-    """Classify Mhat against span{I, J} and span{I, J, T} exactly."""
+    """Classify Mhat = N / denom against span{I, J} and span{I, J, T}
+    exactly, on the integer numerators N: Mhat lies in a span iff N does."""
     n = report.n
-    mixing = report.mixing
+    nums = report.mixing.numerators
     cells = [(i, j) for i in range(n) for j in range(n)]
-    if _rows_in_span([int(i == j), 1, mixing[i, j]] for i, j in cells):
+    if _rows_in_span([int(i == j), 1, nums[i][j]] for i, j in cells):
         return SpanClass.IJ
     if _rows_in_span(
-        [int(i == j), 1, int(i + j == n - 1), mixing[i, j]] for i, j in cells
+        [int(i == j), 1, int(i + j == n - 1), nums[i][j]] for i, j in cells
     ):
         return SpanClass.IJT
     return SpanClass.OTHER

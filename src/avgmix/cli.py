@@ -350,12 +350,8 @@ def _scheme_payload(matrices: list[ExactMatrix]) -> tuple[dict, bool]:
         payload["pseudocyclic"] = pseudo
         payload["koppinen_ok"] = koppinen_schur_check(scheme)
         if pseudo and scheme.d >= 1:
-            class_graph = WeightedGraph.from_weights(
-                [
-                    [int(x) for x in row]
-                    for row in scheme.matrices[1].to_lists()
-                ]
-            )
+            # a verified class has 0/1 entries, denominator 1
+            class_graph = WeightedGraph.from_weights(scheme.matrices[1].numerators)
             m = (scheme.n - 1) // scheme.d
             payload["formula_ok"] = verify_closed_form(
                 ClosedForm("pseudocyclic", scheme.n, m), class_graph

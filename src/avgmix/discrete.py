@@ -12,8 +12,9 @@ neither nonnegative nor stochastic.  The two agree exactly when U is
 symmetric.
 
 Both limits run on the integer engine of `avgmix.mixing`.  With c the
-lcm of the entry denominators, V = cU is an integer matrix with the
-same idempotents (its eigenvalues are c theta_r), so the idempotent
+common denominator of U (the lcm of its entry denominators), the
+numerators of U form the integer matrix V = cU.  V has the same
+idempotents as U (its eigenvalues are c theta_r), so the idempotent
 entries are (E_r)_{uv} = f_uv(c theta_r) w(c theta_r) for integer
 polynomials f_uv and w = 1/psi' modulo the squarefree part psi of the
 characteristic polynomial of V.  Sums over the roots of psi are traces,
@@ -24,9 +25,12 @@ handling:
     physical (u, v):  sum_r (E_r)_{uv} (E_r)_{vu},  the trace of f_uv f_vu w^2.
 
 The physical form uses that U, being real orthogonal, is normal, so
-every E_r is Hermitian and conj(E_r)_{uv} = (E_r)_{vu}.  Both are
-integer dot products over one shared denominator; `Fraction` appears
-only when the result is boxed into an `ExactMatrix`.
+every E_r is Hermitian and conj(E_r)_{uv} = (E_r)_{vu}; it is read off
+by the same `_mixing_matrix` as the continuous walk, Gram route and
+invariant checks included.  Both are integer dot products over one
+shared denominator, and no rational routine runs here: each result is
+an `ExactMatrix` of integer numerators, with `Fraction` built only when
+an entry is read.
 
 The Cesaro error bound needs the idempotents themselves, in floats.  It
 evaluates the same integer resolvent, without the trace weights, at the
@@ -43,30 +47,25 @@ from operator import mul
 
 import numpy as np
 
-from .exact import ExactMatrix, lcm_int
+from .exact import ExactMatrix
 from .mixing import (
     _TraceForm,
-    _boxed,
-    _check_mixing_invariants,
     _entry_numerator,
-    _gram_numerators,
+    _mixing_matrix,
     _resolvent_form,
     _trace_form,
 )
 
 
 def _require_orthogonal(u: ExactMatrix) -> list[list[int]]:
-    """Check U^T U = I; returns the integer rows of cU, c the lcm of the
-    entry denominators, on which the check runs as V^T V = c^2 I."""
+    """Check U^T U = I; returns the integer rows of V = cU, c the common
+    denominator of U, on which the check runs as V^T V = c^2 I."""
     if not u.is_square:
         raise ValueError("an orthogonal matrix must be square")
     n = u.nrows
-    c = lcm_int(x.denominator for x in u.entries())
-    rows = [
-        [x.numerator * (c // x.denominator) for x in u.row(i)] for i in range(n)
-    ]
+    rows = [list(row) for row in u.numerators]
     cols = [list(col) for col in zip(*rows)]
-    c2 = c * c
+    c2 = u.denominator**2
     for i in range(n):
         for j in range(i, n):
             if sum(map(mul, cols[i], cols[j])) != (c2 if i == j else 0):
@@ -85,22 +84,7 @@ def _literal(form: _TraceForm) -> ExactMatrix:
         nums.append(row)
     if any(nums[a][b] != nums[b][a] for a in range(n) for b in range(a + 1, n)):
         raise AssertionError("the literal average mixing matrix must be symmetric")
-    return _boxed(nums, form.denom)
-
-
-def _physical(form: _TraceForm) -> ExactMatrix:
-    if form.disc_char:
-        nums = _gram_numerators(form)
-    else:
-        n = len(form.resolvent[0])
-        nums = [[0] * n for _ in range(n)]
-        for a in range(n):
-            for b in range(a, n):
-                nums[a][b] = nums[b][a] = _entry_numerator(
-                    form.entry_polynomial(a, b), form.entry_polynomial(b, a), form.tau
-                )
-    _check_mixing_invariants(nums, form.denom)
-    return _boxed(nums, form.denom)
+    return ExactMatrix(nums, form.denom)
 
 
 def avg_mixing_literal(u: ExactMatrix) -> ExactMatrix:
@@ -112,18 +96,23 @@ def avg_mixing_literal(u: ExactMatrix) -> ExactMatrix:
 def avg_mixing_physical(u: ExactMatrix) -> ExactMatrix:
     """sum_r E_r o conj(E_r), exactly: the Cesaro limit of the step
     mixing matrices, doubly stochastic with nonnegative entries."""
-    return _physical(_trace_form(_require_orthogonal(u)))
+    return _mixing_matrix(_trace_form(_require_orthogonal(u)))
 
 
 def avg_mixing_limits(u: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """(literal, physical), both read off one trace form of U."""
     form = _trace_form(_require_orthogonal(u))
-    return _literal(form), _physical(form)
+    return _literal(form), _mixing_matrix(form)
 
 
 # ---------------------------------------------------------------------------
 # Cesaro partial averages
 # ---------------------------------------------------------------------------
+
+
+def _require_steps(steps: int) -> None:
+    if isinstance(steps, bool) or not isinstance(steps, int) or steps < 1:
+        raise ValueError(f"the number of steps must be a positive int, got {steps!r}")
 
 
 def cesaro_partial(u: ExactMatrix, steps: int) -> np.ndarray:
@@ -133,8 +122,7 @@ def cesaro_partial(u: ExactMatrix, steps: int) -> np.ndarray:
     (U^t)_{uv} (U^t)_{vu}; the average converges to the literal form.
     """
     _require_orthogonal(u)
-    if steps < 1:
-        raise ValueError("the number of steps must be positive")
+    _require_steps(steps)
     n = u.nrows
     array = np.array(u.to_float())
     power = np.eye(n)
@@ -178,8 +166,7 @@ def cesaro_error_bound(u: ExactMatrix, steps: int) -> float:
     2 max|E_r o E_s| / (N |1 - theta_r / theta_s|).
     """
     rows = _require_orthogonal(u)
-    if steps < 1:
-        raise ValueError("the number of steps must be positive")
+    _require_steps(steps)
     roots, projectors = _numeric_idempotents(rows)
     bound = 0.0
     for r in range(len(roots)):

@@ -1,10 +1,12 @@
 """Exact matrices at the API boundary and integer polynomial kernels.
 
 `ExactMatrix` and `ExactPolynomial` are the immutable rational values the
-package takes and returns, with no arithmetic of their own: scalars are
-`fractions.Fraction` (stored reduced, denominator > 0; ints are taken,
-bools are not), polynomials dense ascending coefficient tuples with no
-trailing zeros, so the zero polynomial is the empty tuple, of degree -1.
+package takes and returns, with no arithmetic of their own.  Both take
+ints and `fractions.Fraction`s, not bools.  A matrix stores integer
+numerators over one positive denominator in lowest terms and builds a
+`Fraction` only when an entry is read; a polynomial stores reduced
+`Fraction` coefficients, dense ascending with no trailing zeros, so the
+zero polynomial is the empty tuple, of degree -1.
 
 All matrix and polynomial work runs on plain lists of Python ints in the
 `_int_*` kernels: primitive and subresultant remainder sequences for gcds
@@ -12,9 +14,9 @@ and resultants (coefficients stay at subresultant size; the resultant
 also carries the cofactor that scales an inverse modulo a polynomial),
 Newton power sums, and the characteristic polynomial (Hessenberg form
 modulo fixed 62-bit primes, joined by the Chinese remainder theorem
-under a Hadamard bound).  The one rational routine is `_rows_in_span`,
-the exact span elimination shared by scheme axiom (d) and the span
-classification of `avgmix.analysis`.
+under a Hadamard bound), and `_rows_in_span`, the fraction-free span
+elimination shared by scheme axiom (d) and the span classification of
+`avgmix.analysis`.  No rational routine is left below the boundary.
 """
 
 from __future__ import annotations
@@ -45,12 +47,24 @@ def _as_fraction(x: Scalar) -> Fraction:
 
 
 class ExactMatrix:
-    """Immutable dense matrix over the rationals, a value with no arithmetic."""
+    """Immutable dense rational matrix: integer numerators over one denominator.
 
-    __slots__ = ("_rows", "nrows", "ncols")
+    `numerators` is a tuple of int tuples and `denominator` a positive int,
+    in lowest terms: no prime divides the denominator and every numerator.
+    Equal matrices therefore store equal integers, and `==` and `hash`
+    compare integers.  `Fraction` entries are built only when read.
+    """
 
-    def __init__(self, rows: Iterable[Iterable[Scalar]]):
-        data = tuple(tuple(_as_fraction(x) for x in row) for row in rows)
+    __slots__ = ("numerators", "denominator", "nrows", "ncols")
+
+    def __init__(self, rows: Iterable[Iterable[Scalar]], denominator: int = 1):
+        if isinstance(denominator, bool) or not isinstance(denominator, int):
+            raise TypeError(
+                f"the denominator must be an int, got {type(denominator).__name__}"
+            )
+        if denominator <= 0:
+            raise ValueError("the denominator must be positive")
+        data = [[x if type(x) is int else _as_fraction(x) for x in row] for row in rows]
         if not data:
             raise ValueError("matrix must have at least one row")
         width = len(data[0])
@@ -58,7 +72,16 @@ class ExactMatrix:
             raise ValueError("matrix must have at least one column")
         if any(len(row) != width for row in data):
             raise ValueError("rows have unequal lengths")
-        self._rows = data
+        if any(type(x) is not int for row in data for x in row):
+            # ints have numerator x and denominator 1 too
+            scale = math.lcm(*(x.denominator for row in data for x in row))
+            data = [[x.numerator * (scale // x.denominator) for x in r] for r in data]
+            denominator *= scale
+        g = math.gcd(denominator, *(x for row in data for x in row))
+        if g != 1:
+            data = [[x // g for x in row] for row in data]
+        self.numerators = tuple(map(tuple, data))
+        self.denominator = denominator // g
         self.nrows = len(data)
         self.ncols = width
 
@@ -74,58 +97,53 @@ class ExactMatrix:
 
     def __getitem__(self, key: tuple[int, int]) -> Fraction:
         i, j = key
-        return self._rows[i][j]
+        return Fraction(self.numerators[i][j], self.denominator)
 
     def row(self, i: int) -> tuple[Fraction, ...]:
-        return self._rows[i]
-
-    def column(self, j: int) -> tuple[Fraction, ...]:
-        return tuple(row[j] for row in self._rows)
+        d = self.denominator
+        return tuple(Fraction(x, d) for x in self.numerators[i])
 
     def to_lists(self) -> list[list[Fraction]]:
-        return [list(row) for row in self._rows]
+        d = self.denominator
+        return [[Fraction(x, d) for x in row] for row in self.numerators]
 
     def to_float(self) -> list[list[float]]:
-        return [[float(x) for x in row] for row in self._rows]
+        # int true division rounds correctly, as float(Fraction) does
+        d = self.denominator
+        return [[x / d for x in row] for row in self.numerators]
 
     @property
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     def entries(self) -> Iterable[Fraction]:
-        for row in self._rows:
+        for row in self.to_lists():
             yield from row
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ExactMatrix):
             return NotImplemented
-        return self._rows == other._rows
+        same = self.denominator == other.denominator
+        return same and self.numerators == other.numerators
 
     def __hash__(self) -> int:
-        return hash(self._rows)
+        return hash((self.numerators, self.denominator))
 
     def __repr__(self) -> str:
-        body = "; ".join(
-            " ".join(str(x) for x in row) for row in self._rows
-        )
+        body = "; ".join(" ".join(str(x) for x in row) for row in self.to_lists())
         return f"ExactMatrix({self.nrows}x{self.ncols}: {body})"
 
     # -- structure ---------------------------------------------------------
 
     def is_symmetric(self) -> bool:
-        if not self.is_square:
-            return False
-        return all(
-            self._rows[i][j] == self._rows[j][i]
-            for i in range(self.nrows)
-            for j in range(i + 1, self.ncols)
-        )
+        return self.is_square and self.numerators == tuple(zip(*self.numerators))
 
     def is_integral(self) -> bool:
-        return all(x.denominator == 1 for x in self.entries())
+        return self.denominator == 1
 
     def row_sums(self) -> tuple[Fraction, ...]:
-        return tuple(sum(row, Fraction(0)) for row in self._rows)
+        d = self.denominator
+        return tuple(Fraction(sum(row), d) for row in self.numerators)
 
 
 # ---------------------------------------------------------------------------
@@ -558,36 +576,32 @@ def _charpoly_int(rows: list[list[int]]) -> list[int]:
     return poly
 
 
-def lcm_int(values: Iterable[int]) -> int:
-    out = 1
-    for v in values:
-        out = out * v // math.gcd(out, v)
-    return out
-
-
-def _rows_in_span(rows: Iterable[Sequence[Scalar]]) -> bool:
+def _rows_in_span(rows: Iterable[Sequence[int]]) -> bool:
     """Exact consistency of the linear system with the given augmented rows.
 
-    Each row holds the coefficients of one equation followed by its right
-    hand side.  Duplicate rows are dropped first: the distinct rows span
-    the same row space, so the answer cannot change, and a system built
-    from few distinct values (a span test over 0/1 classes) shrinks to a
-    handful of rows before the Gaussian elimination runs.
+    Each integer row holds the coefficients of one equation followed by
+    its right hand side.  Duplicate rows are dropped first: the distinct
+    rows span the same row space, so the answer cannot change, and a
+    system built from few distinct values (a span test over 0/1 classes)
+    shrinks to a handful of rows.  The elimination is fraction-free: a
+    row loses its pivot column as lead * row - factor * pivot row, and is
+    divided by its content, so the integers stay small.
     """
-    rows = [list(map(Fraction, row)) for row in dict.fromkeys(map(tuple, rows))]
+    rows = [list(row) for row in dict.fromkeys(map(tuple, rows))]
     cols = len(rows[0]) - 1
     pivot = 0
     for col in range(cols):
-        hit = next(
-            (r for r in range(pivot, len(rows)) if rows[r][col] != 0), None
-        )
+        hit = next((r for r in range(pivot, len(rows)) if rows[r][col]), None)
         if hit is None:
             continue
         rows[pivot], rows[hit] = rows[hit], rows[pivot]
-        lead = rows[pivot][col]
-        for r in range(len(rows)):
-            if r != pivot and rows[r][col] != 0:
-                factor = rows[r][col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[pivot])]
+        top = rows[pivot]
+        lead = top[col]
+        for r in range(pivot + 1, len(rows)):
+            factor = rows[r][col]
+            if factor:
+                row = [lead * a - factor * b for a, b in zip(rows[r], top)]
+                g = _int_content(row)
+                rows[r] = [x // g for x in row] if g > 1 else row
         pivot += 1
-    return all(row[-1] == 0 for row in rows[pivot:])
+    return not any(row[-1] for row in rows[pivot:])

@@ -39,9 +39,10 @@ D_char = disc(char poly):
 - D_char == 0, a repeated spectrum: each entry is its own dot product
   of f_uv^2 with tau (`_entry_numerator`, about n^2 deg^2 / 2 products).
 
-Both give the same integer numerators wherever both apply.  Invariants
-and integrality certificates are checked on them, whichever route ran;
-`Fraction` appears only when the result is boxed into an `ExactMatrix`.
+Both give the same integer numerators wherever both apply, and
+`_mixing_matrix` alone picks the route.  Invariants and certificates
+are checked on the numerators, and the result is an `ExactMatrix` of
+them over the shared denominator: no rational routine is left here.
 The discrete walks of `avgmix.discrete` run on the same engine.  Entries
 only share read-only precomputed state, so distinct entries may be
 computed concurrently in any order.
@@ -229,17 +230,23 @@ def _gram_numerators(form: _TraceForm) -> list[list[int]]:
     return nums
 
 
-def _boxed(nums: list[list[int]], denom: int) -> ExactMatrix:
-    """The symmetric rational matrix nums / denom; each off-diagonal
-    Fraction is built once and shared between (u, v) and (v, u)."""
-    n = len(nums)
-    entries: list[list[Fraction]] = [[Fraction(0)] * n for _ in range(n)]
-    for u in range(n):
-        for v in range(u, n):
-            value = Fraction(nums[u][v], denom)
-            entries[u][v] = value
-            entries[v][u] = value
-    return ExactMatrix(entries)
+def _mixing_matrix(form: _TraceForm) -> ExactMatrix:
+    """sum_r E_r o conj(E_r) for a normal M, checked: nonnegative,
+    symmetric, rows summing to 1.  Each E_r is Hermitian, so entry (u, v)
+    is the trace form of f_uv f_vu (f_vu = f_uv when M is symmetric); a
+    simple spectrum (disc_char != 0) takes the Gram product instead."""
+    if form.disc_char:
+        nums = _gram_numerators(form)
+    else:
+        n = len(form.resolvent[0])
+        nums = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(u, n):
+                nums[u][v] = nums[v][u] = _entry_numerator(
+                    form.entry_polynomial(u, v), form.entry_polynomial(v, u), form.tau
+                )
+    _check_mixing_invariants(nums, form.denom)
+    return ExactMatrix(nums, form.denom)
 
 
 def average_mixing(m: ExactMatrix) -> AvgMixReport:
@@ -250,39 +257,20 @@ def average_mixing(m: ExactMatrix) -> AvgMixReport:
         raise ValueError("average mixing needs integer entries")
     if not m.is_symmetric():
         raise ValueError("average mixing needs a symmetric matrix")
-    n = m.nrows
-    rows = [[int(m[i, j]) for j in range(n)] for i in range(n)]
-
-    form = _trace_form(rows)
-    denom = form.denom
-    if form.disc_char:
-        nums = _gram_numerators(form)
-    else:
-        nums = [[0] * n for _ in range(n)]
-        for u in range(n):
-            for v in range(u, n):
-                f = form.entry_polynomial(u, v)
-                nums[u][v] = nums[v][u] = _entry_numerator(f, f, form.tau)
-
-    _check_mixing_invariants(nums, denom)
-    common = 0
-    for row in nums:
-        for x in row:
-            common = math.gcd(common, x)
-    common_denominator = denom // math.gcd(denom, common)
+    form = _trace_form([list(row) for row in m.numerators])
+    mixing = _mixing_matrix(form)
     simple = form.disc_char != 0
-    certificates = _certify(
-        common_denominator, form.disc_min, form.disc_char, simple
-    )
     return AvgMixReport(
-        mixing=_boxed(nums, denom),
+        mixing=mixing,
         min_poly=ExactPolynomial(form.min_poly),
         char_poly=ExactPolynomial(form.char_poly),
         disc_min=Fraction(form.disc_min),
         disc_char=Fraction(form.disc_char),
         simple_spectrum=simple,
-        common_denominator=common_denominator,
-        certificates=certificates,
+        common_denominator=mixing.denominator,
+        certificates=_certify(
+            mixing.denominator, form.disc_min, form.disc_char, simple
+        ),
     )
 
 
@@ -325,4 +313,5 @@ def strong_cospectral_kernel(report: AvgMixReport, u: int, v: int) -> bool:
         raise IndexError("vertex out of range")
     if u == v:
         raise ValueError("strong cospectrality needs two distinct vertices")
-    return report.mixing.column(u) == report.mixing.column(v)
+    # Mhat is symmetric, so its columns are its rows
+    return report.mixing.numerators[u] == report.mixing.numerators[v]

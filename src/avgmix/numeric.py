@@ -24,9 +24,7 @@ class ClusteringError(RuntimeError):
 
 
 def _as_array(m) -> np.ndarray:
-    if isinstance(m, ExactMatrix):
-        return np.array(m.to_float(), dtype=float)
-    arr = np.asarray(m, dtype=float)
+    arr = np.asarray(m.to_float() if isinstance(m, ExactMatrix) else m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
     return arr
@@ -132,7 +130,7 @@ def numeric_avg_mixing(d: SpectralDecomposition) -> np.ndarray:
 def eigenvalue_range(m) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a real symmetric matrix."""
     arr = _as_array(m)
-    if not np.allclose(arr, arr.T, atol=1e-12):
+    if not np.allclose(arr, arr.T, atol=1e-12, rtol=0.0):
         raise ValueError("expected a symmetric matrix")
     values = np.linalg.eigvalsh(arr)
     return float(values[0]), float(values[-1])

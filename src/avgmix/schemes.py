@@ -16,13 +16,14 @@ checked to be 0 or 1.  That is exact: an entry of the product of two
 is at most the number of classes.  Each product A_i A_j is computed
 once and shared by (c) and (d).  The span test of (d) has one equation
 per position, and `avgmix.exact` drops duplicate equations before its
-exact elimination, the only rational arithmetic of the check: for
-classes that partition the positions, at most (d+1) times the number
-of distinct product values remain, not n^2.
+fraction-free integer elimination: for classes that partition the
+positions, at most (d+1) times the number of distinct product values
+remain, not n^2.
 
 For a verified scheme with symmetric classes the common eigenspaces are
 computed numerically (the classes commute, so simultaneous refinement
-terminates in exactly d+1 blocks), giving multiplicities, spectral
+terminates in exactly d+1 blocks, eigenvalues more than GUARD apart
+split a block), giving multiplicities, spectral
 idempotents, and the pseudocyclic test.  Cyclotomic schemes over a
 prime field are built directly from power residue cosets.
 """
@@ -35,6 +36,10 @@ import numpy as np
 
 from .exact import ExactMatrix, _rows_in_span
 from .numeric import ClusteringError
+
+# eigenvalues of a compressed class further apart than GUARD start a new
+# joint eigenspace
+GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -89,11 +94,9 @@ def _validate_classes(matrices: list[ExactMatrix]) -> list[np.ndarray]:
     for m in matrices:
         if not (m.nrows == n and m.ncols == n):
             raise ValueError("class matrices must be square of equal order")
-        if any(x.denominator != 1 or x.numerator not in (0, 1) for x in m.entries()):
+        if m.denominator != 1 or not {x for r in m.numerators for x in r} <= {0, 1}:
             raise ValueError("class matrices must have 0/1 entries")
-        arrays.append(
-            np.array([[x.numerator for x in m.row(i)] for i in range(n)], dtype=np.int64)
-        )
+        arrays.append(np.array(m.numerators, dtype=np.int64))
     return arrays
 
 
@@ -191,9 +194,7 @@ def _span_conflict(
     return None
 
 
-def _common_eigenspaces(
-    arrays: list[np.ndarray], guard: float
-) -> list[np.ndarray]:
+def _common_eigenspaces(arrays: list[np.ndarray]) -> list[np.ndarray]:
     """Orthonormal bases of the joint eigenspaces of commuting symmetric arrays."""
     n = arrays[0].shape[0]
     blocks = [np.eye(n)]
@@ -204,7 +205,7 @@ def _common_eigenspaces(
             values, vectors = np.linalg.eigh((compressed + compressed.T) / 2)
             start = 0
             for stop in range(1, len(values) + 1):
-                if stop == len(values) or values[stop] - values[stop - 1] > guard:
+                if stop == len(values) or values[stop] - values[stop - 1] > GUARD:
                     refined.append(block @ vectors[:, start:stop])
                     start = stop
         blocks = refined
@@ -212,11 +213,11 @@ def _common_eigenspaces(
 
 
 def _spectral_data(
-    classes: list[np.ndarray], guard: float
+    classes: list[np.ndarray],
 ) -> tuple[tuple[int, ...], tuple[np.ndarray, ...]]:
     arrays = [a.astype(float) for a in classes]
     n = arrays[0].shape[0]
-    blocks = _common_eigenspaces(arrays, guard)
+    blocks = _common_eigenspaces(arrays)
     if len(blocks) != len(arrays):
         raise ClusteringError(
             f"expected {len(arrays)} joint eigenspaces, found {len(blocks)}"
@@ -245,9 +246,7 @@ def _spectral_data(
     return multiplicities, projectors
 
 
-def verify_scheme(
-    matrices: list[ExactMatrix], guard: float = 1e-6
-) -> SchemeReport:
+def verify_scheme(matrices: list[ExactMatrix]) -> SchemeReport:
     """Check the scheme axioms, collecting every violation found.
 
     On success the returned scheme carries valencies always, and
@@ -277,7 +276,7 @@ def verify_scheme(
         valencies.append(sums.pop())
     ordered = [arrays[k] for k in order]
     if all(np.array_equal(a, a.T) for a in ordered):
-        multiplicities, projectors = _spectral_data(ordered, guard)
+        multiplicities, projectors = _spectral_data(ordered)
     else:
         multiplicities, projectors = None, None
     scheme = AssociationScheme(

@@ -1,9 +1,14 @@
-"""Every private module-level function and class of avgmix has a caller.
+"""Every private module-level function and class of avgmix has a caller,
+and one module turns rationals into integers.
 
 A helper only the tests reach is dead weight in the library: the guard
 parses each module of `src/avgmix` and looks for a use of every
 `_`-prefixed top-level function or class outside its own definition.
 Imports do not count as uses, and neither does recursion.
+
+`ExactMatrix` stores integer numerators over one denominator, so no
+module but `exact.py` has a reason to unbox a `Fraction`: the second
+guard fails when another module reads a `.numerator` attribute.
 """
 
 import ast
@@ -54,3 +59,14 @@ def test_every_private_definition_is_used_in_the_library():
                 unused.append(f"{name}::{node.name}")
     assert checked > 50
     assert unused == []
+
+
+def test_only_exact_reads_numerators_of_fractions():
+    readers = []
+    for path in SOURCES:
+        if path.name == "exact.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and node.attr == "numerator":
+                readers.append(f"{path.name}:{node.lineno}")
+    assert readers == []

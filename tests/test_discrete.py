@@ -15,7 +15,7 @@ from avgmix.discrete import (
 )
 import reference
 from avgmix.exact import ExactMatrix
-from avgmix.mixing import _boxed, _entry_numerator, _gram_numerators, _trace_form
+from avgmix.mixing import _entry_numerator, _gram_numerators, _trace_form
 
 F = Fraction
 
@@ -146,10 +146,11 @@ def test_non_orthogonal_rejected():
 
 
 def test_step_counts_must_be_positive():
-    with pytest.raises(ValueError):
-        cesaro_partial(rotation_345(), 0)
-    with pytest.raises(ValueError):
-        cesaro_error_bound(rotation_345(), -3)
+    # positive ints only: True would count as 1 step, 2.5 would scale the bound
+    for steps in (0, -3, True, 2.5, 3.0, "4"):
+        for average in (cesaro_partial, cesaro_error_bound):
+            with pytest.raises(ValueError, match="steps"):
+                average(rotation_345(), steps)
 
 
 # ---------------------------------------------------------------------------
@@ -231,7 +232,7 @@ def test_physical_gram_route_on_simple_spectra():
         gram = _gram_numerators(form)
         assert gram == physical_entry_route(form)
         physical = avg_mixing_physical(u)
-        assert physical == _boxed(gram, form.denom)
+        assert physical == ExactMatrix(gram, form.denom)
         assert physical == ExactMatrix(reference.simple_spectrum_mixing(rows))
 
 

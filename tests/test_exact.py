@@ -7,6 +7,7 @@ before anything downstream is trusted.
 """
 
 import ast
+import math
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -42,6 +43,22 @@ def poly(*ascending):
 
 def random_monic(rng, deg, lo=-4, hi=4):
     return [rng.randint(lo, hi) for _ in range(deg)] + [1]
+
+
+rational_rows = st.integers(1, 4).flatmap(
+    lambda width: st.lists(
+        st.lists(
+            st.one_of(
+                st.fractions(max_denominator=60),
+                st.builds(F, st.integers(-(10**40), 10**40), st.integers(1, 3**60)),
+            ),
+            min_size=width,
+            max_size=width,
+        ),
+        min_size=1,
+        max_size=4,
+    )
+)
 
 
 def test_reference_imports_nothing_from_avgmix():
@@ -90,6 +107,58 @@ class TestExactMatrix:
         assert a.is_symmetric()
         b = ExactMatrix([[1, 2], [3, 5]])
         assert not b.is_symmetric()
+
+    def test_numerators_over_one_denominator(self):
+        m = ExactMatrix([[F(1, 6), F(-3, 4)], [2, 0]])
+        assert m.denominator == 12
+        assert m.numerators == ((2, -9), (24, 0))
+        assert m[0, 1] == F(-3, 4) and m.row(1) == (2, 0)
+        assert m.row_sums() == (F(-7, 12), 2)
+        assert repr(m) == "ExactMatrix(2x2: 1/6 -3/4; 2 0)"
+        # a denominator shared by every numerator is cancelled
+        assert ExactMatrix([[4, 6], [0, -2]], 8).numerators == ((2, 3), (0, -1))
+        assert ExactMatrix([[4, 6], [0, -2]], 8).denominator == 4
+        zero = ExactMatrix([[0, 0]], 7)
+        assert zero.denominator == 1 and zero.is_integral()
+
+    @pytest.mark.parametrize(
+        "denominator, error",
+        [(0, ValueError), (-1, ValueError), (True, TypeError), (2.0, TypeError)],
+    )
+    def test_bad_denominator_rejected(self, denominator, error):
+        with pytest.raises(error, match="denominator"):
+            ExactMatrix([[1, 2], [3, 4]], denominator)
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_rows, st.integers(1, 10**6))
+    def test_equal_values_store_equal_integers(self, rows, k):
+        scale = k * math.lcm(*(x.denominator for row in rows for x in row))
+        nums = [[int(x * scale) for x in row] for row in rows]
+        built = [
+            ExactMatrix(rows),
+            ExactMatrix(nums, scale),
+            ExactMatrix([[F(x) for x in row] for row in nums], scale),
+            ExactMatrix([[x * k for x in row] for row in rows], k),
+        ]
+        if all(x.denominator == 1 for row in rows for x in row):
+            built.append(ExactMatrix([[int(x) for x in row] for row in rows]))
+        first = built[0]
+        for m in built:
+            assert m.numerators == first.numerators
+            assert m.denominator == first.denominator
+            assert m == first and hash(m) == hash(first)
+            assert all(type(x) is int for row in m.numerators for x in row)
+        assert first.to_lists() == rows
+        # lowest terms: the lcm of the reduced entry denominators
+        assert first.denominator == math.lcm(
+            *(x.denominator for row in rows for x in row)
+        )
+        flat = [x for row in first.numerators for x in row]
+        assert math.gcd(first.denominator, *flat) == 1
+        # int true division rounds as float(Fraction) does, bit for bit
+        assert [[x.hex() for x in row] for row in first.to_float()] == [
+            [float(x).hex() for x in row] for row in rows
+        ]
 
 
 # ---------------------------------------------------------------------------
@@ -565,11 +634,18 @@ class TestMatrixInSpan:
         assert not in_span(b, [a, a])
 
     def test_rational_entries(self):
+        # the span routine takes integer rows: rational matrices are scaled
+        # by one common denominator, which keeps every span relation
         a = [[F(1, 2), F(1, 3)], [F(-2, 7), 1]]
         b = [[F(5, 3), 0], [F(1, 9), F(-4, 5)]]
         target = combination([F(7, 11), F(-13, 4)], [a, b])
-        assert in_span(target, [a, b])
         nudged = [target[0], [target[1][0], target[1][1] + F(1, 10**30)]]
+        mats = (a, b, target, nudged)
+        scale = math.lcm(*(F(x).denominator for m in mats for row in m for x in row))
+        a, b, target, nudged = (
+            [[int(x * scale) for x in row] for row in m] for m in mats
+        )
+        assert in_span(target, [a, b])
         assert not in_span(nudged, [a, b])
 
     def test_many_duplicate_rows(self):
@@ -582,7 +658,7 @@ class TestMatrixInSpan:
         basis = [ident, even, odd]
         assert in_span(reference.matmul(even, odd), basis)
         assert in_span(reference.matmul(odd, odd), basis)
-        assert in_span(combination([5, F(2, 3)], [ident, odd]), basis)
+        assert in_span(combination([5, -2], [ident, odd]), basis)
         broken = reference.matmul(odd, odd)
         broken[n - 1][n - 1] += 1
         assert not in_span(broken, basis)

@@ -7,6 +7,7 @@ denominator 1926 = 2 * 9 * 107 and its characteristic discriminant is
 nontrivial numbers.
 """
 
+import math
 import random
 import time
 from fractions import Fraction
@@ -17,7 +18,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from avgmix.exact import ExactMatrix, ExactPolynomial, lcm_int
+from avgmix.exact import ExactMatrix, ExactPolynomial
 from avgmix.graphs import (
     WeightedGraph,
     add_loops,
@@ -28,7 +29,6 @@ from avgmix.graphs import (
 )
 from avgmix.mixing import (
     IntegralityCertificates,
-    _boxed,
     _certify,
     _check_mixing_invariants,
     _entry_numerator,
@@ -134,7 +134,7 @@ def test_gram_route_matches_entry_route_and_reference(rows):
     gram = _gram_numerators(form)
     assert gram == entry_route_numerators(form)
     mixing = average_mixing(ExactMatrix(rows)).mixing
-    assert mixing == _boxed(gram, form.denom)
+    assert mixing == ExactMatrix(gram, form.denom)
     assert mixing == ExactMatrix(reference.simple_spectrum_mixing(rows))
 
 
@@ -316,8 +316,8 @@ class TestCertificates:
     def test_golden_certificates(self):
         r = average_mixing(matrix_of(looped_p6()))
         # the certificates are checked on the lcm of the entry denominators
-        assert r.common_denominator == lcm_int(
-            x.denominator for x in r.mixing.entries()
+        assert r.common_denominator == math.lcm(
+            *(x.denominator for x in r.mixing.entries())
         )
         certs = r.certificates
         assert certs.d2_integral

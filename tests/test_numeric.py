@@ -11,6 +11,7 @@ from avgmix.mixing import average_mixing
 from avgmix.numeric import (
     ClusteringError,
     average_upto,
+    eigenvalue_range,
     expect_cluster_count,
     mixing_at,
     numeric_avg_mixing,
@@ -79,6 +80,23 @@ class TestSpectralDecomposition:
             spectral_decomposition(np.array([[0.0, 1.0], [0.5, 0.0]]))
         with pytest.raises(ValueError):
             spectral_decomposition(np.eye(2), tol=0.0)
+
+
+class TestEigenvalueRange:
+    def test_rejects_near_symmetric_large_entries(self):
+        # a relative tolerance would pass an off-by-one of 1e6
+        with pytest.raises(ValueError, match="symmetric"):
+            eigenvalue_range([[0.0, 1e6], [1e6 + 1, 0.0]])
+        with pytest.raises(ValueError, match="symmetric"):
+            spectral_decomposition([[0.0, 1e6], [1e6 + 1, 0.0]])
+
+    def test_rejects_non_square_exact_matrix(self):
+        rows = [[1, 2, 3], [4, 5, 6]]
+        for m in (ExactMatrix(rows), rows):
+            with pytest.raises(ValueError, match="square"):
+                eigenvalue_range(m)
+            with pytest.raises(ValueError, match="square"):
+                spectral_decomposition(m)
 
 
 class TestTransition:
