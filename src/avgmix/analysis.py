@@ -169,10 +169,13 @@ def are_strongly_cospectral(
 
     Equivalent to e_u - e_v lying in the kernel of the average mixing
     matrix.  For a simple spectrum this coincides with plain
-    cospectrality, and that equivalence is asserted on the fly.
+    cospectrality, and that equivalence is asserted on the fly.  report,
+    when given, must be the average mixing report of g in basis.
     """
     if report is None:
         report = average_mixing(matrix_of(g, basis))
+    elif report.n != g.n:
+        raise ValueError("report order does not match the graph")
     if u == v:
         raise ValueError("strong cospectrality needs two distinct vertices")
     answer = strong_cospectral_kernel(report, u, v)

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -31,6 +32,7 @@ from .exact import ExactMatrix
 from .graphs import (
     Graph6Error,
     WeightedGraph,
+    _family_parts,
     add_loops,
     family,
     matrix_of,
@@ -53,16 +55,19 @@ PSD_TOLERANCE = 1e-9
 # ---------------------------------------------------------------------------
 
 
-def _rat(x) -> str:
-    return str(Fraction(x))
+def _ratio(num: int, den: int) -> str:
+    """str(Fraction(num, den)) for den > 0, without building the Fraction."""
+    g = math.gcd(num, den)
+    return str(num // g) if g == den else f"{num // g}/{den // g}"
 
 
 def _matrix_payload(m: ExactMatrix) -> list[list[str]]:
-    return [[_rat(x) for x in row] for row in m.to_lists()]
+    d = m.denominator
+    return [[_ratio(x, d) for x in row] for row in m.numerators]
 
 
 def _poly_payload(p) -> list[str]:
-    return [_rat(c) for c in p.coeffs]
+    return [str(c) for c in p.coeffs]
 
 
 def _report_payload(report: AvgMixReport, basis: str) -> dict:
@@ -73,10 +78,10 @@ def _report_payload(report: AvgMixReport, basis: str) -> dict:
         "avg_mixing": _matrix_payload(report.mixing),
         "min_poly": _poly_payload(report.min_poly),
         "char_poly": _poly_payload(report.char_poly),
-        "disc_min": _rat(report.disc_min),
-        "disc_char": _rat(report.disc_char),
+        "disc_min": str(report.disc_min),
+        "disc_char": str(report.disc_char),
         "simple_spectrum": report.simple_spectrum,
-        "common_denominator": _rat(report.common_denominator),
+        "common_denominator": str(report.common_denominator),
         "certificates": {
             "d2_integral": certs.d2_integral,
             "d_integral_simple": certs.d_integral_simple,
@@ -259,17 +264,18 @@ def _known_closed_form(args: argparse.Namespace) -> ClosedForm | None:
         return None
     if args.loops:
         return None
-    name, _, rest = args.family.partition(":")
+    # the descriptor has already built the graph, so its fields parse
+    name, *rest = _family_parts(args.family)
     if name == "path":
-        n = int(rest)
+        n = int(rest[0])
         if args.basis == "laplacian":
             return ClosedForm("path_laplacian", n) if n >= 2 else None
         return ClosedForm("path_adjacency", n)
     if name == "cycle" and args.basis == "adjacency":
-        n = int(rest)
+        n = int(rest[0])
         return ClosedForm("cycle_odd" if n % 2 else "cycle_even", n)
     if name == "complete" and args.basis == "adjacency":
-        n = int(rest)
+        n = int(rest[0])
         return ClosedForm("pseudocyclic", n, n - 1) if n >= 2 else None
     return None
 
@@ -281,10 +287,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     checks: dict[str, bool] = {}
     if selected in ("all", "stochastic"):
         mixing = report.mixing
+        # entries numerator / denominator with a positive denominator
         checks["stochastic"] = (
             mixing.is_symmetric()
-            and all(x >= 0 for x in mixing.entries())
-            and all(s == 1 for s in mixing.row_sums())
+            and all(min(row) >= 0 for row in mixing.numerators)
+            and all(sum(row) == mixing.denominator for row in mixing.numerators)
         )
     if selected in ("all", "psd"):
         low, high = eigenvalue_range(report.mixing)

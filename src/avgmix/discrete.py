@@ -47,12 +47,12 @@ from operator import mul
 
 import numpy as np
 
-from .exact import ExactMatrix
+from .exact import ExactMatrix, _charpoly_int, _int_radical
 from .mixing import (
     _TraceForm,
     _entry_numerator,
     _mixing_matrix,
-    _resolvent_form,
+    _resolvent_int,
     _trace_form,
 )
 
@@ -136,7 +136,8 @@ def cesaro_partial(u: ExactMatrix, steps: int) -> np.ndarray:
 def _numeric_idempotents(rows: list[list[int]]):
     """Roots theta_r of psi and the projectors E_r of U, from the integer
     resolvent of V = cU evaluated at the roots of psi_V(c y) / c^deg."""
-    _, psi, resolvent = _resolvent_form(rows)
+    psi = _int_radical(_charpoly_int(rows))[0]
+    resolvent = _resolvent_int(rows, psi)
     deg = len(psi) - 1
     # V^T V = c^2 I, so the first row of V has norm c
     c = math.isqrt(sum(x * x for x in rows[0]))

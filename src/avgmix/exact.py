@@ -9,13 +9,16 @@ numerators over one positive denominator in lowest terms and builds a
 zero polynomial is the empty tuple, of degree -1.
 
 All matrix and polynomial work runs on plain lists of Python ints in the
-`_int_*` kernels: primitive and subresultant remainder sequences for gcds
-and resultants (coefficients stay at subresultant size; the resultant
-also carries the cofactor that scales an inverse modulo a polynomial),
-Newton power sums, and the characteristic polynomial (Hessenberg form
-modulo fixed 62-bit primes, joined by the Chinese remainder theorem
-under a Hadamard bound), and `_rows_in_span`, the fraction-free span
-elimination shared by scheme axiom (d) and the span classification of
+`_int_*` kernels.  There is one remainder sequence, the subresultant
+one (coefficients stay at subresultant size): it gives the resultant,
+the cofactor that scales an inverse modulo a polynomial and, when the
+resultant is 0, the gcd.  `_int_radical` takes from it the squarefree
+part psi of a char poly phi, D = disc(psi) and t = D/psi' mod psi, in
+one sequence when phi is squarefree and two otherwise.  Next to it are
+Newton power sums, the characteristic polynomial (Hessenberg form modulo
+fixed 62-bit primes, joined by the Chinese remainder theorem under a
+Hadamard bound), and `_rows_in_span`, the fraction-free span elimination
+shared by scheme axiom (d) and the span classification of
 `avgmix.analysis`.  No rational routine is left below the boundary.
 """
 
@@ -214,18 +217,6 @@ def _int_content(p: Sequence[int]) -> int:
     return g
 
 
-def _int_primitive(p: list[int]) -> list[int]:
-    """Divide out the content; normalize the leading coefficient positive."""
-    if not p:
-        return []
-    g = _int_content(p)
-    if p[-1] < 0:
-        g = -g
-    if g != 1:
-        p = [c // g for c in p]
-    return p
-
-
 def _int_derivative(p: Sequence[int]) -> list[int]:
     return [i * c for i, c in enumerate(p)][1:]
 
@@ -269,31 +260,11 @@ def _int_prem(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]]
     return _int_trim(q), r
 
 
-def _int_gcd(f: Sequence[int], g: Sequence[int]) -> list[int]:
-    """Gcd of integer polynomials via the primitive remainder sequence.
-
-    Returns a primitive polynomial with positive leading coefficient
-    (an integer constant collapses to [1]; gcd of two zeros is []).
-    """
-    a = _int_trim(list(f))
-    b = _int_trim(list(g))
-    if not a:
-        return _int_primitive(b)
-    if not b:
-        return _int_primitive(a)
-    if len(a) < len(b):
-        a, b = b, a
-    while b:
-        r = _int_primitive(_int_prem(a, b)[1])
-        a, b = b, r
-    a = _int_primitive(a)
-    if len(a) == 1:
-        return [1]
-    return a
-
-
-def _int_resultant(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int]]:
-    """Res(f, g) and t with t g = Res(f, g) mod f, deg t < deg f.
+def _int_resultant(
+    f: Sequence[int], g: Sequence[int]
+) -> tuple[int, list[int], list[int]]:
+    """Res(f, g), t with t g = Res(f, g) mod f and deg t < deg f, and the
+    gcd of f and g, primitive with a positive leading coefficient.
 
     The subresultant remainder sequence of the primitive parts carries the
     cofactor of g: each remainder is u f + v g, and v goes through the
@@ -301,12 +272,12 @@ def _int_resultant(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int]]:
     cofactors are determinants like the subresultants, so every division
     is exact, and checked.  When the last remainder is a constant of a
     degree-dropping (abnormal) step, it and its cofactor are scaled up to
-    the resultant.  A shared factor gives (0, []).
+    the resultant, and the gcd is [1].  A zero remainder means a shared
+    factor: Res = 0, t = [], and the last nonzero remainder (f itself
+    when g = 0) is a multiple of the gcd.
     """
     a = _int_trim(list(f))
     b = _int_trim(list(g))
-    if not a or not b:
-        return 0, []
     sign = 1
     swapped = len(a) < len(b)
     if swapped:
@@ -316,60 +287,81 @@ def _int_resultant(f: Sequence[int], g: Sequence[int]) -> tuple[int, list[int]]:
     if len(b) == 1:
         # Res = b0^deg a; modulo a constant f nothing is left of t
         da = len(a) - 1
-        return sign * b[0] ** da, [b[0] ** (da - 1)] if da and not swapped else []
-    ca, cb = _int_content(a), _int_content(b)
-    a = [c // ca for c in a]
-    b = [c // cb for c in b]
-    scale = ca ** (len(b) - 1) * cb ** (len(a) - 1)
-    # va, vb: the cofactors of g / content(g) in a and b
-    va, vb = ([1], []) if swapped else ([], [1])
-    scale_t = scale // (ca if swapped else cb)
-    g_ = 1
-    h = 1
-    while True:
-        da, db = len(a) - 1, len(b) - 1
-        delta = da - db
-        if da % 2 == 1 and db % 2 == 1:
-            sign = -sign
-        q, r = _int_prem(a, b)
-        if not r:
-            return 0, []  # common factor of positive degree
-        # lc(b)^(delta+1) a = q b + r, so r has cofactor lc^(delta+1) va - q vb
-        lead = b[-1] ** (delta + 1)
-        vr = [-c for c in _int_mul(q, vb)]
-        vr += [0] * (len(va) - len(vr))
-        for i, c in enumerate(va):
-            vr[i] += lead * c
-        divisor = g_ * h**delta
-        a, b = b, _int_exact_div(r, [divisor])
-        va, vb = vb, _int_exact_div(_int_trim(vr), [divisor])
-        g_ = a[-1]
-        if delta > 0:
-            h = g_**delta // h ** (delta - 1)
-        if len(b) == 1:
-            # b is the subresultant of index deg a - 1; the resultant is
-            # b * (b / h)^(deg a - 1)
-            da = len(a) - 1
-            lift = b[0] ** (da - 1)
-            h_last = h ** (da - 1)
-            res = _int_exact_div([b[0] * lift], [h_last])[0]
-            t = _int_exact_div([lift * c for c in vb], [h_last])
-            return sign * scale * res, [sign * scale_t * c for c in t]
+        t = [b[0] ** (da - 1)] if da and not swapped else []
+        return sign * b[0] ** da, t, [1]
+    if not b:
+        b = a  # gcd(f, 0) = f
+    else:
+        ca, cb = _int_content(a), _int_content(b)
+        a = [c // ca for c in a]
+        b = [c // cb for c in b]
+        scale = ca ** (len(b) - 1) * cb ** (len(a) - 1)
+        # va, vb: the cofactors of g / content(g) in a and b
+        va, vb = ([1], []) if swapped else ([], [1])
+        scale_t = scale // (ca if swapped else cb)
+        g_ = 1
+        h = 1
+        while True:
+            da, db = len(a) - 1, len(b) - 1
+            delta = da - db
+            if da % 2 == 1 and db % 2 == 1:
+                sign = -sign
+            q, r = _int_prem(a, b)
+            if not r:
+                break
+            # lc(b)^(delta+1) a = q b + r: r has cofactor lc^(delta+1) va - q vb
+            lead = b[-1] ** (delta + 1)
+            vr = [-c for c in _int_mul(q, vb)]
+            vr += [0] * (len(va) - len(vr))
+            for i, c in enumerate(va):
+                vr[i] += lead * c
+            divisor = g_ * h**delta
+            a, b = b, _int_exact_div(r, [divisor])
+            va, vb = vb, _int_exact_div(_int_trim(vr), [divisor])
+            g_ = a[-1]
+            if delta > 0:
+                h = g_**delta // h ** (delta - 1)
+            if len(b) == 1:
+                # b is the subresultant of index deg a - 1; the resultant
+                # is b * (b / h)^(deg a - 1)
+                da = len(a) - 1
+                lift = b[0] ** (da - 1)
+                h_last = h ** (da - 1)
+                res = _int_exact_div([b[0] * lift], [h_last])[0]
+                t = _int_exact_div([lift * c for c in vb], [h_last])
+                return sign * scale * res, [sign * scale_t * c for c in t], [1]
+    unit = _int_content(b)
+    if b and b[-1] < 0:
+        unit = -unit
+    return 0, [], [c // unit for c in b]
 
 
-def _int_squarefree(p: Sequence[int]) -> list[int]:
-    """Monic squarefree part of a monic integer polynomial."""
-    work = _int_trim(list(p))
-    if not work or work[-1] != 1:
-        raise ValueError("expected a monic integer polynomial")
-    if len(work) == 2:
-        return work
-    g = _int_gcd(work, _int_derivative(work))
-    if len(g) == 1:
-        return work
-    # exact division: g is primitive and divides the monic work, so the
-    # quotient is again monic with integer coefficients
-    return _int_exact_div(work, g)
+def _int_radical(phi: Sequence[int]) -> tuple[list[int], int, list[int]]:
+    """(psi, D, t) for a monic integer polynomial phi of degree >= 1: psi
+    the monic squarefree part of phi, D = disc(psi), and t with
+    t psi' = D mod psi, deg t < deg psi, so that t / D = 1/psi' mod psi.
+
+    One subresultant sequence on (phi, phi') gives all three when phi is
+    squarefree.  Otherwise its gcd divides phi exactly (primitive, it
+    divides the monic phi, so the quotient is monic with integer
+    coefficients) and a second sequence runs on (psi, psi').
+    """
+    psi = _int_trim(list(phi))
+    if len(psi) < 2 or psi[-1] != 1:
+        raise ValueError("expected a monic integer polynomial of degree >= 1")
+    dpsi = _int_derivative(psi)
+    d, t, g = _int_resultant(psi, dpsi)
+    if not d:
+        psi = _int_exact_div(psi, g)
+        dpsi = _int_derivative(psi)
+        d, t, _ = _int_resultant(psi, dpsi)
+    # disc(psi) = (-1)^(deg (deg - 1) / 2) Res(psi, psi') for a monic psi
+    deg = len(psi) - 1
+    if deg * (deg - 1) // 2 % 2:
+        d, t = -d, [-c for c in t]
+    if _int_prem(_int_mul(t, dpsi), psi)[1] != [d]:
+        raise AssertionError("t psi' must be disc(psi) modulo psi")
+    return psi, d, t
 
 
 def _int_exact_div(f: Sequence[int], g: Sequence[int]) -> list[int]:

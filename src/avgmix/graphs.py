@@ -172,10 +172,18 @@ def circulant_graph(n: int, connections: Iterable[int]) -> WeightedGraph:
     return WeightedGraph.from_weights(rows)
 
 
+def _family_parts(descriptor: str) -> list[str]:
+    """' PATH:6' -> ['path', '6']: the fields of a family descriptor, the
+    name lowercased, with the blanks around the descriptor dropped."""
+    parts = descriptor.strip().split(":")
+    parts[0] = parts[0].lower()
+    return parts
+
+
 def family(descriptor: str) -> WeightedGraph:
     """Build a graph from a descriptor such as 'path:6' or 'circulant:5:1,2'."""
-    parts = descriptor.strip().split(":")
-    name = parts[0].lower()
+    parts = _family_parts(descriptor)
+    name = parts[0]
     try:
         if name == "path" and len(parts) == 2:
             return path_graph(int(parts[1]))

@@ -23,10 +23,11 @@ against a precomputed vector, identical to reducing mod psi and applying
 the trace because evaluation at a root is a ring homomorphism.
 
 All of it runs in integers over one shared denominator.  The subresultant
-sequence of (psi, psi') gives D = Res(psi, psi') = +-disc(psi) together
-with its cofactor t = D w, which has integer coefficients; then
-w^2 = (t^2 mod psi) / D^2, the weights tau_k become integers over one
-denominator, and so does every entry.
+sequence of (phi, phi'), phi the char poly, gives psi, D = disc(psi) and
+the cofactor t = D w, which has integer coefficients (`_int_radical`; a
+second sequence, on (psi, psi'), runs only when phi has a repeated
+root).  Then w^2 = (t^2 mod psi) / D^2, the weights tau_k become
+integers over one denominator, and so does every entry.
 
 Two routes read the entries off that state, chosen by the exact integer
 D_char = disc(char poly):
@@ -62,12 +63,10 @@ from .exact import (
     NotAnnihilatingError,
     _charpoly_int,
     _int_content,
-    _int_derivative,
     _int_mul,
     _int_power_sums,
     _int_prem,
-    _int_resultant,
-    _int_squarefree,
+    _int_radical,
 )
 
 
@@ -168,32 +167,19 @@ class _TraceForm(NamedTuple):
         return [b[u][v] for b in self.resolvent]
 
 
-def _resolvent_form(
-    rows: list[list[int]],
-) -> tuple[list[int], list[int], list[list[list[int]]]]:
-    """Char poly, minimal polynomial psi and resolvent B_0..B_{deg-1} of M."""
-    phi = _charpoly_int(rows)
-    psi = _int_squarefree(phi)
-    return phi, psi, _resolvent_int(rows, psi)
-
-
 def _trace_form(rows: list[list[int]]) -> _TraceForm:
     """Char poly, minimal polynomial, resolvent and trace weights of M."""
     n = len(rows)
-    phi, psi, mats = _resolvent_form(rows)
+    phi = _charpoly_int(rows)
+    # t / D = w = 1/psi' in Q[y]/(psi), so w^2 = (t^2 mod psi) / D^2
+    psi, disc_min, t = _int_radical(phi)
+    mats = _resolvent_int(rows, psi)
     deg = len(psi) - 1
-    # t psi' = d mod psi with d = Res(psi, psi'), so t / d = w = 1/psi'
-    # in Q[y]/(psi) and w^2 = (t^2 mod psi) / d^2
-    dpsi = _int_derivative(psi)
-    d, t = _int_resultant(psi, dpsi)
-    if _int_prem(_int_mul(t, dpsi), psi)[1] != [d]:
-        raise AssertionError("t psi' must be Res(psi, psi') modulo psi")
-    disc_min = -d if deg * (deg - 1) // 2 % 2 else d
     # psi is the squarefree part of phi, so deg psi < n exactly when phi
     # has a repeated root, and otherwise psi = phi
     disc_char = disc_min if deg == n else 0
     t2 = _int_prem(_int_mul(t, t), psi)[1]
-    d2 = d * d
+    d2 = disc_min * disc_min
     g = math.gcd(d2, _int_content(t2))
     denom = d2 // g
     w2_int = [c // g for c in t2] + [0] * (deg - len(t2))

@@ -215,6 +215,12 @@ def test_strongly_cospectral_accepts_prebuilt_report():
     assert not are_strongly_cospectral(g, 0, 1, report)
 
 
+def test_strongly_cospectral_rejects_report_of_other_order():
+    report = average_mixing(matrix_of(path_graph(3)))
+    with pytest.raises(ValueError, match="report order"):
+        are_strongly_cospectral(path_graph(4), 0, 2, report)
+
+
 def test_walk_regularity():
     assert is_walk_regular(cycle_graph(5))
     assert is_walk_regular(complete_graph(4))

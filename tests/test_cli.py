@@ -162,6 +162,13 @@ def test_verify_complete_graph_uses_pseudocyclic_form(capsys):
     assert payload["checks"]["closed_form"] is True
 
 
+@pytest.mark.parametrize("descriptor", ["PATH:6", " cycle:5", "Complete:4 "])
+def test_verify_closed_form_on_any_spelling(capsys, descriptor):
+    # the descriptor is read as `family` reads it: blanks dropped, any case
+    payload = run_json(capsys, "verify", "--family", descriptor)
+    assert payload["checks"]["closed_form"] is True
+
+
 def test_verify_single_check_selection(capsys):
     payload = run_json(
         capsys, "verify", "--family", "path:5", "--check", "psd"

@@ -26,8 +26,8 @@ from avgmix.exact import (
     _charpoly_int,
     _int_exact_div,
     _int_power_sums,
+    _int_radical,
     _int_resultant,
-    _int_squarefree,
     _is_prime_62,
     _prime,
     _rows_in_span,
@@ -317,10 +317,21 @@ def sylvester_resultant(p, q):
     return reference.determinant(rows)
 
 
+def primitive_gcd(f, g):
+    """The gcd of f and g by Euclid over Q, scaled to a primitive integer
+    polynomial; it is monic, so the leading coefficient stays positive."""
+    monic = reference.gcd(f, g)
+    scale = math.lcm(*(c.denominator for c in monic))
+    ints = [int(c * scale) for c in monic]
+    return [c // math.gcd(*ints) for c in ints]
+
+
 def resultant_and_cofactor(f, g):
     """_int_resultant(f, g), checked: Res against the Sylvester determinant,
-    t g = Res modulo f with deg t < deg f, and t / Res = 1/g mod f."""
-    res, t = _int_resultant(f, g)
+    t g = Res modulo f with deg t < deg f, t / Res = 1/g mod f, and the gcd
+    against `primitive_gcd`; returns (Res, t)."""
+    res, t, gcd = _int_resultant(f, g)
+    assert gcd == primitive_gcd(f, g)
     assert res == (sylvester_resultant(f, g) if g else 0)
     assert len(t) < len(f)
     gap = reference.add(reference.mul(t, g), [-res])
@@ -335,33 +346,40 @@ def resultant_and_cofactor(f, g):
 def disc(p):
     """disc(p) = (-1)^(m(m-1)/2) Res(p, p') for a monic p of degree m."""
     m = len(p) - 1
-    res, _ = _int_resultant(p, [k * c for k, c in enumerate(p)][1:])
+    res = _int_resultant(p, [k * c for k, c in enumerate(p)][1:])[0]
     return -res if m * (m - 1) // 2 % 2 else res
 
 
 class TestSquarefreeAndDiscriminant:
     def test_examples(self):
-        # x^2 (x - 1) -> x (x - 1)
-        assert _int_squarefree([0, 0, -1, 1]) == [0, -1, 1]
-        # (x - 2)(x + 1)^2 -> (x - 2)(x + 1)
-        assert _int_squarefree([-2, -3, 0, 1]) == [-2, -1, 1]
-        assert _int_squarefree([-2, 0, 1]) == [-2, 0, 1]
-        assert _int_squarefree([7, 1]) == [7, 1]
+        # (psi, disc psi, t) with t = disc(psi) / psi' at every root of psi
+        # x^2 (x - 1) -> x (x - 1), psi' = -1 and 1 at the roots 0 and 1
+        assert _int_radical([0, 0, -1, 1]) == ([0, -1, 1], 1, [-1, 2])
+        # (x - 2)(x + 1)^2 -> (x - 2)(x + 1), psi' = 3 and -3 at 2 and -1
+        assert _int_radical([-2, -3, 0, 1]) == ([-2, -1, 1], 9, [-1, 2])
+        # psi' = 2y at +-sqrt(2)
+        assert _int_radical([-2, 0, 1]) == ([-2, 0, 1], 8, [0, 2])
+        assert _int_radical([7, 1]) == ([7, 1], 1, [1])
 
     def test_zero_rejected(self):
-        for bad in ([], [3], [1, 2]):
+        for bad in ([], [3], [1, 2], [1]):
             with pytest.raises(ValueError):
-                _int_squarefree(bad)
+                _int_radical(bad)
 
     def test_result_monic_squarefree(self):
         rng = random.Random(17)
         for _ in range(25):
             p = random_monic(rng, rng.randint(1, 6))
-            sf = _int_squarefree(p)
+            sf, d, t = _int_radical(p)
             assert sf == reference.squarefree(p)
-            assert sf[-1] == 1 and disc(sf) != 0
             # same roots: sf divides p
             assert reference.poly_divmod(p, sf)[1] == []
+            dsf = reference.derivative(sf)
+            m = len(sf) - 1
+            sign = -1 if m * (m - 1) // 2 % 2 else 1
+            assert d == sign * sylvester_resultant(sf, dsf) != 0
+            assert len(t) < len(sf)
+            assert [F(c, d) for c in t] == reference.inverse_mod(dsf, sf)
 
     def test_discriminant_values(self):
         assert disc([-1, 0, 1]) == 4
@@ -420,12 +438,32 @@ class TestModular:
         assert resultant_and_cofactor([1, 0, 0, 1], [3]) == (27, [9])
 
     def test_non_invertible(self):
-        # a shared factor, or g = 0: Res = 0 and no cofactor
+        # a shared factor, or g = 0: Res = 0, no cofactor, and the gcd
         assert resultant_and_cofactor([0, 0, 1], [0, 1]) == (0, [])
         assert resultant_and_cofactor([-2, 0, 1], []) == (0, [])
         assert resultant_and_cofactor([2, -3, 1], [-4, 2]) == (0, [])
+        # -2 (x - 2) and -3 (x - 1)(x - 2): content and sign divided out
+        assert _int_resultant([4, -2], [-6, 9, -3]) == (0, [], [-2, 1])
         with pytest.raises(ZeroDivisionError):
             reference.inverse_mod([0, 1], [0, 0, 1])
+
+    def test_gcd_of_planted_factor(self):
+        # f = c a h and g = c' b h with a shared factor h of positive
+        # degree, leading coefficients of either sign and contents c, c'
+        rng = random.Random(43)
+        for _ in range(60):
+            h, a, b = (
+                [rng.randint(-4, 4) for _ in range(deg)]
+                + [rng.choice((-3, -2, -1, 1, 2, 3))]
+                for deg in (rng.randint(1, 3), rng.randint(0, 4), rng.randint(0, 4))
+            )
+            cf, cg = rng.choice((1, -2, 6)), rng.choice((1, 3, -4))
+            f = [cf * int(c) for c in reference.mul(a, h)]
+            g = [cg * int(c) for c in reference.mul(b, h)]
+            res, t, gcd = _int_resultant(f, g)
+            assert (res, t) == (0, [])
+            assert gcd == primitive_gcd(f, g) and gcd[-1] > 0
+            assert len(gcd) >= len(h)
 
     def test_inverse_random(self):
         # t g = Res mod f for monic f, deg t < deg f; Res = 0 iff a shared factor
@@ -561,7 +599,7 @@ class TestResolventCoeffs:
         for _ in range(10):
             n = rng.randint(2, 6)
             rows = random_symmetric(rng, n)
-            psi = _int_squarefree(_charpoly_int(rows))
+            psi = _int_radical(_charpoly_int(rows))[0]
             mats = _resolvent_int(rows, psi)
             deg = len(psi) - 1
             assert mats == reference.resolvent(rows, psi)

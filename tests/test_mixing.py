@@ -18,7 +18,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import reference
-from avgmix.exact import ExactMatrix, ExactPolynomial
+from avgmix import exact
+from avgmix.exact import ExactMatrix, ExactPolynomial, _charpoly_int
 from avgmix.graphs import (
     WeightedGraph,
     add_loops,
@@ -124,6 +125,22 @@ def entry_route_numerators(form):
         ]
         for u in range(n)
     ]
+
+
+def test_simple_spectrum_runs_one_remainder_sequence(monkeypatch):
+    # psi = phi, so average_mixing pseudo-divides as often as one
+    # subresultant sequence on (phi, phi'), plus once for the check
+    # t psi' = D mod psi
+    m = matrix_of(looped_p6(), "adjacency")
+    phi = _charpoly_int([list(row) for row in m.numerators])
+    calls = []
+    prem = exact._int_prem
+    monkeypatch.setattr(exact, "_int_prem", lambda f, g: calls.append(1) or prem(f, g))
+    exact._int_resultant(phi, [k * c for k, c in enumerate(phi)][1:])
+    lone = len(calls)
+    calls.clear()
+    assert average_mixing(m).simple_spectrum and lone > 1
+    assert len(calls) == lone + 1
 
 
 @settings(max_examples=60, deadline=None)
