@@ -90,10 +90,16 @@ def _report_payload(report: AvgMixReport, basis: str) -> dict:
     }
 
 
+def _cell_float(cell: str) -> float:
+    # int true division rounds correctly, as float(Fraction) does
+    num, _, den = cell.partition("/")
+    return int(num) / int(den or 1)
+
+
 def _emit_matrix_csv(cells: list[list[str]]) -> list[str]:
     lines = ["# approximate decimal values, 12 significant digits"]
     for row in cells:
-        lines.append(",".join(format(float(Fraction(x)), ".12g") for x in row))
+        lines.append(",".join(format(_cell_float(x), ".12g") for x in row))
     return lines
 
 

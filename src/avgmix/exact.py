@@ -15,11 +15,13 @@ the cofactor that scales an inverse modulo a polynomial and, when the
 resultant is 0, the gcd.  `_int_radical` takes from it the squarefree
 part psi of a char poly phi, D = disc(psi) and t = D/psi' mod psi, in
 one sequence when phi is squarefree and two otherwise.  Next to it are
-Newton power sums, the characteristic polynomial (Hessenberg form modulo
-fixed 62-bit primes, joined by the Chinese remainder theorem under a
-Hadamard bound), and `_rows_in_span`, the fraction-free span elimination
-shared by scheme axiom (d) and the span classification of
-`avgmix.analysis`.  No rational routine is left below the boundary.
+the characteristic polynomial (Hessenberg form modulo fixed 62-bit
+primes, joined by the Chinese remainder theorem under a Hadamard bound),
+the deterministic Miller-Rabin test those primes come from (also the
+primality check of `avgmix.schemes`), and `_rows_in_span`, the
+fraction-free span elimination shared by scheme axiom (d) and the span
+classification of `avgmix.analysis`.  No rational routine is left below
+the boundary.
 """
 
 from __future__ import annotations
@@ -393,26 +395,6 @@ def _int_exact_div(f: Sequence[int], g: Sequence[int]) -> list[int]:
     if any(rem):
         raise ArithmeticError("division was expected to be exact")
     return _int_trim(quot)
-
-
-def _int_power_sums(psi: Sequence[int], upto: int) -> list[int]:
-    """Power sums p_0..p_upto of the roots of a monic integer polynomial."""
-    if len(psi) < 2 or psi[-1] != 1:
-        raise ValueError("power sums need a monic polynomial of degree >= 1")
-    m = len(psi) - 1
-    p = [0] * (upto + 1)
-    p[0] = m
-    for k in range(1, upto + 1):
-        if k <= m:
-            acc = k * psi[m - k]
-            for i in range(1, k):
-                acc += psi[m - i] * p[k - i]
-        else:
-            acc = 0
-            for i in range(1, m + 1):
-                acc += psi[m - i] * p[k - i]
-        p[k] = -acc
-    return p
 
 
 # ---------------------------------------------------------------------------

@@ -289,9 +289,16 @@ def _g6_read_n(data: bytes) -> tuple[int, int]:
 
 def parse_graph6(text: str) -> WeightedGraph:
     """Decode a graph6 string to a simple unweighted graph."""
-    data = text.strip().encode("ascii", errors="replace")
-    if data.startswith(b">>graph6<<"):
-        data = data[10:]
+    text = text.strip()
+    if text.startswith(">>graph6<<"):
+        text = text[10:]
+    try:
+        data = text.encode("ascii")
+    except UnicodeEncodeError as err:
+        # every character before err.start is one byte
+        raise Graph6Error(
+            f"non-ASCII character {text[err.start]!r}", err.start
+        ) from None
     n, consumed = _g6_read_n(data)
     if n < 1:
         raise Graph6Error("graph6 order must be >= 1", 0)

@@ -13,8 +13,8 @@ so with w the inverse of psi' mod psi,
 
     Mhat[u][v] = sum_r (f_uv * w)^2 (theta_r),   f_uv(y) = sum_j B_j[u][v] y^j,
 
-and the sum over roots is a trace form evaluated through Newton power
-sums.  The implementation factors w^2 out of every entry: with tau_k the
+and the sum over roots is a trace form.  The implementation factors w^2
+out of every entry: with tau_k = sum_r theta_r^k / psi'(theta_r)^2, the
 trace of y^k w(y)^2, each entry is an integer dot product
 
     Mhat[u][v] = sum_k (f_uv^2)_k tau_k
@@ -26,8 +26,10 @@ All of it runs in integers over one shared denominator.  The subresultant
 sequence of (phi, phi'), phi the char poly, gives psi, D = disc(psi) and
 the cofactor t = D w, which has integer coefficients (`_int_radical`; a
 second sequence, on (psi, psi'), runs only when phi has a repeated
-root).  Then w^2 = (t^2 mod psi) / D^2, the weights tau_k become
-integers over one denominator, and so does every entry.
+root).  Euler's partial fractions, sum_r g(theta_r) / psi'(theta_r) =
+[y^(deg-1)] (g mod psi), give D tau_k as the top coefficient of
+y^k t mod psi, so the weights tau_k are integers over a divisor of D,
+and so is every entry.
 
 Two routes read the entries off that state, chosen by the exact integer
 D_char = disc(char poly):
@@ -62,10 +64,7 @@ from .exact import (
     ExactPolynomial,
     NotAnnihilatingError,
     _charpoly_int,
-    _int_content,
     _int_mul,
-    _int_power_sums,
-    _int_prem,
     _int_radical,
 )
 
@@ -77,11 +76,13 @@ class IntegralityCertificates:
     With D the discriminant of the minimal polynomial psi, D Mhat (so
     also D^2 Mhat) is integral for every spectrum, and D_char Mhat is
     integral whenever the spectrum is simple; all three are hard
-    guarantees, checked on every result, so every flag is True.  For
-    k < deg psi, y_k = (M^k)_uv = sum_r theta_r^k (E_r)_uv, so
-    Mhat_uv = y^T H^-1 y with the integer Hankel matrix
-    H[j][k] = p_(j+k) of the power sums of psi; det H = D, and
-    D Mhat_uv = y^T adj(H) y is an integer.
+    guarantees, checked on every result, so every flag is True.  D Mhat
+    is integral by construction: each of its entries is an integer
+    combination of the D tau_k, the top coefficients of the integer
+    polynomials y^k t mod psi.  Independently, for k < deg psi,
+    y_k = (M^k)_uv = sum_r theta_r^k (E_r)_uv, so Mhat_uv = y^T H^-1 y
+    with the integer Hankel matrix H[j][k] = p_(j+k) of the power sums
+    of psi; det H = D, and D Mhat_uv = y^T adj(H) y is an integer.
     """
 
     d2_integral: bool
@@ -171,23 +172,30 @@ def _trace_form(rows: list[list[int]]) -> _TraceForm:
     """Char poly, minimal polynomial, resolvent and trace weights of M."""
     n = len(rows)
     phi = _charpoly_int(rows)
-    # t / D = w = 1/psi' in Q[y]/(psi), so w^2 = (t^2 mod psi) / D^2
+    # t / D = w = 1/psi' in Q[y]/(psi)
     psi, disc_min, t = _int_radical(phi)
     mats = _resolvent_int(rows, psi)
     deg = len(psi) - 1
     # psi is the squarefree part of phi, so deg psi < n exactly when phi
     # has a repeated root, and otherwise psi = phi
     disc_char = disc_min if deg == n else 0
-    t2 = _int_prem(_int_mul(t, t), psi)[1]
-    d2 = disc_min * disc_min
-    g = math.gcd(d2, _int_content(t2))
-    denom = d2 // g
-    w2_int = [c // g for c in t2] + [0] * (deg - len(t2))
-    sums = _int_power_sums(psi, 3 * deg - 3 if deg > 1 else 0)
-    tau_num = [
-        sum(w2_int[j] * sums[j + k] for j in range(deg) if w2_int[j])
-        for k in range(2 * deg - 1)
-    ]
+    # Euler: sum_r g(theta_r) / psi'(theta_r) = [y^(deg-1)] (g mod psi),
+    # and t(theta_r) = D / psi'(theta_r), so D tau_k is the top
+    # coefficient of y^k t mod psi
+    r = t + [0] * (deg - len(t))
+    tau_num = []
+    for _ in range(2 * deg - 1):
+        top = r[-1]
+        tau_num.append(top)
+        r = [0] + r[:-1]
+        for i in range(deg):
+            r[i] -= top * psi[i]
+    g = math.gcd(disc_min, *tau_num)
+    denom = abs(disc_min) // g
+    # keep denom positive: D < 0 for walks with complex eigenvalue pairs
+    if disc_min < 0:
+        g = -g
+    tau_num = [c // g for c in tau_num]
     return _TraceForm(phi, psi, disc_char, disc_min, mats, tau_num, denom)
 
 

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exact import ExactMatrix, _rows_in_span
+from .exact import ExactMatrix, _is_prime_62, _rows_in_span
 from .numeric import ClusteringError
 
 # eigenvalues of a compressed class further apart than GUARD start a new
@@ -301,17 +301,6 @@ def is_pseudocyclic(scheme: AssociationScheme) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _is_prime(q: int) -> bool:
-    if q < 2:
-        return False
-    f = 2
-    while f * f <= q:
-        if q % f == 0:
-            return False
-        f += 1
-    return True
-
-
 def _primitive_root(q: int) -> int:
     order = q - 1
     prime_factors = set()
@@ -337,7 +326,10 @@ def cyclotomic_scheme(q: int, d: int) -> list[ExactMatrix]:
     d-th powers.  Only the symmetric case is supported, which requires
     (q-1)/d to be even so that -1 is a d-th power.
     """
-    if not _is_prime(q):
+    if q >= 2**64:
+        raise ValueError("the order must be below 2^64")
+    # _is_prime_62 needs q > 1 (at q = 1 it never returns)
+    if q < 2 or not _is_prime_62(q):
         raise ValueError("the order must be prime")
     if d < 1 or (q - 1) % d != 0:
         raise ValueError("the class count must divide q - 1")

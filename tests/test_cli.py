@@ -124,6 +124,36 @@ def test_compute_csv_format(capsys):
     assert "n,2" in lines
 
 
+def _third_file(tmp_path):
+    path = tmp_path / "third.json"
+    rows = [["2/3", "-2/3", "1/3"], ["1/3", "2/3", "2/3"], ["2/3", "1/3", "-2/3"]]
+    path.write_text(json.dumps({"n": 3, "entries": rows}))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv", [("compute", "--family", "cycle:7"), ("discrete", "--unitary-file")]
+)
+def test_csv_cells_match_the_json_payload(tmp_path, capsys, argv):
+    # non-dyadic entries: each CSV cell is the JSON fraction p/q rounded
+    if argv[0] == "discrete":
+        argv += (_third_file(tmp_path),)
+    cells = run_json(capsys, *argv)["avg_mixing"]
+    assert any(c.endswith(("/49", "/121")) for row in cells for c in row)
+    code, out, _ = run(capsys, *argv, "--format", "csv")
+    assert code == 0
+    lines = out.strip().splitlines()
+    marker = lines.index("# approximate decimal values, 12 significant digits")
+    expected = []
+    for row in cells:
+        values = []
+        for cell in row:
+            p, _, q = cell.partition("/")
+            values.append(format(int(p) / int(q or 1), ".12g"))
+        expected.append(",".join(values))
+    assert lines[marker + 1 : marker + 1 + len(cells)] == expected
+
+
 def test_compute_pretty_format(capsys):
     code, out, err = run(
         capsys, "compute", "--family", "path:6", "--loops", "0=2,5=2",
@@ -380,10 +410,7 @@ def test_discrete_rejects_non_orthogonal(tmp_path, capsys):
 def test_discrete_builds_one_trace_form(tmp_path, capsys, monkeypatch, fmt):
     # both limits come from one trace form, and stdout matches the output
     # of the two separate limit functions byte for byte
-    path = tmp_path / "third.json"
-    rows = [["2/3", "-2/3", "1/3"], ["1/3", "2/3", "2/3"], ["2/3", "1/3", "-2/3"]]
-    path.write_text(json.dumps({"n": 3, "entries": rows}))
-    argv = ("discrete", "--unitary-file", str(path), "--format", fmt)
+    argv = ("discrete", "--unitary-file", _third_file(tmp_path), "--format", fmt)
     calls = []
     engine = discrete._trace_form
     monkeypatch.setattr(discrete, "_trace_form", lambda v: calls.append(1) or engine(v))
@@ -431,6 +458,13 @@ def test_no_source_rejected(capsys):
 def test_bad_graph6_rejected(capsys):
     code, _, err = run(capsys, "compute", "--graph6", "\x01bad")
     assert code == 2
+
+
+def test_non_ascii_graph6_rejected(capsys):
+    # "Bé" once read as the empty graph on 3 vertices
+    code, out, err = run(capsys, "compute", "--graph6", "Bé")
+    assert (code, out) == (2, "")
+    assert "non-ASCII" in err and "byte offset 1" in err
 
 
 def test_bad_loops_rejected(capsys):

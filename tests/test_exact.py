@@ -25,7 +25,6 @@ from avgmix.exact import (
     _charpoly_bound,
     _charpoly_int,
     _int_exact_div,
-    _int_power_sums,
     _int_radical,
     _int_resultant,
     _is_prime_62,
@@ -422,7 +421,7 @@ class TestSquarefreeAndDiscriminant:
 
 
 # ---------------------------------------------------------------------------
-# modular arithmetic: inverses, power sums, traces
+# modular arithmetic: inverses, traces
 # ---------------------------------------------------------------------------
 
 
@@ -519,30 +518,6 @@ class TestModular:
             _int_exact_div([6, -3, 2], [2])
         with pytest.raises(ArithmeticError):
             _int_exact_div([1, 0, 1], [1, 1])
-
-    def test_power_sums_examples(self):
-        assert _int_power_sums([-1, 0, 1], 2) == [2, 0, 2]
-        assert _int_power_sums([-2, -1, 1], 2) == [2, 1, 5]
-        assert _int_power_sums([-3, 1], 3) == [1, 3, 9, 27]
-
-    def test_power_sums_requires_monic(self):
-        for bad in ([-1, 2], [1], []):
-            with pytest.raises(ValueError):
-                _int_power_sums(bad, 2)
-
-    def test_power_sums_match_numeric_roots(self):
-        rng = random.Random(31)
-        for _ in range(20):
-            deg = rng.randint(1, 8)
-            p = random_monic(rng, deg, -5, 5)
-            roots = np.roots([float(c) for c in reversed(p)])
-            sums = _int_power_sums(p, 6)
-            assert sums == reference.power_traces(p, 7)
-            for k in range(7):
-                numeric = np.sum(roots**k)
-                assert abs(complex(sums[k]) - numeric) < 1e-6 * max(
-                    1.0, abs(numeric)
-                )
 
     def test_trace_mod_examples(self):
         # the reference trace: y^j times the trace of multiplication by y^j

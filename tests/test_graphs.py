@@ -204,6 +204,15 @@ class TestGraph6:
         with pytest.raises(Graph6Error):
             parse_graph6("A" + chr(5))  # byte out of range
 
+    def test_non_ascii_rejected(self):
+        # "?" would decode as an all-zero group, so no character may be
+        # replaced by it; the offset is counted past the prefix
+        for text, offset in (("Bé", 1), ("é", 0), ("D?{€", 3)):
+            for prefix in ("", ">>graph6<<"):
+                with pytest.raises(Graph6Error, match="non-ASCII") as info:
+                    parse_graph6(prefix + text)
+                assert info.value.offset == offset
+
     def test_overlong_order_rejected(self):
         # n = 2 fits the one-byte field; the 4- and 8-byte forms are overlong
         with pytest.raises(Graph6Error, match="overlong") as info:

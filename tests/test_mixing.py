@@ -245,6 +245,45 @@ def test_repeated_spectra_match_the_hankel_reference(rows):
     assert r.certificates.d_integral_minpoly
 
 
+def reference_trace_weights(psi):
+    """Tr(y^k w^2) on Q[y]/(psi), k < 2 deg - 1, with w = 1/psi' by Euclid."""
+    deg = len(psi) - 1
+    w = reference.inverse_mod(reference.derivative(psi), psi)
+    h = reference.poly_divmod(reference.mul(w, w), psi)[1]
+    traces = reference.power_traces(psi, deg)
+    weights = []
+    for _ in range(2 * deg - 1):
+        weights.append(reference.trace(h, traces))
+        h = reference.poly_divmod([0] + h, psi)[1]
+    return weights
+
+
+def test_trace_weights_match_the_reference():
+    rng = random.Random(67)
+    # random symmetric integer matrices with loops and negative weights
+    cases = []
+    for _ in range(25):
+        n = rng.randint(1, 6)
+        upper = [rng.randint(-4, 4) for _ in range(n * (n + 1) // 2)]
+        cases.append(_symmetric_from_upper(n, upper))
+    # orthogonal walks scaled to integers: complex pairs make D < 0
+    cases += [
+        [[3, -4], [4, 3]],
+        [[3, -4, 0], [4, 3, 0], [0, 0, 5]],
+        [[0, 1, 0], [0, 0, 1], [1, 0, 0]],
+    ]
+    # deg psi = 1: zero and scalar matrices
+    cases += [[[0] * 4 for _ in range(4)], [[3]], [[-2, 0], [0, -2]]]
+    signs = set()
+    for rows in cases:
+        form = _trace_form(rows)
+        expected = reference_trace_weights(form.min_poly)
+        assert [F(c, form.denom) for c in form.tau] == expected
+        assert form.denom > 0 and abs(form.disc_min) % form.denom == 0
+        signs.add(form.disc_min > 0)
+    assert signs == {True, False}
+
+
 def test_repeated_spectrum_takes_the_entry_route(monkeypatch):
     # the Gram form is wrong off a simple spectrum: for K3 it would give
     # rank-one products of the diagonal, so the switch must avoid it

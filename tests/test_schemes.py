@@ -312,6 +312,12 @@ def test_cyclotomic_rejections():
         cyclotomic_scheme(13, 4)
     with pytest.raises(ValueError):
         cyclotomic_scheme(13, 0)
+    # not prime: rejected before the primality test, which needs q > 1
+    for q in (0, 1, -3):
+        with pytest.raises(ValueError, match="prime"):
+            cyclotomic_scheme(q, 1)
+    with pytest.raises(ValueError, match="2\\^64"):
+        cyclotomic_scheme(2**64 + 13, 2)
 
 
 def test_complete_graph_class_matrix_matches_two_class_scheme():
