@@ -137,7 +137,7 @@ def _numeric_idempotents(rows: list[list[int]]):
     """Roots theta_r of psi and the projectors E_r of U, from the integer
     resolvent of V = cU evaluated at the roots of psi_V(c y) / c^deg."""
     psi = _int_radical(_charpoly_int(rows))[0]
-    resolvent = _resolvent_int(rows, psi)
+    resolvent = _resolvent_int(rows, psi)[1]
     deg = len(psi) - 1
     # V^T V = c^2 I, so the first row of V has norm c
     c = math.isqrt(sum(x * x for x in rows[0]))

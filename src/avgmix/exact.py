@@ -16,7 +16,8 @@ resultant is 0, the gcd.  `_int_radical` takes from it the squarefree
 part psi of a char poly phi, D = disc(psi) and t = D/psi' mod psi, in
 one sequence when phi is squarefree and two otherwise.  Next to it are
 the characteristic polynomial (Hessenberg form modulo fixed 62-bit
-primes, joined by the Chinese remainder theorem under a Hadamard bound),
+primes, joined by the Chinese remainder theorem under a Hadamard bound,
+and a squarefree test of its residue mod a prime),
 the deterministic Miller-Rabin test those primes come from (also the
 primality check of `avgmix.schemes`), and `_rows_in_span`, the
 fraction-free span elimination shared by scheme axiom (d) and the span
@@ -517,7 +518,9 @@ def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def _charpoly_int(rows: list[list[int]]) -> list[int]:
+def _charpoly_int(
+    rows: list[list[int]], *, bound: int | None = None, first: list[int] | None = None
+) -> list[int]:
     """det(xI - M) for a square integer matrix, ascending integer coefficients.
 
     Multimodular: the polynomial is computed mod each of a fixed sequence
@@ -527,17 +530,18 @@ def _charpoly_int(rows: list[list[int]]) -> list[int]:
     added until their product exceeds twice the Hadamard bound of
     `_charpoly_bound`, so the signed residues are the coefficients; no
     prime is chosen at random and none is retried.  The result must come
-    out monic of degree n.
+    out monic of degree n.  A caller that already holds that bound, or
+    the residue mod `_prime(0)`, passes it in and it is not recomputed.
     """
     n = len(rows)
-    bound2 = 2 * _charpoly_bound(rows)
+    bound2 = 2 * (_charpoly_bound(rows) if bound is None else bound)
     modulus = 1
     poly = [0] * (n + 1)
     k = 0
     while modulus <= bound2:
         p = _prime(k)
+        residues = first if k == 0 and first is not None else _charpoly_mod(rows, p)
         k += 1
-        residues = _charpoly_mod(rows, p)
         # Garner step: poly stays the residue mod the product so far
         lift = pow(modulus % p, -1, p)
         for i, r in enumerate(residues):
@@ -548,6 +552,27 @@ def _charpoly_int(rows: list[list[int]]) -> list[int]:
     if poly[-1] != 1:
         raise ArithmeticError("characteristic polynomial is not monic")
     return poly
+
+
+def _squarefree_mod(f: Sequence[int], p: int) -> bool:
+    """Whether gcd(f, f') = 1 over GF(p), by Euclid, for the residues mod
+    p of a monic polynomial of degree 0 < deg f < p (so f' keeps degree
+    deg f - 1).  If so, disc(f) is nonzero mod p, and so is the
+    discriminant of every monic integer polynomial with these residues."""
+    a = list(f)
+    b = _int_trim([i * c % p for i, c in enumerate(f)][1:])
+    while len(b) > 1:
+        inv = pow(b[-1], -1, p)
+        db = len(b) - 1
+        # a mod b: cancel the top coefficient of a until deg a < deg b
+        while len(a) > db:
+            q = a.pop() * inv % p
+            if q:
+                s = len(a) - db
+                a[s:] = [(x - q * y) % p for x, y in zip(a[s:], b)]
+        a, b = b, _int_trim(a)
+    # a nonzero constant is a unit; b = 0 leaves gcd a of degree >= 1
+    return bool(b)
 
 
 def _rows_in_span(rows: Iterable[Sequence[int]]) -> bool:

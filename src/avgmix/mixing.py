@@ -22,14 +22,20 @@ trace of y^k w(y)^2, each entry is an integer dot product
 against a precomputed vector, identical to reducing mod psi and applying
 the trace because evaluation at a root is a ring homomorphism.
 
-All of it runs in integers over one shared denominator.  The subresultant
-sequence of (phi, phi'), phi the char poly, gives psi, D = disc(psi) and
-the cofactor t = D w, which has integer coefficients (`_int_radical`; a
-second sequence, on (psi, psi'), runs only when phi has a repeated
-root).  Euler's partial fractions, sum_r g(theta_r) / psi'(theta_r) =
-[y^(deg-1)] (g mod psi), give D tau_k as the top coefficient of
-y^k t mod psi, so the weights tau_k are integers over a divisor of D,
-and so is every entry.
+All of it runs in integers over one shared denominator.  The char poly
+phi comes from `_charpoly_int` (Hessenberg form modulo 62-bit primes,
+joined by the CRT under a Hadamard bound), with one shortcut: when the
+bound needs more than the first prime p0 and phi mod p0 is squarefree,
+disc(phi) is nonzero mod p0 and hence nonzero, the spectrum is simple
+and psi = phi, so phi is read off the resolvent pass that builds the B_j
+(Faddeev-LeVerrier, every division exact) and the other primes are
+skipped.  The subresultant sequence of (phi, phi') gives psi,
+D = disc(psi) and the cofactor t = D w, which has integer coefficients
+(`_int_radical`; a second sequence, on (psi, psi'), runs only when phi
+has a repeated root).  Euler's partial fractions, sum_r g(theta_r) /
+psi'(theta_r) = [y^(deg-1)] (g mod psi), give D tau_k as the top
+coefficient of y^k t mod psi, so the weights tau_k are integers over a
+divisor of D, and so is every entry.
 
 Two routes read the entries off that state, chosen by the exact integer
 D_char = disc(char poly):
@@ -56,16 +62,20 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import NamedTuple, Sequence
 
 from .exact import (
     ExactMatrix,
     ExactPolynomial,
     NotAnnihilatingError,
+    _charpoly_bound,
     _charpoly_int,
+    _charpoly_mod,
     _int_mul,
     _int_radical,
+    _prime,
+    _squarefree_mod,
 )
 
 
@@ -113,37 +123,66 @@ def _entry_numerator(f: list[int], g: list[int], weights: list[int]) -> int:
     return sum(map(mul, _int_mul(f, g), weights))
 
 
-def _resolvent_int(rows: list[list[int]], psi: Sequence[int]) -> list[list[list[int]]]:
-    """B_0..B_{deg-1} of Phi(M, y) = sum_j B_j y^j for an integer matrix M.
+def _resolvent_int(
+    rows: list[list[int]], psi: Sequence[int] | None = None
+) -> tuple[list[int], list[list[list[int]]]]:
+    """(psi, [B_0..B_{deg-1}]) of Phi(M, y) = psi(y) (yI - M)^-1 =
+    sum_j B_j y^j, for an integer matrix M and a monic psi with psi(M) = 0.
 
     Horner on the matrix: B_{deg-1} = I and B_{j-1} = M B_j + psi_j I.
     The step past B_0 rebuilds psi(M), which must vanish.
+
+    With psi None the pass is Faddeev-LeVerrier and psi is the char poly
+    phi, read off as the pass goes: tr adj(yI - M) = phi' gives
+    tr B_j = (j + 1) phi_(j+1), so the trace of the step gives
+    phi_j = -tr(M B_j) / (n - j).  phi has integer coefficients, so
+    every division is exact; a remainder raises, and the step past B_0
+    is the Cayley-Hamilton check phi(M) = 0.
+
+    When M is symmetric so is every B_j, a polynomial in M: each step
+    computes the entries k >= i of row i and copies the rest from the
+    rows above it.
     """
     n = len(rows)
-    deg = len(psi) - 1
+    coeffs = [0] * n + [1] if psi is None else list(psi)
+    deg = len(coeffs) - 1
     sparse = [[(j, w) for j, w in enumerate(row) if w] for row in rows]
+    symmetric = list(map(list, zip(*rows))) == rows
+    column = [itemgetter(i) for i in range(n)]
 
-    def step(current: list[list[int]], c: int) -> list[list[int]]:
+    def step(current: list[list[int]], j: int) -> list[list[int]]:
         nxt = []
         for i in range(n):
-            acc_row = [0] * n
+            if symmetric:
+                lo = i
+                acc_row = list(map(column[i], nxt)) + [0] * (n - i)
+            else:
+                lo = 0
+                acc_row = [0] * n
             for t, w in sparse[i]:
                 brow = current[t]
-                for k in range(n):
+                for k in range(lo, n):
                     acc_row[k] += w * brow[k]
-            acc_row[i] += c
             nxt.append(acc_row)
+        if psi is None:
+            c, leftover = divmod(-sum(nxt[i][i] for i in range(n)), n - j)
+            if leftover:
+                raise ArithmeticError("tr(M B_j) must be divisible by n - j")
+            coeffs[j] = c
+        c = coeffs[j]
+        for i in range(n):
+            nxt[i][i] += c
         return nxt
 
     current = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
     mats = [current]
     for j in range(deg - 1, 0, -1):
-        current = step(current, psi[j])
+        current = step(current, j)
         mats.append(current)
-    if any(any(row) for row in step(current, psi[0])):
+    if any(any(row) for row in step(current, 0)):
         raise NotAnnihilatingError("psi(M) != 0")
     mats.reverse()
-    return mats
+    return coeffs, mats
 
 
 class _TraceForm(NamedTuple):
@@ -171,10 +210,24 @@ class _TraceForm(NamedTuple):
 def _trace_form(rows: list[list[int]]) -> _TraceForm:
     """Char poly, minimal polynomial, resolvent and trace weights of M."""
     n = len(rows)
-    phi = _charpoly_int(rows)
-    # t / D = w = 1/psi' in Q[y]/(psi)
-    psi, disc_min, t = _int_radical(phi)
-    mats = _resolvent_int(rows, psi)
+    bound = _charpoly_bound(rows)
+    p0 = _prime(0)
+    # past one prime, a residue mod p0 with no repeated root proves
+    # disc(phi) != 0, a simple spectrum: psi = phi, and the resolvent
+    # pass reads phi off its traces in place of the other primes
+    first = _charpoly_mod(rows, p0) if 2 * bound >= p0 else None
+    if first is not None and _squarefree_mod(first, p0):
+        phi, mats = _resolvent_int(rows)
+        if any((a - b) % p0 for a, b in zip(phi, first)):
+            raise ArithmeticError("phi from the traces differs from phi mod p0")
+        psi, disc_min, t = _int_radical(phi)
+        if psi != phi:
+            raise AssertionError("phi squarefree mod p0 must be squarefree")
+    else:
+        phi = _charpoly_int(rows, bound=bound, first=first)
+        psi, disc_min, t = _int_radical(phi)
+        mats = _resolvent_int(rows, psi)[1]
+    # the radical's t / D = w = 1/psi' in Q[y]/(psi)
     deg = len(psi) - 1
     # psi is the squarefree part of phi, so deg psi < n exactly when phi
     # has a repeated root, and otherwise psi = phi

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -30,6 +30,7 @@ from avgmix.exact import (
     _is_prime_62,
     _prime,
     _rows_in_span,
+    _squarefree_mod,
 )
 from avgmix.mixing import _resolvent_int
 
@@ -316,6 +317,27 @@ def sylvester_resultant(p, q):
     return reference.determinant(rows)
 
 
+monic_integer_polys = st.lists(
+    st.lists(st.integers(-4, 4), min_size=1, max_size=3).map(lambda p: p + [1]),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(monic_integer_polys, st.sampled_from([7, 11, 13, 2**62 - 57]))
+@example([[0, 1], [-1, 1], [0, 1]], 2**62 - 57)
+def test_squarefree_mod_p_matches_the_discriminant(factors, p):
+    # products of up to three monic factors, with squares among them;
+    # gcd(f, f') = 1 mod p exactly when p does not divide Res(f, f')
+    f = [1]
+    for g in factors:
+        f = [int(c) for c in reference.mul(f, g)]
+    assume(len(f) - 1 < p)
+    expected = sylvester_resultant(f, reference.derivative(f)) % p != 0
+    assert _squarefree_mod([c % p for c in f], p) == expected
+
+
 def primitive_gcd(f, g):
     """The gcd of f and g by Euclid over Q, scaled to a primitive integer
     polynomial; it is monic, so the leading coefficient stays positive."""
@@ -552,15 +574,14 @@ class TestModular:
 class TestResolventCoeffs:
     def test_swap_matrix(self):
         a = [[0, 1], [1, 0]]
-        mats = _resolvent_int(a, [-1, 0, 1])
-        assert mats == [a, [[1, 0], [0, 1]]]
+        assert _resolvent_int(a, [-1, 0, 1]) == ([-1, 0, 1], [a, [[1, 0], [0, 1]]])
 
     def test_zero_matrix(self):
-        assert _resolvent_int([[0]], [0, 1]) == [[[1]]]
+        assert _resolvent_int([[0]], [0, 1]) == ([0, 1], [[[1]]])
 
     def test_k3_minimal(self):
         a = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-        mats = _resolvent_int(a, [-2, -1, 1])
+        mats = _resolvent_int(a, [-2, -1, 1])[1]
         assert mats[0] == [[-1, 1, 1], [1, -1, 1], [1, 1, -1]]
         assert mats[1] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -575,7 +596,7 @@ class TestResolventCoeffs:
             n = rng.randint(2, 6)
             rows = random_symmetric(rng, n)
             psi = _int_radical(_charpoly_int(rows))[0]
-            mats = _resolvent_int(rows, psi)
+            mats = _resolvent_int(rows, psi)[1]
             deg = len(psi) - 1
             assert mats == reference.resolvent(rows, psi)
             dpsi = [float(k * c) for k, c in enumerate(psi)][1:]

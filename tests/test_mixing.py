@@ -14,7 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
@@ -34,6 +34,7 @@ from avgmix.mixing import (
     _check_mixing_invariants,
     _entry_numerator,
     _gram_numerators,
+    _resolvent_int,
     _trace_form,
     average_mixing,
     strong_cospectral_kernel,
@@ -504,3 +505,254 @@ class TestInvariants:
         start = time.perf_counter()
         average_mixing(matrix_of(looped_p6()))
         assert time.perf_counter() - start < 1.0
+
+
+# ---------------------------------------------------------------------------
+# char poly routes: one prime, read off the resolvent pass, or CRT
+# ---------------------------------------------------------------------------
+
+P0 = exact._prime(0)
+# a simple spectrum whose char poly needs several primes and stays
+# squarefree mod p0, and 2^40 A(K_3), a repeated spectrum that needs several
+RESOLVENT_ROWS = [[2**40, 3, 0], [3, -7, 2**35], [0, 2**35, 1]]
+CRT_ROWS = [[0 if i == j else 2**40 for j in range(3)] for i in range(3)]
+
+
+def char_poly_route(rows):
+    """The route `_trace_form` takes for rows, decided the way it decides."""
+    if 2 * exact._charpoly_bound(rows) < P0:
+        return "one prime"
+    if exact._squarefree_mod(exact._charpoly_mod(rows, P0), P0):
+        return "resolvent"
+    return "crt"
+
+
+def crt_prime_count(rows):
+    bound2 = 2 * exact._charpoly_bound(rows)
+    modulus, k = 1, 0
+    while modulus <= bound2:
+        modulus *= exact._prime(k)
+        k += 1
+    return k
+
+
+def record_routes(monkeypatch):
+    """Counts `_charpoly_mod` calls and keeps the psi of each resolvent pass."""
+    calls = {"charpoly_mod": 0, "psi": []}
+    charpoly_mod = exact._charpoly_mod
+    resolvent = _resolvent_int
+
+    def counted(rows, p):
+        calls["charpoly_mod"] += 1
+        return charpoly_mod(rows, p)
+
+    def recorded(rows, psi=None):
+        calls["psi"].append(psi)
+        return resolvent(rows, psi)
+
+    monkeypatch.setattr("avgmix.exact._charpoly_mod", counted)
+    monkeypatch.setattr("avgmix.mixing._charpoly_mod", counted)
+    monkeypatch.setattr("avgmix.mixing._resolvent_int", recorded)
+    return calls
+
+
+def dense_weighted_rows(seed, n, wmax, loops):
+    """G(n, m) sized as G(n, 0.3), weights 1..wmax and a few loops."""
+    rng = random.Random(seed)
+    rows = [[0] * n for _ in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    for i, j in rng.sample(pairs, round(0.3 * n * (n - 1) / 2)):
+        rows[i][j] = rows[j][i] = rng.randint(1, wmax)
+    for i in rng.sample(range(n), loops):
+        rows[i][i] = rng.randint(1, wmax)
+    return rows
+
+
+def test_multi_prime_simple_spectrum_reads_phi_off_the_resolvent(monkeypatch):
+    # n = 14 with weights up to 100 needs two primes, as the n = 20-22
+    # graphs of the benchmark with weights up to 30 need two to four,
+    # and keeps the rational Hankel reference to about a second
+    rows = dense_weighted_rows(3, 14, 100, 3)
+    assert crt_prime_count(rows) > 1 and char_poly_route(rows) == "resolvent"
+    phi = _charpoly_int(rows)
+    calls = record_routes(monkeypatch)
+    r = average_mixing(ExactMatrix(rows))
+    assert calls["charpoly_mod"] == 1 and calls["psi"] == [None]
+    assert r.simple_spectrum and list(r.char_poly.coeffs) == phi
+    assert r.mixing == ExactMatrix(reference.hankel_mixing(rows))
+
+
+def test_squarefree_mod_p0_decides_the_route_not_the_spectrum(monkeypatch):
+    # phi = x (x - 1) (x - p0) has three distinct roots over Z, but
+    # phi = x^2 (x - 1) mod p0, so the resolvent route cannot prove it
+    rows = [[0, 0, 0], [0, 1, 0], [0, 0, P0]]
+    assert char_poly_route(rows) == "crt"
+    calls = record_routes(monkeypatch)
+    r = average_mixing(ExactMatrix(rows))
+    assert r.simple_spectrum and r.mixing == ExactMatrix.identity(3)
+    assert list(r.char_poly.coeffs) == [0, P0, -(P0 + 1), 1]
+    # the CRT starts from the residue mod p0 instead of recomputing it
+    assert calls["charpoly_mod"] == crt_prime_count(rows) > 1
+    assert calls["psi"] == [[0, P0, -(P0 + 1), 1]]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        CRT_ROWS,
+        [[0 if i == j else 2**40 for j in range(4)] for i in range(4)],
+        matrix_of(complete_graph(30)).numerators,
+    ],
+    ids=["2^40 K3", "2^40 K4", "K30"],
+)
+def test_multi_prime_repeated_spectrum_takes_the_crt_route(monkeypatch, rows):
+    rows = [list(row) for row in rows]
+    n = len(rows)
+    assert crt_prime_count(rows) > 1 and char_poly_route(rows) == "crt"
+    calls = record_routes(monkeypatch)
+    r = average_mixing(ExactMatrix(rows))
+    assert calls["charpoly_mod"] == crt_prime_count(rows)
+    assert len(calls["psi"]) == 1 and len(calls["psi"][0]) == 3
+    assert not r.simple_spectrum
+    # c K_n has the idempotents J/n and I - J/n of K_n
+    expected = [[F((n - 1) ** 2 + 1 if u == v else 2, n * n) for v in range(n)]
+                for u in range(n)]
+    assert r.mixing == ExactMatrix(expected)
+
+
+def test_fused_char_poly_must_match_its_residue_mod_p0(monkeypatch):
+    # a squarefree residue of some other polynomial: the traces give the
+    # true phi, and the congruence check refuses it
+    true = exact._charpoly_mod(RESOLVENT_ROWS, P0)
+    wrong = [(true[0] + 1) % P0] + true[1:]
+    assert exact._squarefree_mod(wrong, P0)
+    monkeypatch.setattr("avgmix.mixing._charpoly_mod", lambda rows, p: wrong)
+    with pytest.raises(ArithmeticError, match="mod p0"):
+        _trace_form(RESOLVENT_ROWS)
+
+
+def test_resolvent_route_refuses_a_repeated_spectrum(monkeypatch):
+    # were the residue test wrong, the squarefree part of the traced phi
+    # would differ from phi, and that is a hard check too
+    monkeypatch.setattr("avgmix.mixing._squarefree_mod", lambda f, p: True)
+    with pytest.raises(AssertionError, match="squarefree"):
+        _trace_form(CRT_ROWS)
+
+
+large_symmetric_rows = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.integers(-3, 3), st.integers(-(2**40), 2**40)),
+        min_size=n * (n + 1) // 2,
+        max_size=n * (n + 1) // 2,
+    ).map(lambda xs: _symmetric_from_upper(n, xs))
+)
+
+
+def _orthogonal_walk_rows(triples, fixed, perm, signs):
+    """Numerators V = cU of U = P R P^T: R block diagonal with the
+    rotations of the triples (m^2 - k^2, 2 m k, m^2 + k^2) and `fixed`
+    fixed points, P a signed permutation."""
+    n = 2 * len(triples) + fixed
+    r = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+    for b, (k, d) in enumerate(triples):
+        m = k + d
+        a, s, c = m * m - k * k, 2 * m * k, m * m + k * k
+        i = 2 * b
+        r[i][i] = r[i + 1][i + 1] = F(a, c)
+        r[i][i + 1], r[i + 1][i] = F(-s, c), F(s, c)
+    p = [[signs[i] if perm[i] == j else 0 for j in range(n)] for i in range(n)]
+    pt = [list(col) for col in zip(*p)]
+    u = reference.matmul(reference.matmul(p, r), pt)
+    return [list(row) for row in ExactMatrix(u).numerators]
+
+
+orthogonal_walk_rows = st.tuples(
+    st.lists(
+        st.tuples(st.integers(1, 10**4), st.integers(1, 10**4)), min_size=1, max_size=3
+    ),
+    st.integers(0, 1),
+).flatmap(
+    lambda tf: st.builds(
+        _orthogonal_walk_rows,
+        st.just(tf[0]),
+        st.just(tf[1]),
+        st.permutations(range(2 * len(tf[0]) + tf[1])),
+        st.lists(
+            st.sampled_from([1, -1]),
+            min_size=2 * len(tf[0]) + tf[1],
+            max_size=2 * len(tf[0]) + tf[1],
+        ),
+    )
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.one_of(large_symmetric_rows, orthogonal_walk_rows),
+    st.lists(st.integers(-20, 20), min_size=1, max_size=3),
+)
+@example(RESOLVENT_ROWS, [0, 1])
+@example(CRT_ROWS, [2])
+def test_resolvent_pass_char_poly_matches_horner_and_determinant(rows, points):
+    # Faddeev-LeVerrier on the resolvent pass, on any integer matrix
+    phi, mats = _resolvent_int(rows)
+    assert (phi, mats) == _resolvent_int(rows, _charpoly_int(rows))
+    # independent of Faddeev-LeVerrier (as is `reference.char_poly`):
+    # det(xI - M) by rational elimination at a few points
+    n = len(rows)
+    for x in points:
+        shifted = [
+            [(x if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)
+        ]
+        assert sum(c * x**k for k, c in enumerate(phi)) == reference.determinant(shifted)
+    # symmetric rows take the half step, the walks the full one; both
+    # must give the term-by-term sums of powers of M
+    assert mats == reference.resolvent(rows, phi)
+
+
+# ---------------------------------------------------------------------------
+# relabelling and disjoint unions
+# ---------------------------------------------------------------------------
+
+
+def _relabel(rows, perm):
+    # P A P^T for the permutation matrix with P[i][perm[i]] = 1
+    return [[rows[a][b] for b in perm] for a in perm]
+
+
+def _direct_sum(a, b):
+    n, m = len(a), len(b)
+    return [list(row) + [0] * m for row in a] + [[0] * n + list(row) for row in b]
+
+
+relabelled_rows = large_symmetric_rows.flatmap(
+    lambda rows: st.tuples(st.just(rows), st.permutations(range(len(rows))))
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(relabelled_rows)
+@example((RESOLVENT_ROWS, [2, 0, 1]))
+@example((CRT_ROWS, [1, 2, 0]))
+def test_relabelling_permutes_the_mixing_matrix(case):
+    rows, perm = case
+    mixing = average_mixing(ExactMatrix(rows)).mixing
+    relabelled = average_mixing(ExactMatrix(_relabel(rows, perm))).mixing
+    assert relabelled == ExactMatrix(
+        _relabel(mixing.numerators, perm), mixing.denominator
+    )
+
+
+@settings(max_examples=30, deadline=None)
+@given(large_symmetric_rows, large_symmetric_rows)
+@example(RESOLVENT_ROWS, [[1, 2], [2, 3]])
+@example(RESOLVENT_ROWS, RESOLVENT_ROWS)
+@example(CRT_ROWS, [[2**40, 0], [0, -(2**40)]])
+def test_disjoint_union_gives_the_direct_sum(x, y):
+    mx = average_mixing(ExactMatrix(x)).mixing.to_lists()
+    my = average_mixing(ExactMatrix(y)).mixing.to_lists()
+    reverse = list(range(len(x)))[::-1]
+    # Y, then X itself and X relabelled, which share every eigenvalue with X
+    for b, mb in ((y, my), (x, mx), (_relabel(x, reverse), _relabel(mx, reverse))):
+        union = average_mixing(ExactMatrix(_direct_sum(x, b))).mixing
+        assert union == ExactMatrix(_direct_sum(mx, mb))
