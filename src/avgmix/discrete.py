@@ -47,12 +47,12 @@ from operator import mul
 
 import numpy as np
 
-from .exact import ExactMatrix, _charpoly_int, _int_radical
+from .exact import ExactMatrix
 from .mixing import (
+    _Numerators,
     _TraceForm,
-    _entry_numerator,
     _mixing_matrix,
-    _resolvent_int,
+    _radical_resolvent,
     _trace_form,
 )
 
@@ -74,14 +74,12 @@ def _require_orthogonal(u: ExactMatrix) -> list[list[int]]:
 
 
 def _literal(form: _TraceForm) -> ExactMatrix:
-    n = len(form.resolvent[0])
-    nums = []
-    for a in range(n):
-        row = []
-        for b in range(n):
-            f = form.entry_polynomial(a, b)
-            row.append(_entry_numerator(f, f, form.tau))
-        nums.append(row)
+    """sum_r E_r o E_r: entry (a, b) is the trace form of f_ab^2, one
+    `_entry_numerator` per distinct f_ab."""
+    res = form.resolvent
+    n = len(res[0])
+    table = _Numerators(form.tau)
+    nums = [[table[f, f] for f in zip(*[b[a] for b in res])] for a in range(n)]
     if any(nums[a][b] != nums[b][a] for a in range(n) for b in range(a + 1, n)):
         raise AssertionError("the literal average mixing matrix must be symmetric")
     return ExactMatrix(nums, form.denom)
@@ -136,8 +134,7 @@ def cesaro_partial(u: ExactMatrix, steps: int) -> np.ndarray:
 def _numeric_idempotents(rows: list[list[int]]):
     """Roots theta_r of psi and the projectors E_r of U, from the integer
     resolvent of V = cU evaluated at the roots of psi_V(c y) / c^deg."""
-    psi = _int_radical(_charpoly_int(rows))[0]
-    resolvent = _resolvent_int(rows, psi)[1]
+    _, psi, _, _, resolvent = _radical_resolvent(rows)
     deg = len(psi) - 1
     # V^T V = c^2 I, so the first row of V has norm c
     c = math.isqrt(sum(x * x for x in rows[0]))

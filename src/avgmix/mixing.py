@@ -43,18 +43,26 @@ D_char = disc(char poly):
 - D_char != 0, a simple spectrum: every E_r has rank one, so
   (E_r)_uv^2 = (E_r)_uu (E_r)_vv and Mhat = F T F^T / denom, with row u
   of F the coefficients of f_uu and T[j][k] = tau_(j+k) the Hankel
-  matrix of the trace weights (`_gram_numerators`, n deg^2 + n^2 deg / 2
-  integer products, where deg = n);
-- D_char == 0, a repeated spectrum: each entry is its own dot product
-  of f_uv^2 with tau (`_entry_numerator`, about n^2 deg^2 / 2 products).
+  matrix of the trace weights (`_gram_numerators`: deg^2 integer
+  products per distinct row of F and deg per pair of distinct rows,
+  where deg = n);
+- D_char == 0, a repeated spectrum: an entry is the dot product of
+  f_uv f_vu with tau (`_keyed_numerators`: one `_entry_numerator` of
+  about deg^2 products per distinct key (f_uv, f_vu)).
 
-Both give the same integer numerators wherever both apply, and
-`_mixing_matrix` alone picks the route.  Invariants and certificates
-are checked on the numerators, and the result is an `ExactMatrix` of
-them over the shared denominator: no rational routine is left here.
-The discrete walks of `avgmix.discrete` run on the same engine.  Entries
-only share read-only precomputed state, so distinct entries may be
-computed concurrently in any order.
+Each B_j is a polynomial in M, so it lies in the algebra that M
+generates, and f_uv repeats across the vertex pairs that this algebra
+cannot tell apart: in a d-class association scheme (the Bose-Mesner
+algebra) there are at most d + 1 distinct f_uv, whatever the
+automorphism group, and a cycle on n vertices has floor(n/2) + 1.  Both
+kernels group the entries by their polynomial key within one call and
+compute each distinct key once.  Both routes give the same integer
+numerators wherever both apply, and `_mixing_matrix` alone picks the
+route.  Invariants and certificates are checked on the numerators, and
+the result is an `ExactMatrix` of them over the shared denominator: no
+rational routine is left here.  The discrete walks of `avgmix.discrete`
+run on the same engine.  Distinct keys only share read-only precomputed
+state, so they may be computed concurrently in any order.
 """
 
 from __future__ import annotations
@@ -62,7 +70,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import itemgetter, mul
+from operator import getitem, itemgetter, mul
 from typing import NamedTuple, Sequence
 
 from .exact import (
@@ -203,13 +211,13 @@ class _TraceForm(NamedTuple):
     tau: list[int]
     denom: int
 
-    def entry_polynomial(self, u: int, v: int) -> list[int]:
-        return [b[u][v] for b in self.resolvent]
 
-
-def _trace_form(rows: list[list[int]]) -> _TraceForm:
-    """Char poly, minimal polynomial, resolvent and trace weights of M."""
-    n = len(rows)
+def _radical_resolvent(
+    rows: list[list[int]],
+) -> tuple[list[int], list[int], int, list[int], list[list[list[int]]]]:
+    """(phi, psi, D, t, [B_0..B_{deg-1}]) of an integer matrix M: the char
+    poly, its squarefree part, D = disc(psi), t = D / psi' mod psi and
+    the resolvent coefficients of psi."""
     bound = _charpoly_bound(rows)
     p0 = _prime(0)
     # past one prime, a residue mod p0 with no repeated root proves
@@ -227,11 +235,17 @@ def _trace_form(rows: list[list[int]]) -> _TraceForm:
         phi = _charpoly_int(rows, bound=bound, first=first)
         psi, disc_min, t = _int_radical(phi)
         mats = _resolvent_int(rows, psi)[1]
+    return phi, psi, disc_min, t, mats
+
+
+def _trace_form(rows: list[list[int]]) -> _TraceForm:
+    """Char poly, minimal polynomial, resolvent and trace weights of M."""
+    phi, psi, disc_min, t, mats = _radical_resolvent(rows)
     # the radical's t / D = w = 1/psi' in Q[y]/(psi)
     deg = len(psi) - 1
     # psi is the squarefree part of phi, so deg psi < n exactly when phi
     # has a repeated root, and otherwise psi = phi
-    disc_char = disc_min if deg == n else 0
+    disc_char = disc_min if deg == len(rows) else 0
     # Euler: sum_r g(theta_r) / psi'(theta_r) = [y^(deg-1)] (g mod psi),
     # and t(theta_r) = D / psi'(theta_r), so D tau_k is the top
     # coefficient of y^k t mod psi
@@ -252,28 +266,72 @@ def _trace_form(rows: list[list[int]]) -> _TraceForm:
     return _TraceForm(phi, psi, disc_char, disc_min, mats, tau_num, denom)
 
 
+class _Numerators(dict):
+    """Trace-form numerators of f g keyed by (f, g), each distinct key
+    computed once by `_entry_numerator` and looked up after that.  A
+    table lives for one call, never across calls."""
+
+    def __init__(self, tau: list[int]):
+        super().__init__()
+        self.tau = tau
+
+    def __missing__(self, key: tuple[Sequence[int], Sequence[int]]) -> int:
+        f, g = key
+        value = self[key] = _entry_numerator(f, g, self.tau)
+        return value
+
+
+def _gram_row(f: Sequence[int], tau: list[int]) -> list[int]:
+    """Row f T of the Gram product, T[j][k] = tau[j+k]."""
+    deg = len(f)
+    return [sum(map(mul, f, tau[k : k + deg])) for k in range(deg)]
+
+
 def _gram_numerators(form: _TraceForm) -> list[list[int]]:
     """The numerators of sum_r (E_r)_uu (E_r)_vv over form.denom, as F T F^T.
 
     Row u of F holds the coefficients of f_uu, and T[j][k] = tau[j+k] is
-    the Hankel matrix of the trace weights, so G = F T costs n deg^2
-    products and each entry G[u] . F[v] another deg.  When the spectrum
-    is simple every E_r has rank one, (E_r)_uv^2 = (E_r)_uu (E_r)_vv, and
-    this is the average mixing matrix; for a normal matrix E_r is also
-    Hermitian, and it is the physical limit sum_r |(E_r)_uv|^2.
+    the Hankel matrix of the trace weights.  Each distinct row f of F
+    costs deg^2 products for f T, and each pair of distinct rows another
+    deg for their dot; equal rows (vertices that the algebra generated by
+    M cannot tell apart) share both.  When the spectrum is simple every
+    E_r has rank one, (E_r)_uv^2 = (E_r)_uu (E_r)_vv, and this is the
+    average mixing matrix; for a normal matrix E_r is also Hermitian, and
+    it is the physical limit sum_r |(E_r)_uv|^2.
     """
-    n = len(form.resolvent[0])
-    deg = len(form.resolvent)
-    tau = form.tau
-    diag = [[b[u][u] for b in form.resolvent] for u in range(n)]
-    gram = [
-        [sum(map(mul, f, tau[k : k + deg])) for k in range(deg)] for f in diag
-    ]
+    res = form.resolvent
+    n = len(res[0])
+    # the diagonal of B_j is map(getitem, B_j, range(n))
+    diag = zip(*[list(map(getitem, b, range(n))) for b in res])
+    index: dict[tuple[int, ...], int] = {}
+    cls = [index.setdefault(f, len(index)) for f in diag]
+    rows = list(index)
+    dots = [[0] * len(rows) for _ in rows]
+    for i, f in enumerate(rows):
+        g = _gram_row(f, form.tau)
+        for j in range(i, len(rows)):
+            dots[i][j] = dots[j][i] = sum(map(mul, g, rows[j]))
+    return [list(map(dots[c].__getitem__, cls)) for c in cls]
+
+
+def _keyed_numerators(form: _TraceForm) -> list[list[int]]:
+    """The numerators of sum_r (E_r)_uv (E_r)_vu over form.denom: entry
+    (u, v) is the trace form of f_uv f_vu, one `_entry_numerator` per
+    distinct key (f_uv, f_vu)."""
+    res = form.resolvent
+    n = len(res[0])
+    # B_(deg-2) = M + psi_(deg-1) I, so every B_j (a polynomial in M) is
+    # symmetric exactly when it is; deg 1 means M is a scalar matrix
+    symmetric = len(res) < 2 or list(map(list, zip(*res[-2]))) == res[-2]
+    table = _Numerators(form.tau)
     nums = [[0] * n for _ in range(n)]
     for u in range(n):
-        g = gram[u]
+        row = list(zip(*[b[u] for b in res]))  # f_uv for every v
+        col = row
+        if not symmetric:  # f_vu for every v
+            col = list(zip(*[list(map(itemgetter(u), b)) for b in res]))
         for v in range(u, n):
-            nums[u][v] = nums[v][u] = sum(map(mul, g, diag[v]))
+            nums[u][v] = nums[v][u] = table[row[v], col[v]]
     return nums
 
 
@@ -282,16 +340,7 @@ def _mixing_matrix(form: _TraceForm) -> ExactMatrix:
     symmetric, rows summing to 1.  Each E_r is Hermitian, so entry (u, v)
     is the trace form of f_uv f_vu (f_vu = f_uv when M is symmetric); a
     simple spectrum (disc_char != 0) takes the Gram product instead."""
-    if form.disc_char:
-        nums = _gram_numerators(form)
-    else:
-        n = len(form.resolvent[0])
-        nums = [[0] * n for _ in range(n)]
-        for u in range(n):
-            for v in range(u, n):
-                nums[u][v] = nums[v][u] = _entry_numerator(
-                    form.entry_polynomial(u, v), form.entry_polynomial(v, u), form.tau
-                )
+    nums = _gram_numerators(form) if form.disc_char else _keyed_numerators(form)
     _check_mixing_invariants(nums, form.denom)
     return ExactMatrix(nums, form.denom)
 

@@ -7,7 +7,9 @@ import numpy as np
 import pytest
 
 from avgmix.discrete import (
+    _literal,
     _require_orthogonal,
+    avg_mixing_limits,
     avg_mixing_literal,
     avg_mixing_physical,
     cesaro_error_bound,
@@ -15,7 +17,12 @@ from avgmix.discrete import (
 )
 import reference
 from avgmix.exact import ExactMatrix
-from avgmix.mixing import _entry_numerator, _gram_numerators, _trace_form
+from avgmix.mixing import (
+    _entry_numerator,
+    _gram_numerators,
+    _keyed_numerators,
+    _trace_form,
+)
 
 F = Fraction
 
@@ -204,16 +211,85 @@ def signed_cycle(rng: random.Random, n: int) -> ExactMatrix:
 
 
 def physical_entry_route(form):
-    n = len(form.resolvent[0])
+    # one trace form per pair, f_ab read straight off the B_j
+    res = form.resolvent
+    n = len(res[0])
     return [
         [
             _entry_numerator(
-                form.entry_polynomial(a, b), form.entry_polynomial(b, a), form.tau
+                [b[a][c] for b in res], [b[c][a] for b in res], form.tau
             )
-            for b in range(n)
+            for c in range(n)
         ]
         for a in range(n)
     ]
+
+
+def literal_entry_route(form):
+    res = form.resolvent
+    n = len(res[0])
+    return [
+        [
+            _entry_numerator(
+                [b[a][c] for b in res], [b[a][c] for b in res], form.tau
+            )
+            for c in range(n)
+        ]
+        for a in range(n)
+    ]
+
+
+def permutation(cycles: list[list[int]]) -> ExactMatrix:
+    n = sum(map(len, cycles))
+    rows = [[0] * n for _ in range(n)]
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            rows[a][b] = 1
+    return ExactMatrix(rows)
+
+
+def test_grouped_limits_match_per_pair_reference_on_repeated_spectra():
+    # non-symmetric walks with repeated eigenvalues: two 3-cycles and a
+    # 4-cycle (the cube roots of unity twice, 1 three times), and two
+    # copies of the 3-4-5 rotation next to a fixed point
+    r = rotation_345().to_lists()
+    rot = [[F(0)] * 5 for _ in range(5)]
+    for k in (0, 2):
+        for i in range(2):
+            for j in range(2):
+                rot[k + i][k + j] = r[i][j]
+    rot[4][4] = F(1)
+    walks = [
+        permutation([[0, 3, 5], [1, 2, 4], [6, 8, 9, 7]]),
+        ExactMatrix(rot),
+    ]
+    for u in walks:
+        assert not u.is_symmetric()
+        form = _trace_form(_require_orthogonal(u))
+        assert form.disc_char == 0
+        physical = physical_entry_route(form)
+        literal = literal_entry_route(form)
+        assert _keyed_numerators(form) == physical
+        assert _literal(form) == ExactMatrix(literal, form.denom)
+        assert avg_mixing_limits(u) == (
+            ExactMatrix(literal, form.denom),
+            ExactMatrix(physical, form.denom),
+        )
+
+
+def test_literal_computes_one_entry_per_shift(monkeypatch):
+    # on the cyclic shift of Z_n, f_ab depends only on b - a mod n
+    calls = []
+
+    def counted(f, g, weights):
+        calls.append(1)
+        return _entry_numerator(f, g, weights)
+
+    monkeypatch.setattr("avgmix.mixing._entry_numerator", counted)
+    for n in range(2, 9):
+        calls.clear()
+        avg_mixing_literal(permutation([list(range(n))]))
+        assert len(calls) == n
 
 
 def test_physical_gram_route_on_simple_spectra():
@@ -358,6 +434,21 @@ def test_bound_with_large_denominators_matches_rational_route():
     expected = rational_route_bound(u, 200)
     assert np.isfinite(bound)
     assert abs(bound - expected) <= 1e-9 * expected
+
+
+def test_bound_skips_the_crt_when_the_first_prime_proves_a_simple_spectrum(
+    monkeypatch,
+):
+    # the Euclid walk needs several primes, but its char poly is
+    # squarefree mod the first, so the bound reads it off the resolvent
+    u = euclid_rotation_walk()
+    expected = cesaro_error_bound(u, 200)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the CRT char poly ran past the first prime")
+
+    monkeypatch.setattr("avgmix.mixing._charpoly_int", refuse)
+    assert cesaro_error_bound(u, 200) == expected
 
 
 def test_bound_matches_rational_route_on_random_walks():

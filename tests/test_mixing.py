@@ -23,6 +23,8 @@ from avgmix.exact import ExactMatrix, ExactPolynomial, _charpoly_int
 from avgmix.graphs import (
     WeightedGraph,
     add_loops,
+    basis_rows,
+    circulant_graph,
     complete_graph,
     cycle_graph,
     matrix_of,
@@ -34,11 +36,14 @@ from avgmix.mixing import (
     _check_mixing_invariants,
     _entry_numerator,
     _gram_numerators,
+    _gram_row,
+    _keyed_numerators,
     _resolvent_int,
     _trace_form,
     average_mixing,
     strong_cospectral_kernel,
 )
+from avgmix.schemes import cyclotomic_scheme
 
 F = Fraction
 
@@ -116,11 +121,14 @@ looped_weighted_rows = st.integers(1, 7).flatmap(
 
 
 def entry_route_numerators(form):
-    n = len(form.resolvent[0])
+    # one trace form per pair, f_uv read straight off the B_j: the plain
+    # reference for both grouped kernels
+    res = form.resolvent
+    n = len(res[0])
     return [
         [
             _entry_numerator(
-                form.entry_polynomial(u, v), form.entry_polynomial(u, v), form.tau
+                [b[u][v] for b in res], [b[v][u] for b in res], form.tau
             )
             for v in range(n)
         ]
@@ -297,6 +305,103 @@ def test_repeated_spectrum_takes_the_entry_route(monkeypatch):
 
     monkeypatch.setattr("avgmix.mixing._gram_numerators", refuse)
     assert average_mixing(matrix_of(complete_graph(3))).mixing.is_symmetric()
+
+
+def _direct_sum(rows, other):
+    n, k = len(rows), len(other)
+    return [row + [0] * k for row in rows] + [[0] * n + row for row in other]
+
+
+def _permuted(rows, perm):
+    # P X P^T, with vertex i of X moved to perm[i]
+    n = len(rows)
+    out = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            out[perm[i]][perm[j]] = rows[i][j]
+    return out
+
+
+def _repeated_key_rows(basis):
+    """Inputs whose entry polynomials repeat: vertex- or distance-transitive
+    graphs, scheme class graphs, two copies of one graph, and paths (simple
+    spectra, mirror-equal diagonals)."""
+    graphs = [cycle_graph(9), cycle_graph(12), circulant_graph(12, [1, 4])]
+    graphs += [complete_graph(7), path_graph(7), path_graph(10)]
+    for q, d in [(13, 2), (13, 3)]:
+        graphs += [
+            WeightedGraph.from_weights(a.numerators) for a in cyclotomic_scheme(q, d)[1:]
+        ]
+    cases = [basis_rows(g, basis) for g in graphs]
+    rng = random.Random(12)
+    x = _symmetric_from_upper(7, [int(rng.random() < 0.5) for _ in range(28)])
+    for i in range(7):
+        x[i][i] = 0
+    if basis == "laplacian":
+        x = [[sum(row) if i == j else -w for j, w in enumerate(row)]
+             for i, row in enumerate(x)]
+    perm = list(range(7))
+    rng.shuffle(perm)
+    cases += [_direct_sum(x, x), _direct_sum(x, _permuted(x, perm))]
+    return cases
+
+
+@pytest.mark.parametrize("basis", ["adjacency", "laplacian"])
+def test_grouped_numerators_match_per_pair_reference(basis):
+    routes = set()
+    for rows in _repeated_key_rows(basis):
+        form = _trace_form(rows)
+        routes.add(bool(form.disc_char))
+        # the per-pair entry route is valid for every spectrum
+        expected = entry_route_numerators(form)
+        grouped = _gram_numerators if form.disc_char else _keyed_numerators
+        assert grouped(form) == expected
+        mixing = average_mixing(ExactMatrix(rows)).mixing
+        assert mixing == ExactMatrix(expected, form.denom)
+    assert routes == {True, False}
+
+
+@pytest.fixture
+def entry_calls(monkeypatch):
+    calls = []
+
+    def counted(f, g, weights):
+        calls.append(1)
+        return _entry_numerator(f, g, weights)
+
+    monkeypatch.setattr("avgmix.mixing._entry_numerator", counted)
+    return calls
+
+
+@pytest.mark.parametrize("q, d", [(13, 2), (13, 3), (17, 2)])
+def test_class_graphs_compute_at_most_d_plus_one_entries(entry_calls, q, d):
+    # Bose-Mesner: every B_j is a polynomial in the class graph A, so it
+    # lies in span{A_0, ..., A_d} and f_uv is constant on each class
+    for a in cyclotomic_scheme(q, d)[1:]:
+        entry_calls.clear()
+        assert not average_mixing(a).simple_spectrum
+        assert 1 <= len(entry_calls) <= d + 1
+
+
+@pytest.mark.parametrize("basis", ["adjacency", "laplacian"])
+@pytest.mark.parametrize("n", range(3, 14))
+def test_cycle_computes_one_entry_per_distance(entry_calls, n, basis):
+    average_mixing(matrix_of(cycle_graph(n), basis))
+    assert len(entry_calls) == n // 2 + 1
+
+
+def test_path_computes_one_gram_row_per_mirror_pair(monkeypatch):
+    rows = []
+
+    def counted(f, tau):
+        rows.append(1)
+        return _gram_row(f, tau)
+
+    monkeypatch.setattr("avgmix.mixing._gram_row", counted)
+    for n in range(1, 14):
+        rows.clear()
+        assert average_mixing(matrix_of(path_graph(n))).simple_spectrum
+        assert len(rows) == (n + 1) // 2
 
 
 class TestKnownValues:
