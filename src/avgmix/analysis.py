@@ -4,23 +4,28 @@ Closed forms cover paths (adjacency and Laplacian), cycles, and
 pseudocyclic class graphs; each is (aJ + bI + cT) / denom with integers
 a, b, c, denom and T the reversal of a path or the antipodal map of an
 even cycle, which the full pipeline can be checked against.
-Cospectrality of a vertex pair is decided through vertex-deleted
-characteristic polynomials and cross-checked against closed-walk
-counts, both on the integer rows of the graph's matrix, strong
-cospectrality through the kernel of the average mixing matrix, and the
-perfect state transfer verdict reports the necessary conditions only;
-nothing here claims sufficiency.
+Cospectrality and walk-regularity are read off the resolvent diagonal
+f_uu = sum_j B_j[u][u] y^j, since phi(M \\ u) = (phi / psi) f_uu: from
+a report's vertex classes, or from the resolvent alone.  Strong
+cospectrality goes through the kernel of the average mixing matrix, and
+the perfect state transfer verdict reports the necessary conditions
+only; nothing here claims sufficiency.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from operator import mul
+from typing import Hashable, Sequence
 
-from .exact import ExactMatrix, _charpoly_int, _rows_in_span
+from .exact import ExactMatrix, _rows_in_span
 from .graphs import WeightedGraph, basis_rows, cycle_graph, matrix_of, path_graph
-from .mixing import AvgMixReport, average_mixing, strong_cospectral_kernel
+from .mixing import (
+    AvgMixReport,
+    _radical_resolvent,
+    average_mixing,
+    strong_cospectral_kernel,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -118,44 +123,36 @@ def verify_closed_form(
 # ---------------------------------------------------------------------------
 
 
-def _walk_diagonal(rows: list[list[int]], u: int, upto: int) -> list[int]:
-    """Closed-walk weights (M^k)_{uu} for k = 0..upto, by vector iteration."""
-    vec = [int(i == u) for i in range(len(rows))]
-    out = [vec[u]]
-    for _ in range(upto):
-        vec = [sum(map(mul, row, vec)) for row in rows]
-        out.append(vec[u])
-    return out
-
-
-def _deleted_char_poly(rows: list[list[int]], u: int) -> list[int]:
-    """Characteristic polynomial of M with row and column u removed."""
-    return _charpoly_int(
-        [row[:u] + row[u + 1 :] for k, row in enumerate(rows) if k != u]
-    )
+def _vertex_classes(
+    g: WeightedGraph, basis: str, report: AvgMixReport | None
+) -> Sequence[Hashable]:
+    """Labels, equal for u and v exactly when f_uu == f_vv: the report's
+    classes, or without one f_uu itself, from the resolvent alone."""
+    if report is None:
+        resolvent = _radical_resolvent(basis_rows(g, basis))[4]
+        return [tuple(b[u][u] for b in resolvent) for u in range(g.n)]
+    if report.n != g.n:
+        raise ValueError("report order does not match the graph")
+    return report.vertex_classes
 
 
 def are_cospectral(
-    g: WeightedGraph, u: int, v: int, basis: str = "adjacency"
+    g: WeightedGraph,
+    u: int,
+    v: int,
+    basis: str = "adjacency",
+    report: AvgMixReport | None = None,
 ) -> bool:
-    """Whether G\\u and G\\v share a characteristic polynomial.
+    """Whether G\\u and G\\v share a characteristic polynomial in basis.
 
-    Decided on vertex-deleted matrices in the chosen basis; the
-    equivalent closed-walk criterion (M^k)_{uu} = (M^k)_{vv} for k < n
-    is computed independently and the two answers must agree.
+    report, when given, must be the average mixing report of g in basis.
     """
     if not (0 <= u < g.n and 0 <= v < g.n):
         raise IndexError("vertex out of range")
-    rows = basis_rows(g, basis)
     if u == v:
         return True
-    deleted = _deleted_char_poly(rows, u) == _deleted_char_poly(rows, v)
-    walks = _walk_diagonal(rows, u, g.n - 1) == _walk_diagonal(rows, v, g.n - 1)
-    if deleted != walks:
-        raise AssertionError(
-            "vertex-deleted and closed-walk cospectrality criteria disagree"
-        )
-    return deleted
+    classes = _vertex_classes(g, basis, report)
+    return classes[u] == classes[v]
 
 
 def are_strongly_cospectral(
@@ -176,21 +173,20 @@ def are_strongly_cospectral(
         report = average_mixing(matrix_of(g, basis))
     elif report.n != g.n:
         raise ValueError("report order does not match the graph")
-    if u == v:
-        raise ValueError("strong cospectrality needs two distinct vertices")
     answer = strong_cospectral_kernel(report, u, v)
-    if report.simple_spectrum and answer != are_cospectral(g, u, v, basis):
+    if report.simple_spectrum and answer != are_cospectral(g, u, v, basis, report):
         raise AssertionError(
             "strong cospectrality must equal cospectrality for simple spectra"
         )
     return answer
 
 
-def is_walk_regular(g: WeightedGraph, basis: str = "adjacency") -> bool:
-    """All vertex-deleted characteristic polynomials equal."""
-    rows = basis_rows(g, basis)
-    first = _deleted_char_poly(rows, 0)
-    return all(_deleted_char_poly(rows, u) == first for u in range(1, g.n))
+def is_walk_regular(
+    g: WeightedGraph, basis: str = "adjacency", report: AvgMixReport | None = None
+) -> bool:
+    """All vertex-deleted characteristic polynomials equal.  report, when
+    given, must be the average mixing report of g in basis."""
+    return len(set(_vertex_classes(g, basis, report))) == 1
 
 
 def all_strongly_cospectral_check(

@@ -28,7 +28,7 @@ from .analysis import (
     verify_closed_form,
 )
 from .discrete import avg_mixing_limits
-from .exact import ExactMatrix
+from .exact import ExactMatrix, NotAnnihilatingError
 from .graphs import (
     Graph6Error,
     WeightedGraph,
@@ -195,7 +195,10 @@ def _read_unitary_file(path: str) -> ExactMatrix:
     if not isinstance(data, dict) or "entries" not in data:
         raise ValueError("unitary file must be a JSON object with 'entries'")
     entries = _require_rows(data["entries"], "unitary file 'entries'")
-    rows = [[Fraction(str(x)) for x in row] for row in entries]
+    try:
+        rows = [[Fraction(str(x)) for x in row] for row in entries]
+    except ZeroDivisionError:
+        raise ValueError("unitary file has an entry over 0") from None
     if "n" in data and len(rows) != data["n"]:
         raise ValueError("unitary file 'n' does not match the entry rows")
     return ExactMatrix(rows)
@@ -325,14 +328,14 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
     payload: dict = {
         "n": g.n,
         "basis": args.basis,
-        "walk_regular": is_walk_regular(g, args.basis),
+        "walk_regular": is_walk_regular(g, args.basis, report),
         "span_class": ij_span_check(report).value,
     }
     if args.pair is not None:
         u, v = _parse_pair(args.pair, g.n)
         verdict = pst_necessary(g, u, v, args.basis, report)
         payload["pair"] = [u, v]
-        payload["cospectral"] = are_cospectral(g, u, v, args.basis)
+        payload["cospectral"] = are_cospectral(g, u, v, args.basis, report)
         payload["strongly_cospectral"] = are_strongly_cospectral(
             g, u, v, report, args.basis
         )
@@ -519,12 +522,13 @@ def main(argv: list[str] | None = None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 141  # 128 + SIGPIPE
+    except (AssertionError, ArithmeticError, NotAnnihilatingError) as exc:
+        # NotAnnihilatingError is a ValueError: this clause comes first
+        print(f"internal invariant violated: {exc}", file=sys.stderr)
+        return 3
     except (ValueError, OSError, Graph6Error, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except AssertionError as exc:
-        print(f"internal invariant violated: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

@@ -94,13 +94,13 @@ def avg_mixing_literal(u: ExactMatrix) -> ExactMatrix:
 def avg_mixing_physical(u: ExactMatrix) -> ExactMatrix:
     """sum_r E_r o conj(E_r), exactly: the Cesaro limit of the step
     mixing matrices, doubly stochastic with nonnegative entries."""
-    return _mixing_matrix(_trace_form(_require_orthogonal(u)))
+    return _mixing_matrix(_trace_form(_require_orthogonal(u)))[0]
 
 
 def avg_mixing_limits(u: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
     """(literal, physical), both read off one trace form of U."""
     form = _trace_form(_require_orthogonal(u))
-    return _literal(form), _mixing_matrix(form)
+    return _literal(form), _mixing_matrix(form)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -262,29 +262,20 @@ def _g6_read_n(data: bytes) -> tuple[int, int]:
         if not 63 <= first <= 125:
             raise Graph6Error(f"invalid order byte {first}", 0)
         return first - 63, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise Graph6Error("truncated 8-byte order field", len(data))
-        value = 0
-        for k in range(2, 8):
-            b = data[k]
-            if not 63 <= b <= 126:
-                raise Graph6Error(f"invalid order byte {b}", k)
-            value = (value << 6) | (b - 63)
-        if value < 258048:
-            raise Graph6Error("overlong order encoding", 2)
-        return value, 8
-    if len(data) < 4:
-        raise Graph6Error("truncated 4-byte order field", len(data))
+    # '~' and 3 bytes of 6 bits, or '~~' and 6; an order the shorter
+    # field could hold is an overlong encoding
+    start, size, least = (2, 8, 258048) if data[1:2] == b"~" else (1, 4, 63)
+    if len(data) < size:
+        raise Graph6Error(f"truncated {size}-byte order field", len(data))
     value = 0
-    for k in range(1, 4):
+    for k in range(start, size):
         b = data[k]
         if not 63 <= b <= 126:
             raise Graph6Error(f"invalid order byte {b}", k)
         value = (value << 6) | (b - 63)
-    if value < 63:
-        raise Graph6Error("overlong order encoding", 1)
-    return value, 4
+    if value < least:
+        raise Graph6Error("overlong order encoding", start)
+    return value, size
 
 
 def parse_graph6(text: str) -> WeightedGraph:

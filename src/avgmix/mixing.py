@@ -43,12 +43,9 @@ D_char = disc(char poly):
 - D_char != 0, a simple spectrum: every E_r has rank one, so
   (E_r)_uv^2 = (E_r)_uu (E_r)_vv and Mhat = F T F^T / denom, with row u
   of F the coefficients of f_uu and T[j][k] = tau_(j+k) the Hankel
-  matrix of the trace weights (`_gram_numerators`: deg^2 integer
-  products per distinct row of F and deg per pair of distinct rows,
-  where deg = n);
+  matrix of the trace weights (`_gram_numerators`);
 - D_char == 0, a repeated spectrum: an entry is the dot product of
-  f_uv f_vu with tau (`_keyed_numerators`: one `_entry_numerator` of
-  about deg^2 products per distinct key (f_uv, f_vu)).
+  f_uv f_vu with tau (`_keyed_numerators`).
 
 Each B_j is a polynomial in M, so it lies in the algebra that M
 generates, and f_uv repeats across the vertex pairs that this algebra
@@ -58,7 +55,10 @@ automorphism group, and a cycle on n vertices has floor(n/2) + 1.  Both
 kernels group the entries by their polynomial key within one call and
 compute each distinct key once.  Both routes give the same integer
 numerators wherever both apply, and `_mixing_matrix` alone picks the
-route.  Invariants and certificates are checked on the numerators, and
+route.  Both also label each vertex u by its diagonal polynomial f_uu:
+psi(M) = 0 gives phi(M \\ u) = (phi / psi) f_uu, so equal labels mean
+cospectral vertices, and the report keeps them for `avgmix.analysis`.
+Invariants and certificates are checked on the numerators, and
 the result is an `ExactMatrix` of them over the shared denominator: no
 rational routine is left here.  The discrete walks of `avgmix.discrete`
 run on the same engine.  Distinct keys only share read-only precomputed
@@ -68,7 +68,7 @@ state, so they may be computed concurrently in any order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import getitem, itemgetter, mul
 from typing import NamedTuple, Sequence
@@ -120,6 +120,8 @@ class AvgMixReport:
     simple_spectrum: bool
     common_denominator: int
     certificates: IntegralityCertificates
+    # equal for u and v exactly when f_uu == f_vv: cospectral vertices
+    vertex_classes: tuple[int, ...] = field(compare=False, repr=False)
 
     @property
     def n(self) -> int:
@@ -287,8 +289,9 @@ def _gram_row(f: Sequence[int], tau: list[int]) -> list[int]:
     return [sum(map(mul, f, tau[k : k + deg])) for k in range(deg)]
 
 
-def _gram_numerators(form: _TraceForm) -> list[list[int]]:
-    """The numerators of sum_r (E_r)_uu (E_r)_vv over form.denom, as F T F^T.
+def _gram_numerators(form: _TraceForm) -> tuple[list[list[int]], list[int]]:
+    """The numerators of sum_r (E_r)_uu (E_r)_vv over form.denom, as F T F^T,
+    and the class of each vertex: cls[u] == cls[v] exactly when f_uu == f_vv.
 
     Row u of F holds the coefficients of f_uu, and T[j][k] = tau[j+k] is
     the Hankel matrix of the trace weights.  Each distinct row f of F
@@ -311,13 +314,13 @@ def _gram_numerators(form: _TraceForm) -> list[list[int]]:
         g = _gram_row(f, form.tau)
         for j in range(i, len(rows)):
             dots[i][j] = dots[j][i] = sum(map(mul, g, rows[j]))
-    return [list(map(dots[c].__getitem__, cls)) for c in cls]
+    return [list(map(dots[c].__getitem__, cls)) for c in cls], cls
 
 
-def _keyed_numerators(form: _TraceForm) -> list[list[int]]:
+def _keyed_numerators(form: _TraceForm) -> tuple[list[list[int]], list[int]]:
     """The numerators of sum_r (E_r)_uv (E_r)_vu over form.denom: entry
     (u, v) is the trace form of f_uv f_vu, one `_entry_numerator` per
-    distinct key (f_uv, f_vu)."""
+    distinct key (f_uv, f_vu); and the vertex classes of the f_uu."""
     res = form.resolvent
     n = len(res[0])
     # B_(deg-2) = M + psi_(deg-1) I, so every B_j (a polynomial in M) is
@@ -325,24 +328,28 @@ def _keyed_numerators(form: _TraceForm) -> list[list[int]]:
     symmetric = len(res) < 2 or list(map(list, zip(*res[-2]))) == res[-2]
     table = _Numerators(form.tau)
     nums = [[0] * n for _ in range(n)]
+    index: dict[tuple[int, ...], int] = {}
+    cls = []
     for u in range(n):
         row = list(zip(*[b[u] for b in res]))  # f_uv for every v
+        cls.append(index.setdefault(row[u], len(index)))
         col = row
         if not symmetric:  # f_vu for every v
             col = list(zip(*[list(map(itemgetter(u), b)) for b in res]))
         for v in range(u, n):
             nums[u][v] = nums[v][u] = table[row[v], col[v]]
-    return nums
+    return nums, cls
 
 
-def _mixing_matrix(form: _TraceForm) -> ExactMatrix:
+def _mixing_matrix(form: _TraceForm) -> tuple[ExactMatrix, list[int]]:
     """sum_r E_r o conj(E_r) for a normal M, checked: nonnegative,
-    symmetric, rows summing to 1.  Each E_r is Hermitian, so entry (u, v)
-    is the trace form of f_uv f_vu (f_vu = f_uv when M is symmetric); a
-    simple spectrum (disc_char != 0) takes the Gram product instead."""
-    nums = _gram_numerators(form) if form.disc_char else _keyed_numerators(form)
+    symmetric, rows summing to 1; and the vertex classes.  Each E_r is
+    Hermitian, so entry (u, v) is the trace form of f_uv f_vu (f_vu =
+    f_uv when M is symmetric); a simple spectrum (disc_char != 0) takes
+    the Gram product instead."""
+    nums, cls = (_gram_numerators if form.disc_char else _keyed_numerators)(form)
     _check_mixing_invariants(nums, form.denom)
-    return ExactMatrix(nums, form.denom)
+    return ExactMatrix(nums, form.denom), cls
 
 
 def average_mixing(m: ExactMatrix) -> AvgMixReport:
@@ -354,7 +361,7 @@ def average_mixing(m: ExactMatrix) -> AvgMixReport:
     if not m.is_symmetric():
         raise ValueError("average mixing needs a symmetric matrix")
     form = _trace_form([list(row) for row in m.numerators])
-    mixing = _mixing_matrix(form)
+    mixing, cls = _mixing_matrix(form)
     simple = form.disc_char != 0
     return AvgMixReport(
         mixing=mixing,
@@ -367,6 +374,7 @@ def average_mixing(m: ExactMatrix) -> AvgMixReport:
         certificates=_certify(
             mixing.denominator, form.disc_min, form.disc_char, simple
         ),
+        vertex_classes=tuple(cls),
     )
 
 

@@ -7,7 +7,8 @@ polynomial, Gaussian elimination for determinants, Euclid over Q for gcds
 and inverses modulo psi, the resolvent as a sum of matrix powers, sums
 over the roots of psi as traces of multiplication matrices (not Newton
 power sums), the conjugate pairing by composing with y^-1, simple
-spectra by closed walks and the power-sum Hankel matrix, and span
+spectra by closed walks and the power-sum Hankel matrix, cospectral
+vertices by vertex-deleted char polys and closed walks, and span
 membership as a rank comparison of flattened matrices (no duplicate
 equations dropped).
 """
@@ -136,6 +137,18 @@ def powers(rows, count):
     while len(out) < count:
         out.append(matmul(out[-1], rows))
     return out[:count]
+
+
+def deleted_char_poly(rows, u):
+    """Characteristic polynomial of A with row and column u removed."""
+    return char_poly([row[:u] + row[u + 1:] for k, row in enumerate(rows) if k != u])
+
+
+def closed_walks(rows, count):
+    """W[u][k] = (A^k)_uu for k < count: the closed walks at each vertex.
+    For k < n they decide cospectrality as the deleted char polys do."""
+    pw = powers(rows, count)
+    return [[m[u][u] for m in pw] for u in range(len(rows))]
 
 
 def combine(coeffs, mats):

@@ -5,7 +5,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reference
 from avgmix.analysis import (
     ClosedForm,
     PstStatus,
@@ -23,14 +26,17 @@ from avgmix.exact import ExactMatrix
 from avgmix.graphs import (
     WeightedGraph,
     add_loops,
+    basis_rows,
     circulant_graph,
+    complement,
     complete_graph,
     cycle_graph,
     matrix_of,
     path_graph,
 )
-from avgmix.mixing import average_mixing
+from avgmix.mixing import _radical_resolvent, average_mixing
 from avgmix.numeric import spectral_decomposition
+from avgmix.schemes import cyclotomic_scheme
 
 F = Fraction
 
@@ -227,6 +233,110 @@ def test_walk_regularity():
     assert is_walk_regular(path_graph(2))
     assert not is_walk_regular(path_graph(3))
     assert is_walk_regular(path_graph(1))
+
+
+def _weighted_graph(n, upper, shape):
+    """Symmetric weights from the upper triangle, loops included.  A
+    "mirror" adds the reversal image, so that u and n-1-u are cospectral;
+    a "double" is the direct sum with itself, a repeated spectrum."""
+    rows = [[0] * n for _ in range(n)]
+    it = iter(upper)
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = next(it)
+    if shape == "mirror":
+        rows = [[x + rows[n - 1 - i][n - 1 - j] for j, x in enumerate(row)]
+                for i, row in enumerate(rows)]
+    elif shape == "double":
+        rows = [row + [0] * n for row in rows] + [[0] * n + row for row in rows]
+    return WeightedGraph.from_weights(rows)
+
+
+# weighted graphs with loops and negative weights, two thirds of them with
+# an automorphism, so that cospectral pairs are common
+weighted_graphs = st.integers(1, 7).flatmap(
+    lambda n: st.builds(
+        _weighted_graph,
+        st.just(n),
+        st.lists(st.integers(-3, 3), min_size=n * (n + 1) // 2,
+                 max_size=n * (n + 1) // 2),
+        st.sampled_from(["plain", "mirror"] + ["double"] * (n <= 3)),
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(weighted_graphs, st.sampled_from(["adjacency", "laplacian"]))
+def test_resolvent_diagonal_gives_the_vertex_deleted_char_poly(g, basis):
+    # phi(M \ u) = (phi / psi) f_uu with f_uu = sum_j B_j[u][u] y^j, and
+    # the report's vertex classes, the deleted char polys and the closed
+    # walks (M^k)_uu, k < n, decide cospectrality alike
+    if basis == "laplacian":
+        g = WeightedGraph.from_weights(
+            [[0 if i == j else x for j, x in enumerate(row)]
+             for i, row in enumerate(g.weights)]
+        )
+    rows, n = basis_rows(g, basis), g.n
+    phi, psi, _, _, resolvent = _radical_resolvent(rows)
+    quotient, rest = reference.poly_divmod(phi, psi)
+    assert rest == []
+    deleted = [reference.deleted_char_poly(rows, u) for u in range(n)]
+    for u in range(n):
+        f_uu = [b[u][u] for b in resolvent]
+        assert reference.mul(quotient, f_uu) == deleted[u]
+    walks = reference.closed_walks(rows, n)
+    report = average_mixing(matrix_of(g, basis))
+    classes = report.vertex_classes
+    for u in range(n):
+        for v in range(n):
+            same = classes[u] == classes[v]
+            assert same == (deleted[u] == deleted[v]) == (walks[u] == walks[v])
+    pairs = [(0, n - 1), (n // 2, n - 1 - n // 2), (0, n // 2)]
+    for u, v in pairs:
+        expected = deleted[u] == deleted[v]
+        assert are_cospectral(g, u, v, basis) == expected
+        assert are_cospectral(g, u, v, basis, report) == expected
+    walk_regular = all(p == deleted[0] for p in deleted)
+    assert is_walk_regular(g, basis) == walk_regular
+    assert is_walk_regular(g, basis, report) == walk_regular
+
+
+def _family_corpus():
+    graphs = [cycle_graph(n) for n in (3, 6, 9, 14)]
+    graphs += [path_graph(n) for n in (1, 2, 5, 8)]
+    graphs += [complete_graph(n) for n in (1, 2, 5)]
+    graphs += [circulant_graph(10, (1, 3)), circulant_graph(12, (2, 5))]
+    graphs += [
+        WeightedGraph.from_weights(cyclotomic_scheme(q, d)[1].numerators)
+        for q, d in ((13, 2), (13, 3), (17, 2))
+    ]
+    return graphs + [complement(g) for g in graphs]
+
+
+@pytest.mark.parametrize("basis", ["adjacency", "laplacian"])
+def test_cospectrality_without_a_report_matches_the_report(basis):
+    seen = set()
+    for g in _family_corpus():
+        report = average_mixing(matrix_of(g, basis))
+        walk_regular = is_walk_regular(g, basis)
+        assert walk_regular == is_walk_regular(g, basis, report)
+        seen.add(walk_regular)
+        pairs = {(0, v) for v in range(g.n)} | {(v, g.n - 1) for v in range(g.n)}
+        for u, v in sorted(pairs):
+            assert are_cospectral(g, u, v, basis) == are_cospectral(
+                g, u, v, basis, report
+            )
+    # paths with n >= 3 and their complements are the only ones that are
+    # not vertex-transitive
+    assert seen == {True, False}
+
+
+def test_cospectrality_rejects_a_report_of_another_order():
+    report = average_mixing(matrix_of(path_graph(3)))
+    with pytest.raises(ValueError, match="report order"):
+        are_cospectral(path_graph(4), 0, 3, report=report)
+    with pytest.raises(ValueError, match="report order"):
+        is_walk_regular(path_graph(4), report=report)
 
 
 def test_all_strongly_cospectral_only_tiny():

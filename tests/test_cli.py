@@ -8,9 +8,13 @@ from fractions import Fraction
 
 import pytest
 
+import avgmix.analysis
 import avgmix.cli
 import avgmix.discrete as discrete
+import avgmix.exact
+import avgmix.mixing
 from avgmix.cli import main
+from avgmix.exact import NotAnnihilatingError
 
 F = Fraction
 
@@ -257,6 +261,38 @@ def test_analyze_without_pair(capsys):
     assert payload["walk_regular"] is False
 
 
+def _record_calls(monkeypatch, name, sizes):
+    """Wrap the engine function name in every module that holds it, and
+    append the order of the matrix of each call to sizes."""
+    modules = (avgmix.exact, avgmix.mixing, avgmix.analysis, discrete)
+    engine = next(getattr(m, name) for m in modules if hasattr(m, name))
+
+    def recorded(rows, *args, **kwargs):
+        sizes.append(len(rows))
+        return engine(rows, *args, **kwargs)
+
+    for module in modules:
+        if getattr(module, name, None) is engine:
+            monkeypatch.setattr(module, name, recorded)
+
+
+@pytest.mark.parametrize("name", ["cycle:13", "path:12"])
+def test_analyze_builds_one_resolvent_and_no_deleted_char_poly(
+    capsys, monkeypatch, name
+):
+    # every answer of analyze comes off the one report: cospectrality and
+    # walk-regularity read its vertex classes, not n - 1 vertex char polys
+    resolvents, char_polys = [], []
+    _record_calls(monkeypatch, "_radical_resolvent", resolvents)
+    _record_calls(monkeypatch, "_charpoly_int", char_polys)
+    n = int(name.split(":")[1])
+    payload = run_json(capsys, "analyze", "--family", name, "--pair", "0,1")
+    assert resolvents == [n]
+    assert n - 1 not in char_polys
+    assert payload["cospectral"] is name.startswith("cycle")
+    assert payload["walk_regular"] is name.startswith("cycle")
+
+
 def test_analyze_bad_pair(capsys):
     code, out, err = run(
         capsys, "analyze", "--family", "path:3", "--pair", "0,9"
@@ -436,6 +472,39 @@ def test_discrete_rejects_malformed_entries(tmp_path, capsys, entries):
     code, _, err = run(capsys, "discrete", "--unitary-file", str(path))
     assert code == 2
     assert "'entries' must be a list of rows" in err
+
+
+def test_discrete_rejects_an_entry_over_zero(tmp_path, capsys):
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"entries": [["1/0", 0], [0, 1]]}))
+    code, out, err = run(capsys, "discrete", "--unitary-file", str(path))
+    assert (code, out) == (2, "")
+    assert "error: unitary file has an entry over 0" in err
+
+
+# ---------------------------------------------------------------------------
+# internal errors
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "error",
+    [
+        ArithmeticError("tr(M B_j) must be divisible by n - j"),
+        NotAnnihilatingError("psi(M) != 0"),
+    ],
+)
+@pytest.mark.parametrize("command", ["compute", "verify", "analyze"])
+def test_engine_hard_check_failures_exit_3(capsys, monkeypatch, error, command):
+    # a failed hard check in the engine is an internal fault, not a failed
+    # verification (1) or unusable input (2)
+    def broken(rows):
+        raise error
+
+    monkeypatch.setattr(avgmix.mixing, "_trace_form", broken)
+    code, out, err = run(capsys, command, "--family", "path:4")
+    assert (code, out) == (3, "")
+    assert err == f"internal invariant violated: {error}\n"
 
 
 # ---------------------------------------------------------------------------
