@@ -22,6 +22,7 @@ from .exact import ExactMatrix, _rows_in_span
 from .graphs import WeightedGraph, basis_rows, cycle_graph, matrix_of, path_graph
 from .mixing import (
     AvgMixReport,
+    _diagonals,
     _radical_resolvent,
     average_mixing,
     strong_cospectral_kernel,
@@ -129,8 +130,7 @@ def _vertex_classes(
     """Labels, equal for u and v exactly when f_uu == f_vv: the report's
     classes, or without one f_uu itself, from the resolvent alone."""
     if report is None:
-        resolvent = _radical_resolvent(basis_rows(g, basis))[4]
-        return [tuple(b[u][u] for b in resolvent) for u in range(g.n)]
+        return _diagonals(_radical_resolvent(basis_rows(g, basis))[4])
     if report.n != g.n:
         raise ValueError("report order does not match the graph")
     return report.vertex_classes

@@ -27,10 +27,11 @@ handling:
 The physical form uses that U, being real orthogonal, is normal, so
 every E_r is Hermitian and conj(E_r)_{uv} = (E_r)_{vu}; it is read off
 by the same `_mixing_matrix` as the continuous walk, Gram route and
-invariant checks included.  Both are integer dot products over one
-shared denominator, and no rational routine runs here: each result is
-an `ExactMatrix` of integer numerators, with `Fraction` built only when
-an entry is read.
+invariant checks included.  The literal form reads the same table of
+trace forms a T b (`_TraceTable`) on the pairs (f_uv, f_uv).  Both are
+integer dot products over one shared denominator, and no rational
+routine runs here: each result is an `ExactMatrix` of integer
+numerators, with `Fraction` built only when an entry is read.
 
 The Cesaro error bound needs the idempotents themselves, in floats.  It
 evaluates the same integer resolvent, without the trace weights, at the
@@ -49,8 +50,8 @@ import numpy as np
 
 from .exact import ExactMatrix
 from .mixing import (
-    _Numerators,
     _TraceForm,
+    _TraceTable,
     _mixing_matrix,
     _radical_resolvent,
     _trace_form,
@@ -74,11 +75,10 @@ def _require_orthogonal(u: ExactMatrix) -> list[list[int]]:
 
 
 def _literal(form: _TraceForm) -> ExactMatrix:
-    """sum_r E_r o E_r: entry (a, b) is the trace form of f_ab^2, one
-    `_entry_numerator` per distinct f_ab."""
+    """sum_r E_r o E_r: entry (a, b) is the trace form of (f_ab, f_ab)."""
     res = form.resolvent
     n = len(res[0])
-    table = _Numerators(form.tau)
+    table = _TraceTable(form.tau)
     nums = [[table[f, f] for f in zip(*[b[a] for b in res])] for a in range(n)]
     if any(nums[a][b] != nums[b][a] for a in range(n) for b in range(a + 1, n)):
         raise AssertionError("the literal average mixing matrix must be symmetric")

@@ -15,12 +15,15 @@ so with w the inverse of psi' mod psi,
 
 and the sum over roots is a trace form.  The implementation factors w^2
 out of every entry: with tau_k = sum_r theta_r^k / psi'(theta_r)^2, the
-trace of y^k w(y)^2, each entry is an integer dot product
+trace of y^k w(y)^2, and T[j][k] = tau_(j+k) their Hankel matrix, the
+sum over the roots of a b w^2 is the integer bilinear form
 
-    Mhat[u][v] = sum_k (f_uv^2)_k tau_k
+    sum_r (a b w^2)(theta_r) = sum_k (a b)_k tau_k = a T b
 
-against a precomputed vector, identical to reducing mod psi and applying
-the trace because evaluation at a root is a ring homomorphism.
+of the coefficient vectors of a and b, identical to reducing a b mod psi
+and applying the trace because evaluation at a root is a ring
+homomorphism.  Every entry of Mhat is that one form, `_TraceTable`, on
+a pair of entry polynomials.
 
 All of it runs in integers over one shared denominator.  The char poly
 phi comes from `_charpoly_int` (Hessenberg form modulo 62-bit primes,
@@ -37,32 +40,31 @@ psi'(theta_r) = [y^(deg-1)] (g mod psi), give D tau_k as the top
 coefficient of y^k t mod psi, so the weights tau_k are integers over a
 divisor of D, and so is every entry.
 
-Two routes read the entries off that state, chosen by the exact integer
-D_char = disc(char poly):
-
-- D_char != 0, a simple spectrum: every E_r has rank one, so
-  (E_r)_uv^2 = (E_r)_uu (E_r)_vv and Mhat = F T F^T / denom, with row u
-  of F the coefficients of f_uu and T[j][k] = tau_(j+k) the Hankel
-  matrix of the trace weights (`_gram_numerators`);
-- D_char == 0, a repeated spectrum: an entry is the dot product of
-  f_uv f_vu with tau (`_keyed_numerators`).
-
-Each B_j is a polynomial in M, so it lies in the algebra that M
+Every B_j is a polynomial in M, so it lies in the algebra that M
 generates, and f_uv repeats across the vertex pairs that this algebra
 cannot tell apart: in a d-class association scheme (the Bose-Mesner
 algebra) there are at most d + 1 distinct f_uv, whatever the
-automorphism group, and a cycle on n vertices has floor(n/2) + 1.  Both
-kernels group the entries by their polynomial key within one call and
-compute each distinct key once.  Both routes give the same integer
-numerators wherever both apply, and `_mixing_matrix` alone picks the
-route.  Both also label each vertex u by its diagonal polynomial f_uu:
-psi(M) = 0 gives phi(M \\ u) = (phi / psi) f_uu, so equal labels mean
-cospectral vertices, and the report keeps them for `avgmix.analysis`.
+automorphism group, and a cycle on n vertices has floor(n/2) + 1.  The
+table computes the row a T once per distinct a and one dot per distinct
+pair (a, b), and three pairs cover every limit:
+
+- (f_uv, f_vu) for sum_r E_r o conj(E_r) of a normal M, whose E_r are
+  Hermitian; `_mixing_matrix` reads u <= v and mirrors the result;
+- (f_uu, f_vv) in its place when D_char = disc(char poly) != 0, a simple
+  spectrum: every E_r has rank one, (E_r)_uv (E_r)_vu = (E_r)_uu
+  (E_r)_vv, and Mhat = F T F^T / denom with row u of F the coefficients
+  of f_uu, one row per distinct f_uu and one dot per pair of them;
+- (f_uv, f_uv) for the literal limit sum_r E_r o E_r of the discrete
+  walks in `avgmix.discrete`, which run on the same engine.
+
+`_mixing_matrix` alone picks between the first two.  It also labels each
+vertex u by its diagonal polynomial f_uu: psi(M) = 0 gives
+phi(M \\ u) = (phi / psi) f_uu, so equal labels mean cospectral
+vertices, and the report keeps them for `avgmix.analysis`.
 Invariants and certificates are checked on the numerators, and
 the result is an `ExactMatrix` of them over the shared denominator: no
-rational routine is left here.  The discrete walks of `avgmix.discrete`
-run on the same engine.  Distinct keys only share read-only precomputed
-state, so they may be computed concurrently in any order.
+rational routine is left here.  Distinct keys only share read-only
+precomputed state, so they may be computed concurrently in any order.
 """
 
 from __future__ import annotations
@@ -80,7 +82,6 @@ from .exact import (
     _charpoly_bound,
     _charpoly_int,
     _charpoly_mod,
-    _int_mul,
     _int_radical,
     _prime,
     _squarefree_mod,
@@ -126,11 +127,6 @@ class AvgMixReport:
     @property
     def n(self) -> int:
         return self.mixing.nrows
-
-
-def _entry_numerator(f: list[int], g: list[int], weights: list[int]) -> int:
-    """Dot product of the coefficients of f * g with the trace weights."""
-    return sum(map(mul, _int_mul(f, g), weights))
 
 
 def _resolvent_int(
@@ -202,7 +198,7 @@ class _TraceForm(NamedTuple):
     f_uv = sum_j resolvent[j][u][v] y^j, and for integer polynomials f, g
     of degree below deg psi,
 
-        sum_r (f g w^2)(theta_r) = _entry_numerator(f, g, tau) / denom.
+        sum_r (f g w^2)(theta_r) = _TraceTable(tau)[f, g] / denom.
     """
 
     char_poly: list[int]
@@ -268,86 +264,73 @@ def _trace_form(rows: list[list[int]]) -> _TraceForm:
     return _TraceForm(phi, psi, disc_char, disc_min, mats, tau_num, denom)
 
 
-class _Numerators(dict):
-    """Trace-form numerators of f g keyed by (f, g), each distinct key
-    computed once by `_entry_numerator` and looked up after that.  A
+class _TraceTable(dict):
+    """The trace form a T b = sum_k (a b)_k tau_k of two integer
+    polynomials a, b of degree below deg psi, keyed by their coefficient
+    tuples (a, b), with T[j][k] = tau[j+k] the Hankel matrix of the
+    trace weights.  Each distinct key costs one dot of the row a T with
+    b, and the row is kept in `rows`, computed once per distinct a.  A
     table lives for one call, never across calls."""
 
     def __init__(self, tau: list[int]):
         super().__init__()
-        self.tau = tau
+        deg = (len(tau) + 1) // 2
+        # column k of T
+        self.columns = [tau[k : k + deg] for k in range(deg)]
+        self.rows: dict[tuple[int, ...], list[int]] = {}
 
-    def __missing__(self, key: tuple[Sequence[int], Sequence[int]]) -> int:
-        f, g = key
-        value = self[key] = _entry_numerator(f, g, self.tau)
+    def row(self, a: tuple[int, ...]) -> list[int]:
+        """The row a T."""
+        return [sum(map(mul, a, col)) for col in self.columns]
+
+    def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
+        a, b = key
+        row = self.rows.get(a)
+        if row is None:
+            row = self.rows[a] = self.row(a)
+        value = self[key] = sum(map(mul, row, b))
         return value
 
 
-def _gram_row(f: Sequence[int], tau: list[int]) -> list[int]:
-    """Row f T of the Gram product, T[j][k] = tau[j+k]."""
-    deg = len(f)
-    return [sum(map(mul, f, tau[k : k + deg])) for k in range(deg)]
-
-
-def _gram_numerators(form: _TraceForm) -> tuple[list[list[int]], list[int]]:
-    """The numerators of sum_r (E_r)_uu (E_r)_vv over form.denom, as F T F^T,
-    and the class of each vertex: cls[u] == cls[v] exactly when f_uu == f_vv.
-
-    Row u of F holds the coefficients of f_uu, and T[j][k] = tau[j+k] is
-    the Hankel matrix of the trace weights.  Each distinct row f of F
-    costs deg^2 products for f T, and each pair of distinct rows another
-    deg for their dot; equal rows (vertices that the algebra generated by
-    M cannot tell apart) share both.  When the spectrum is simple every
-    E_r has rank one, (E_r)_uv^2 = (E_r)_uu (E_r)_vv, and this is the
-    average mixing matrix; for a normal matrix E_r is also Hermitian, and
-    it is the physical limit sum_r |(E_r)_uv|^2.
-    """
-    res = form.resolvent
+def _diagonals(res: list[list[list[int]]]) -> list[tuple[int, ...]]:
+    """f_uu = sum_j B_j[u][u] y^j for every vertex u, as coefficient tuples."""
     n = len(res[0])
     # the diagonal of B_j is map(getitem, B_j, range(n))
-    diag = zip(*[list(map(getitem, b, range(n))) for b in res])
-    index: dict[tuple[int, ...], int] = {}
-    cls = [index.setdefault(f, len(index)) for f in diag]
-    rows = list(index)
-    dots = [[0] * len(rows) for _ in rows]
-    for i, f in enumerate(rows):
-        g = _gram_row(f, form.tau)
-        for j in range(i, len(rows)):
-            dots[i][j] = dots[j][i] = sum(map(mul, g, rows[j]))
-    return [list(map(dots[c].__getitem__, cls)) for c in cls], cls
-
-
-def _keyed_numerators(form: _TraceForm) -> tuple[list[list[int]], list[int]]:
-    """The numerators of sum_r (E_r)_uv (E_r)_vu over form.denom: entry
-    (u, v) is the trace form of f_uv f_vu, one `_entry_numerator` per
-    distinct key (f_uv, f_vu); and the vertex classes of the f_uu."""
-    res = form.resolvent
-    n = len(res[0])
-    # B_(deg-2) = M + psi_(deg-1) I, so every B_j (a polynomial in M) is
-    # symmetric exactly when it is; deg 1 means M is a scalar matrix
-    symmetric = len(res) < 2 or list(map(list, zip(*res[-2]))) == res[-2]
-    table = _Numerators(form.tau)
-    nums = [[0] * n for _ in range(n)]
-    index: dict[tuple[int, ...], int] = {}
-    cls = []
-    for u in range(n):
-        row = list(zip(*[b[u] for b in res]))  # f_uv for every v
-        cls.append(index.setdefault(row[u], len(index)))
-        col = row
-        if not symmetric:  # f_vu for every v
-            col = list(zip(*[list(map(itemgetter(u), b)) for b in res]))
-        for v in range(u, n):
-            nums[u][v] = nums[v][u] = table[row[v], col[v]]
-    return nums, cls
+    return list(zip(*[list(map(getitem, b, range(n))) for b in res]))
 
 
 def _mixing_matrix(form: _TraceForm) -> tuple[ExactMatrix, list[int]]:
     """sum_r E_r o conj(E_r) for a normal M, checked: nonnegative,
-    symmetric, rows summing to 1; and the vertex classes.  Each E_r is
-    Hermitian, so entry (u, v) is the trace form of f_uv f_vu (f_vu =
-    f_uv when M is symmetric); a simple spectrum (disc_char != 0) takes
-    the Gram product instead."""
-    nums, cls = (_gram_numerators if form.disc_char else _keyed_numerators)(form)
+    symmetric, rows summing to 1; and the vertex classes, cls[u] ==
+    cls[v] exactly when f_uu == f_vv.
+
+    Each E_r is Hermitian, so entry (u, v) is the trace form of
+    (f_uv, f_vu), read for u <= v and mirrored.  On a simple spectrum
+    (disc_char != 0) every E_r has rank one, (E_r)_uv (E_r)_vu =
+    (E_r)_uu (E_r)_vv, and the entries are F T F^T with row u of F the
+    coefficients of f_uu: one row f T per distinct diagonal and one dot
+    per pair of them.
+    """
+    res = form.resolvent
+    index: dict[tuple[int, ...], int] = {}
+    cls = [index.setdefault(f, len(index)) for f in _diagonals(res)]
+    table = _TraceTable(form.tau)
+    if form.disc_char:
+        diags = list(index)
+        dots = [[0] * len(diags) for _ in diags]
+        for i, f in enumerate(diags):
+            row = table.row(f)
+            for j in range(i, len(diags)):
+                dots[i][j] = dots[j][i] = sum(map(mul, row, diags[j]))
+        nums = [list(map(dots[c].__getitem__, cls)) for c in cls]
+    else:
+        n = len(res[0])
+        # row u holds f_uv for every v
+        polys = [list(zip(*[b[u] for b in res])) for u in range(n)]
+        nums = [[0] * n for _ in range(n)]
+        for u, fu in enumerate(polys):
+            for v in range(u, n):
+                nums[u][v] = nums[v][u] = table[fu[v], polys[v][u]]
     _check_mixing_invariants(nums, form.denom)
     return ExactMatrix(nums, form.denom), cls
 

@@ -3,14 +3,15 @@
 Plain lists of Fraction: polynomials ascending with no trailing zeros,
 matrices lists of rows.  Nothing comes from avgmix, and the algorithms
 differ from the engine's: Faddeev-LeVerrier for the characteristic
-polynomial, Gaussian elimination for determinants, Euclid over Q for gcds
-and inverses modulo psi, the resolvent as a sum of matrix powers, sums
-over the roots of psi as traces of multiplication matrices (not Newton
-power sums), the conjugate pairing by composing with y^-1, simple
-spectra by closed walks and the power-sum Hankel matrix, cospectral
-vertices by vertex-deleted char polys and closed walks, and span
-membership as a rank comparison of flattened matrices (no duplicate
-equations dropped).
+polynomial, Gaussian elimination for determinants, Euclid over Q for
+gcds and inverses modulo psi, the resolvent as a sum of matrix powers,
+sums over the roots of psi as traces of multiplication matrices (not
+Newton power sums), entry numerators as whole products dotted with the
+trace weights (not rows of their Hankel matrix), the conjugate pairing
+by composing with y^-1, simple spectra by closed walks and the power-sum
+Hankel matrix, cospectral vertices by vertex-deleted char polys and
+closed walks, and span membership as a rank comparison of flattened
+matrices (no duplicate equations dropped).
 """
 
 from fractions import Fraction
@@ -178,6 +179,24 @@ def mixing(rows, conjugate=False):
         paired = compose_mod(g, y_inverse, psi) if conjugate else g
         out[u][v] = trace(poly_divmod(mul(g, paired), psi)[1], traces)
     return out
+
+
+def trace_numerator(f, g, tau):
+    """The coefficients of f g dotted with the trace weights tau, in
+    plain ints: one full product per call, no Hankel rows."""
+    return int(sum((c * t for c, t in zip(mul(f, g), tau)), Fraction(0)))
+
+
+def entry_numerators(mats, tau, literal=False):
+    """trace_numerator(f_uv, g, tau) for every pair (u, v), with
+    f_uv = sum_j mats[j][u][v] y^j and g = f_uv when literal, else f_vu."""
+    n = len(mats[0])
+
+    def f(u, v):
+        return [b[u][v] for b in mats]
+
+    return [[trace_numerator(f(u, v), f(u, v) if literal else f(v, u), tau)
+             for v in range(n)] for u in range(n)]
 
 
 def solve(a, b):

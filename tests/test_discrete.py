@@ -1,5 +1,6 @@
 """Discrete-walk average mixing: literal vs physical, Cesaro control."""
 
+import json
 import random
 from fractions import Fraction
 
@@ -16,13 +17,9 @@ from avgmix.discrete import (
     cesaro_partial,
 )
 import reference
+from avgmix.cli import main
 from avgmix.exact import ExactMatrix
-from avgmix.mixing import (
-    _entry_numerator,
-    _gram_numerators,
-    _keyed_numerators,
-    _trace_form,
-)
+from avgmix.mixing import _TraceTable, _mixing_matrix, _trace_form
 
 F = Fraction
 
@@ -210,33 +207,11 @@ def signed_cycle(rng: random.Random, n: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def physical_entry_route(form):
-    # one trace form per pair, f_ab read straight off the B_j
-    res = form.resolvent
-    n = len(res[0])
-    return [
-        [
-            _entry_numerator(
-                [b[a][c] for b in res], [b[c][a] for b in res], form.tau
-            )
-            for c in range(n)
-        ]
-        for a in range(n)
-    ]
-
-
-def literal_entry_route(form):
-    res = form.resolvent
-    n = len(res[0])
-    return [
-        [
-            _entry_numerator(
-                [b[a][c] for b in res], [b[a][c] for b in res], form.tau
-            )
-            for c in range(n)
-        ]
-        for a in range(n)
-    ]
+def entry_route(form, literal=False):
+    # one whole product per pair, f_ab read straight off the B_j
+    return ExactMatrix(
+        reference.entry_numerators(form.resolvent, form.tau, literal), form.denom
+    )
 
 
 def permutation(cycles: list[list[int]]) -> ExactMatrix:
@@ -267,29 +242,46 @@ def test_grouped_limits_match_per_pair_reference_on_repeated_spectra():
         assert not u.is_symmetric()
         form = _trace_form(_require_orthogonal(u))
         assert form.disc_char == 0
-        physical = physical_entry_route(form)
-        literal = literal_entry_route(form)
-        assert _keyed_numerators(form)[0] == physical
-        assert _literal(form) == ExactMatrix(literal, form.denom)
-        assert avg_mixing_limits(u) == (
-            ExactMatrix(literal, form.denom),
-            ExactMatrix(physical, form.denom),
-        )
+        physical = entry_route(form)
+        literal = entry_route(form, literal=True)
+        assert _mixing_matrix(form)[0] == physical
+        assert _literal(form) == literal
+        assert avg_mixing_limits(u) == (literal, physical)
 
 
-def test_literal_computes_one_entry_per_shift(monkeypatch):
+def test_literal_computes_one_entry_per_shift(trace_tables):
     # on the cyclic shift of Z_n, f_ab depends only on b - a mod n
-    calls = []
-
-    def counted(f, g, weights):
-        calls.append(1)
-        return _entry_numerator(f, g, weights)
-
-    monkeypatch.setattr("avgmix.mixing._entry_numerator", counted)
     for n in range(2, 9):
-        calls.clear()
+        trace_tables.clear()
         avg_mixing_literal(permutation([list(range(n))]))
-        assert len(calls) == n
+        [table] = trace_tables
+        assert table.computed == n
+
+
+class Skewed(_TraceTable):
+    """A trace table whose second computed entry is off by one."""
+
+    def __missing__(self, key):
+        value = super().__missing__(key)
+        if len(self) == 2:
+            value = self[key] = value + 1
+        return value
+
+
+def test_literal_symmetry_is_a_hard_check(monkeypatch, tmp_path, capsys):
+    # on the 3-4-5 rotation the second distinct key is (f_01, f_01) and
+    # f_10 != f_01, so a wrong entry (0, 1) breaks the symmetry
+    monkeypatch.setattr("avgmix.discrete._TraceTable", Skewed)
+    message = "the literal average mixing matrix must be symmetric"
+    with pytest.raises(AssertionError, match=message):
+        avg_mixing_literal(rotation_345())
+    # the CLI reports it as an internal fault
+    path = tmp_path / "u.json"
+    path.write_text(json.dumps({"n": 2, "entries": [["3/5", "4/5"], ["-4/5", "3/5"]]}))
+    code = main(["discrete", "--unitary-file", str(path), "--mode", "literal"])
+    captured = capsys.readouterr()
+    assert (code, captured.out) == (3, "")
+    assert captured.err == f"internal invariant violated: {message}\n"
 
 
 def test_physical_gram_route_on_simple_spectra():
@@ -305,10 +297,10 @@ def test_physical_gram_route_on_simple_spectra():
         rows = _require_orthogonal(u)
         form = _trace_form(rows)
         assert form.disc_char != 0
-        gram = _gram_numerators(form)[0]
-        assert gram == physical_entry_route(form)
+        gram = _mixing_matrix(form)[0]
+        assert gram == entry_route(form)
         physical = avg_mixing_physical(u)
-        assert physical == ExactMatrix(gram, form.denom)
+        assert physical == gram
         assert physical == ExactMatrix(reference.simple_spectrum_mixing(rows))
 
 

@@ -32,12 +32,11 @@ from avgmix.graphs import (
 )
 from avgmix.mixing import (
     IntegralityCertificates,
+    _TraceTable,
     _certify,
     _check_mixing_invariants,
-    _entry_numerator,
-    _gram_numerators,
-    _gram_row,
-    _keyed_numerators,
+    _diagonals,
+    _mixing_matrix,
     _resolvent_int,
     _trace_form,
     average_mixing,
@@ -120,20 +119,45 @@ looped_weighted_rows = st.integers(1, 7).flatmap(
 )
 
 
-def entry_route_numerators(form):
-    # one trace form per pair, f_uv read straight off the B_j: the plain
-    # reference for both grouped kernels
-    res = form.resolvent
-    n = len(res[0])
-    return [
-        [
-            _entry_numerator(
-                [b[u][v] for b in res], [b[v][u] for b in res], form.tau
-            )
-            for v in range(n)
-        ]
-        for u in range(n)
-    ]
+def entry_route_matrix(form):
+    # one whole product per pair, f_uv read straight off the B_j: the
+    # plain reference for both routes of the trace table
+    return ExactMatrix(
+        reference.entry_numerators(form.resolvent, form.tau), form.denom
+    )
+
+
+coefficients = st.one_of(st.just(0), st.integers(-(2**200), 2**200))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(1, 8).flatmap(
+        lambda deg: st.tuples(
+            st.tuples(*[coefficients] * deg),
+            st.tuples(*[coefficients] * deg),
+            st.lists(coefficients, min_size=2 * deg - 1, max_size=2 * deg - 1),
+        )
+    )
+)
+@example(((0, 0, 3), (5, 0, 0), [0, 1, 0, 2, 0]))
+def test_trace_table_is_the_symmetric_hankel_form(case):
+    # a T b with T[j][k] = tau[j+k] is sum_k (a b)_k tau_k, and T is
+    # symmetric; each row a T is computed once per distinct a
+    a, b, tau = case
+    computed = []
+
+    class Table(_TraceTable):
+        def row(self, f):
+            computed.append(f)
+            return super().row(f)
+
+    table = Table(tau)
+    assert table[a, b] == reference.trace_numerator(a, b, tau) == table[b, a]
+    assert table[a, a] == reference.trace_numerator(a, a, tau)
+    assert table[b, b] == reference.trace_numerator(b, b, tau)
+    assert sorted(computed) == sorted({a, b})
+    assert len(table) == len({(a, b), (b, a), (a, a), (b, b)})
 
 
 def test_simple_spectrum_runs_one_remainder_sequence(monkeypatch):
@@ -157,10 +181,10 @@ def test_simple_spectrum_runs_one_remainder_sequence(monkeypatch):
 def test_gram_route_matches_entry_route_and_reference(rows):
     form = _trace_form(rows)
     assume(form.disc_char != 0)
-    gram = _gram_numerators(form)[0]
-    assert gram == entry_route_numerators(form)
+    gram = _mixing_matrix(form)[0]
+    assert gram == entry_route_matrix(form)
     mixing = average_mixing(ExactMatrix(rows)).mixing
-    assert mixing == ExactMatrix(gram, form.denom)
+    assert mixing == gram
     assert mixing == ExactMatrix(reference.simple_spectrum_mixing(rows))
 
 
@@ -293,18 +317,22 @@ def test_trace_weights_match_the_reference():
     assert signs == {True, False}
 
 
-def test_repeated_spectrum_takes_the_entry_route(monkeypatch):
-    # the Gram form is wrong off a simple spectrum: for K3 it would give
-    # rank-one products of the diagonal, so the switch must avoid it
+def test_repeated_spectrum_takes_the_entry_route(trace_tables):
+    # the Gram form is wrong off a simple spectrum: for K3 the keys
+    # (f_uu, f_vv) give rank-one products of the diagonal, so the switch
+    # must read (f_uv, f_vu) instead
     form = _trace_form([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert form.disc_char == 0
-    assert _gram_numerators(form)[0] != entry_route_numerators(form)
-
-    def refuse(form):
-        raise AssertionError("the Gram route ran on a repeated spectrum")
-
-    monkeypatch.setattr("avgmix.mixing._gram_numerators", refuse)
+    res = form.resolvent
+    diags = _diagonals(res)
+    polys = [[tuple(b[u][v] for b in res) for v in range(3)] for u in range(3)]
+    table = _TraceTable(form.tau)
+    gram = [[table[f, g] for g in diags] for f in diags]
+    assert ExactMatrix(gram, form.denom) != entry_route_matrix(form)
     assert average_mixing(matrix_of(complete_graph(3))).mixing.is_symmetric()
+    [recorded] = trace_tables
+    pairs = {(polys[u][v], polys[v][u]) for u in range(3) for v in range(3)}
+    assert set(recorded) == pairs
 
 
 def _direct_sum(rows, other):
@@ -353,55 +381,40 @@ def test_grouped_numerators_match_per_pair_reference(basis):
         form = _trace_form(rows)
         routes.add(bool(form.disc_char))
         # the per-pair entry route is valid for every spectrum
-        expected = entry_route_numerators(form)
-        grouped = _gram_numerators if form.disc_char else _keyed_numerators
-        assert grouped(form)[0] == expected
-        mixing = average_mixing(ExactMatrix(rows)).mixing
-        assert mixing == ExactMatrix(expected, form.denom)
+        expected = entry_route_matrix(form)
+        assert _mixing_matrix(form)[0] == expected
+        assert average_mixing(ExactMatrix(rows)).mixing == expected
     assert routes == {True, False}
 
 
-@pytest.fixture
-def entry_calls(monkeypatch):
-    calls = []
-
-    def counted(f, g, weights):
-        calls.append(1)
-        return _entry_numerator(f, g, weights)
-
-    monkeypatch.setattr("avgmix.mixing._entry_numerator", counted)
-    return calls
-
-
 @pytest.mark.parametrize("q, d", [(13, 2), (13, 3), (17, 2)])
-def test_class_graphs_compute_at_most_d_plus_one_entries(entry_calls, q, d):
+def test_class_graphs_compute_at_most_d_plus_one_entries(trace_tables, q, d):
     # Bose-Mesner: every B_j is a polynomial in the class graph A, so it
     # lies in span{A_0, ..., A_d} and f_uv is constant on each class
     for a in cyclotomic_scheme(q, d)[1:]:
-        entry_calls.clear()
+        trace_tables.clear()
         assert not average_mixing(a).simple_spectrum
-        assert 1 <= len(entry_calls) <= d + 1
+        [table] = trace_tables
+        assert 1 <= table.computed <= d + 1
 
 
 @pytest.mark.parametrize("basis", ["adjacency", "laplacian"])
 @pytest.mark.parametrize("n", range(3, 14))
-def test_cycle_computes_one_entry_per_distance(entry_calls, n, basis):
+def test_cycle_computes_one_entry_per_distance(trace_tables, n, basis):
     average_mixing(matrix_of(cycle_graph(n), basis))
-    assert len(entry_calls) == n // 2 + 1
+    [table] = trace_tables
+    assert table.computed == n // 2 + 1
 
 
-def test_path_computes_one_gram_row_per_mirror_pair(monkeypatch):
-    rows = []
-
-    def counted(f, tau):
-        rows.append(1)
-        return _gram_row(f, tau)
-
-    monkeypatch.setattr("avgmix.mixing._gram_row", counted)
+def test_path_computes_one_gram_row_per_mirror_pair(trace_tables):
+    # a simple spectrum: one row f T per distinct diagonal and inline
+    # dots, no vertex pair looked up in the table
     for n in range(1, 14):
-        rows.clear()
+        trace_tables.clear()
         assert average_mixing(matrix_of(path_graph(n))).simple_spectrum
-        assert len(rows) == (n + 1) // 2
+        [table] = trace_tables
+        assert table.rows_computed == (n + 1) // 2
+        assert table.computed == 0
 
 
 class TestKnownValues:
