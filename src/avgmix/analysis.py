@@ -18,12 +18,11 @@ import enum
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .exact import ExactMatrix, _rows_in_span
+from .exact import ExactMatrix, _radical_resolvent, _rows_in_span
 from .graphs import WeightedGraph, basis_rows, cycle_graph, matrix_of, path_graph
 from .mixing import (
     AvgMixReport,
     _diagonals,
-    _radical_resolvent,
     average_mixing,
     strong_cospectral_kernel,
 )

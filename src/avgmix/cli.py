@@ -184,6 +184,8 @@ def _read_weights_file(path: str) -> WeightedGraph:
     if not isinstance(data, dict) or "weights" not in data:
         raise ValueError("matrix file must be a JSON object with 'weights'")
     weights = _require_rows(data["weights"], "matrix file 'weights'")
+    if "n" in data and type(data["n"]) is not int:
+        raise ValueError("matrix file 'n' must be an integer")
     if "n" in data and len(weights) != data["n"]:
         raise ValueError("matrix file 'n' does not match the weight rows")
     return WeightedGraph.from_weights(weights)
@@ -199,6 +201,8 @@ def _read_unitary_file(path: str) -> ExactMatrix:
         rows = [[Fraction(str(x)) for x in row] for row in entries]
     except ZeroDivisionError:
         raise ValueError("unitary file has an entry over 0") from None
+    if "n" in data and type(data["n"]) is not int:
+        raise ValueError("unitary file 'n' must be an integer")
     if "n" in data and len(rows) != data["n"]:
         raise ValueError("unitary file 'n' does not match the entry rows")
     return ExactMatrix(rows)

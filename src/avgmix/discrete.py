@@ -27,8 +27,8 @@ handling:
 The physical form uses that U, being real orthogonal, is normal, so
 every E_r is Hermitian and conj(E_r)_{uv} = (E_r)_{vu}; it is read off
 by the same `_mixing_matrix` as the continuous walk, Gram route and
-invariant checks included.  The literal form reads the same table of
-trace forms a T b (`_TraceTable`) on the pairs (f_uv, f_uv).  Both are
+invariant checks included.  The literal form is `mixing._literal`,
+the same trace forms a T b on the pairs (f_uv, f_uv).  Both are
 integer dot products over one shared denominator, and no rational
 routine runs here: each result is an `ExactMatrix` of integer
 numerators, with `Fraction` built only when an entry is read.
@@ -48,14 +48,8 @@ from operator import mul
 
 import numpy as np
 
-from .exact import ExactMatrix
-from .mixing import (
-    _TraceForm,
-    _TraceTable,
-    _mixing_matrix,
-    _radical_resolvent,
-    _trace_form,
-)
+from .exact import ExactMatrix, _radical_resolvent
+from .mixing import _literal, _mixing_matrix, _trace_form
 
 
 def _require_orthogonal(u: ExactMatrix) -> list[list[int]]:
@@ -72,17 +66,6 @@ def _require_orthogonal(u: ExactMatrix) -> list[list[int]]:
             if sum(map(mul, cols[i], cols[j])) != (c2 if i == j else 0):
                 raise ValueError("the matrix is not orthogonal")
     return rows
-
-
-def _literal(form: _TraceForm) -> ExactMatrix:
-    """sum_r E_r o E_r: entry (a, b) is the trace form of (f_ab, f_ab)."""
-    res = form.resolvent
-    n = len(res[0])
-    table = _TraceTable(form.tau)
-    nums = [[table[f, f] for f in zip(*[b[a] for b in res])] for a in range(n)]
-    if any(nums[a][b] != nums[b][a] for a in range(n) for b in range(a + 1, n)):
-        raise AssertionError("the literal average mixing matrix must be symmetric")
-    return ExactMatrix(nums, form.denom)
 
 
 def avg_mixing_literal(u: ExactMatrix) -> ExactMatrix:

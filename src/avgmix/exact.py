@@ -1,4 +1,5 @@
-"""Exact matrices at the API boundary and integer polynomial kernels.
+"""Exact matrices at the API boundary, integer polynomial kernels, and
+the front end of the mixing engine.
 
 `ExactMatrix` and `ExactPolynomial` are the immutable rational values the
 package takes and returns, with no arithmetic of their own.  Both take
@@ -12,24 +13,34 @@ All matrix and polynomial work runs on plain lists of Python ints in the
 `_int_*` kernels.  There is one remainder sequence, the subresultant
 one (coefficients stay at subresultant size): it gives the resultant,
 the cofactor that scales an inverse modulo a polynomial and, when the
-resultant is 0, the gcd.  `_int_radical` takes from it the squarefree
-part psi of a char poly phi, D = disc(psi) and t = D/psi' mod psi, in
-one sequence when phi is squarefree and two otherwise.  Next to it are
-the characteristic polynomial (Hessenberg form modulo fixed 62-bit
-primes, joined by the Chinese remainder theorem under a Hadamard bound,
-and a squarefree test of its residue mod a prime),
-the deterministic Miller-Rabin test those primes come from (also the
-primality check of `avgmix.schemes`), and `_rows_in_span`, the
-fraction-free span elimination shared by scheme axiom (d) and the span
-classification of `avgmix.analysis`.  No rational routine is left below
-the boundary.
+resultant is 0, the gcd.  Next to them are the deterministic
+Miller-Rabin test behind the 62-bit primes (also the primality check of
+`avgmix.schemes`) and `_rows_in_span`, the fraction-free span
+elimination shared by scheme axiom (d) and the span classification of
+`avgmix.analysis`.  No rational routine is left below the boundary.
+
+`_radical_resolvent` is the first stage of `avgmix.mixing`: it turns an
+integer matrix M into its spectral integers without representing an
+eigenvalue.  The char poly phi comes from `_charpoly_int` (Hessenberg
+form modulo fixed 62-bit primes, joined by the Chinese remainder
+theorem under a Hadamard bound), with one shortcut: when the bound
+needs more than the first prime p0 and phi mod p0 is squarefree
+(`_squarefree_mod`), disc(phi) is nonzero mod p0 and hence nonzero, the
+spectrum is simple and psi = phi, so phi is read off the resolvent pass
+that builds the B_j (Faddeev-LeVerrier, every division exact) and the
+other primes are skipped.  One subresultant sequence on (phi, phi')
+gives `_int_radical` the squarefree part psi, D = disc(psi) and the
+cofactor t = D / psi' mod psi, which has integer coefficients; a second
+sequence, on (psi, psi'), runs only when phi has a repeated root.
+`_resolvent_int` is the Horner pass for the B_j of
+Phi(M, y) = psi(y) (yI - M)^-1 = sum_j B_j y^j, checked by psi(M) = 0.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from operator import mul
+from operator import itemgetter, mul
 from typing import Iterable, Sequence, Union
 
 Scalar = Union[int, Fraction]
@@ -573,6 +584,104 @@ def _squarefree_mod(f: Sequence[int], p: int) -> bool:
         a, b = b, _int_trim(a)
     # a nonzero constant is a unit; b = 0 leaves gcd a of degree >= 1
     return bool(b)
+
+
+# ---------------------------------------------------------------------------
+# the spectral integers of M: char poly, radical and resolvent
+# ---------------------------------------------------------------------------
+
+
+def _resolvent_int(
+    rows: list[list[int]], psi: Sequence[int] | None = None
+) -> tuple[list[int], list[list[list[int]]]]:
+    """(psi, [B_0..B_{deg-1}]) of Phi(M, y) = psi(y) (yI - M)^-1 =
+    sum_j B_j y^j, for an integer matrix M and a monic psi with psi(M) = 0.
+
+    Horner on the matrix: B_{deg-1} = I and B_{j-1} = M B_j + psi_j I.
+    The step past B_0 rebuilds psi(M), which must vanish.
+
+    With psi None the pass is Faddeev-LeVerrier and psi is the char poly
+    phi, read off as the pass goes: tr adj(yI - M) = phi' gives
+    tr B_j = (j + 1) phi_(j+1), so the trace of the step gives
+    phi_j = -tr(M B_j) / (n - j).  phi has integer coefficients, so
+    every division is exact; a remainder raises, and the step past B_0
+    is the Cayley-Hamilton check phi(M) = 0.
+
+    When M is symmetric so is every B_j, a polynomial in M: each step
+    computes the entries k >= i of row i and copies the rest from the
+    rows above it.
+    """
+    n = len(rows)
+    coeffs = [0] * n + [1] if psi is None else list(psi)
+    deg = len(coeffs) - 1
+    sparse = [[(j, w) for j, w in enumerate(row) if w] for row in rows]
+    symmetric = list(map(list, zip(*rows))) == rows
+    column = [itemgetter(i) for i in range(n)]
+
+    def step(current: list[list[int]], j: int) -> list[list[int]]:
+        nxt = []
+        for i in range(n):
+            if symmetric:
+                lo = i
+                acc_row = list(map(column[i], nxt)) + [0] * (n - i)
+            else:
+                lo = 0
+                acc_row = [0] * n
+            for t, w in sparse[i]:
+                brow = current[t]
+                for k in range(lo, n):
+                    acc_row[k] += w * brow[k]
+            nxt.append(acc_row)
+        if psi is None:
+            c, leftover = divmod(-sum(nxt[i][i] for i in range(n)), n - j)
+            if leftover:
+                raise ArithmeticError("tr(M B_j) must be divisible by n - j")
+            coeffs[j] = c
+        c = coeffs[j]
+        for i in range(n):
+            nxt[i][i] += c
+        return nxt
+
+    current = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    mats = [current]
+    for j in range(deg - 1, 0, -1):
+        current = step(current, j)
+        mats.append(current)
+    if any(any(row) for row in step(current, 0)):
+        raise NotAnnihilatingError("psi(M) != 0")
+    mats.reverse()
+    return coeffs, mats
+
+
+def _radical_resolvent(
+    rows: list[list[int]],
+) -> tuple[list[int], list[int], int, list[int], list[list[list[int]]]]:
+    """(phi, psi, D, t, [B_0..B_{deg-1}]) of an integer matrix M: the char
+    poly, its squarefree part, D = disc(psi), t = D / psi' mod psi and
+    the resolvent coefficients of psi."""
+    bound = _charpoly_bound(rows)
+    p0 = _prime(0)
+    # past one prime, a residue mod p0 with no repeated root proves
+    # disc(phi) != 0, a simple spectrum: psi = phi, and the resolvent
+    # pass reads phi off its traces in place of the other primes
+    first = _charpoly_mod(rows, p0) if 2 * bound >= p0 else None
+    if first is not None and _squarefree_mod(first, p0):
+        phi, mats = _resolvent_int(rows)
+        if any((a - b) % p0 for a, b in zip(phi, first)):
+            raise ArithmeticError("phi from the traces differs from phi mod p0")
+        psi, disc_min, t = _int_radical(phi)
+        if psi != phi:
+            raise AssertionError("phi squarefree mod p0 must be squarefree")
+    else:
+        phi = _charpoly_int(rows, bound=bound, first=first)
+        psi, disc_min, t = _int_radical(phi)
+        mats = _resolvent_int(rows, psi)[1]
+    return phi, psi, disc_min, t, mats
+
+
+# ---------------------------------------------------------------------------
+# fraction-free span elimination
+# ---------------------------------------------------------------------------
 
 
 def _rows_in_span(rows: Iterable[Sequence[int]]) -> bool:

@@ -25,17 +25,10 @@ and applying the trace because evaluation at a root is a ring
 homomorphism.  Every entry of Mhat is that one form, `_TraceTable`, on
 a pair of entry polynomials.
 
-All of it runs in integers over one shared denominator.  The char poly
-phi comes from `_charpoly_int` (Hessenberg form modulo 62-bit primes,
-joined by the CRT under a Hadamard bound), with one shortcut: when the
-bound needs more than the first prime p0 and phi mod p0 is squarefree,
-disc(phi) is nonzero mod p0 and hence nonzero, the spectrum is simple
-and psi = phi, so phi is read off the resolvent pass that builds the B_j
-(Faddeev-LeVerrier, every division exact) and the other primes are
-skipped.  The subresultant sequence of (phi, phi') gives psi,
-D = disc(psi) and the cofactor t = D w, which has integer coefficients
-(`_int_radical`; a second sequence, on (psi, psi'), runs only when phi
-has a repeated root).  Euler's partial fractions, sum_r g(theta_r) /
+All of it runs in integers over one shared denominator.  It starts
+from `exact._radical_resolvent`, which gives the char poly phi, psi,
+D = disc(psi), the B_j and the cofactor t = D w, which has integer
+coefficients.  Euler's partial fractions, sum_r g(theta_r) /
 psi'(theta_r) = [y^(deg-1)] (g mod psi), give D tau_k as the top
 coefficient of y^k t mod psi, so the weights tau_k are integers over a
 divisor of D, and so is every entry.
@@ -45,8 +38,8 @@ generates, and f_uv repeats across the vertex pairs that this algebra
 cannot tell apart: in a d-class association scheme (the Bose-Mesner
 algebra) there are at most d + 1 distinct f_uv, whatever the
 automorphism group, and a cycle on n vertices has floor(n/2) + 1.  The
-table computes the row a T once per distinct a and one dot per distinct
-pair (a, b), and three pairs cover every limit:
+table computes one row a T and one dot per distinct pair (a, b), and
+three pairs cover every limit:
 
 - (f_uv, f_vu) for sum_r E_r o conj(E_r) of a normal M, whose E_r are
   Hermitian; `_mixing_matrix` reads u <= v and mirrors the result;
@@ -54,8 +47,8 @@ pair (a, b), and three pairs cover every limit:
   spectrum: every E_r has rank one, (E_r)_uv (E_r)_vu = (E_r)_uu
   (E_r)_vv, and Mhat = F T F^T / denom with row u of F the coefficients
   of f_uu, one row per distinct f_uu and one dot per pair of them;
-- (f_uv, f_uv) for the literal limit sum_r E_r o E_r of the discrete
-  walks in `avgmix.discrete`, which run on the same engine.
+- (f_uv, f_uv) for the literal limit sum_r E_r o E_r, `_literal`, of
+  the discrete walks in `avgmix.discrete`, which run on the same engine.
 
 `_mixing_matrix` alone picks between the first two.  It also labels each
 vertex u by its diagonal polynomial f_uu: psi(M) = 0 gives
@@ -72,20 +65,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import getitem, itemgetter, mul
-from typing import NamedTuple, Sequence
+from operator import getitem, mul
+from typing import NamedTuple
 
-from .exact import (
-    ExactMatrix,
-    ExactPolynomial,
-    NotAnnihilatingError,
-    _charpoly_bound,
-    _charpoly_int,
-    _charpoly_mod,
-    _int_radical,
-    _prime,
-    _squarefree_mod,
-)
+from .exact import ExactMatrix, ExactPolynomial, _radical_resolvent
 
 
 @dataclass(frozen=True)
@@ -129,68 +112,6 @@ class AvgMixReport:
         return self.mixing.nrows
 
 
-def _resolvent_int(
-    rows: list[list[int]], psi: Sequence[int] | None = None
-) -> tuple[list[int], list[list[list[int]]]]:
-    """(psi, [B_0..B_{deg-1}]) of Phi(M, y) = psi(y) (yI - M)^-1 =
-    sum_j B_j y^j, for an integer matrix M and a monic psi with psi(M) = 0.
-
-    Horner on the matrix: B_{deg-1} = I and B_{j-1} = M B_j + psi_j I.
-    The step past B_0 rebuilds psi(M), which must vanish.
-
-    With psi None the pass is Faddeev-LeVerrier and psi is the char poly
-    phi, read off as the pass goes: tr adj(yI - M) = phi' gives
-    tr B_j = (j + 1) phi_(j+1), so the trace of the step gives
-    phi_j = -tr(M B_j) / (n - j).  phi has integer coefficients, so
-    every division is exact; a remainder raises, and the step past B_0
-    is the Cayley-Hamilton check phi(M) = 0.
-
-    When M is symmetric so is every B_j, a polynomial in M: each step
-    computes the entries k >= i of row i and copies the rest from the
-    rows above it.
-    """
-    n = len(rows)
-    coeffs = [0] * n + [1] if psi is None else list(psi)
-    deg = len(coeffs) - 1
-    sparse = [[(j, w) for j, w in enumerate(row) if w] for row in rows]
-    symmetric = list(map(list, zip(*rows))) == rows
-    column = [itemgetter(i) for i in range(n)]
-
-    def step(current: list[list[int]], j: int) -> list[list[int]]:
-        nxt = []
-        for i in range(n):
-            if symmetric:
-                lo = i
-                acc_row = list(map(column[i], nxt)) + [0] * (n - i)
-            else:
-                lo = 0
-                acc_row = [0] * n
-            for t, w in sparse[i]:
-                brow = current[t]
-                for k in range(lo, n):
-                    acc_row[k] += w * brow[k]
-            nxt.append(acc_row)
-        if psi is None:
-            c, leftover = divmod(-sum(nxt[i][i] for i in range(n)), n - j)
-            if leftover:
-                raise ArithmeticError("tr(M B_j) must be divisible by n - j")
-            coeffs[j] = c
-        c = coeffs[j]
-        for i in range(n):
-            nxt[i][i] += c
-        return nxt
-
-    current = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    mats = [current]
-    for j in range(deg - 1, 0, -1):
-        current = step(current, j)
-        mats.append(current)
-    if any(any(row) for row in step(current, 0)):
-        raise NotAnnihilatingError("psi(M) != 0")
-    mats.reverse()
-    return coeffs, mats
-
-
 class _TraceForm(NamedTuple):
     """The shared integer state of an integer matrix M.
 
@@ -208,32 +129,6 @@ class _TraceForm(NamedTuple):
     resolvent: list[list[list[int]]]
     tau: list[int]
     denom: int
-
-
-def _radical_resolvent(
-    rows: list[list[int]],
-) -> tuple[list[int], list[int], int, list[int], list[list[list[int]]]]:
-    """(phi, psi, D, t, [B_0..B_{deg-1}]) of an integer matrix M: the char
-    poly, its squarefree part, D = disc(psi), t = D / psi' mod psi and
-    the resolvent coefficients of psi."""
-    bound = _charpoly_bound(rows)
-    p0 = _prime(0)
-    # past one prime, a residue mod p0 with no repeated root proves
-    # disc(phi) != 0, a simple spectrum: psi = phi, and the resolvent
-    # pass reads phi off its traces in place of the other primes
-    first = _charpoly_mod(rows, p0) if 2 * bound >= p0 else None
-    if first is not None and _squarefree_mod(first, p0):
-        phi, mats = _resolvent_int(rows)
-        if any((a - b) % p0 for a, b in zip(phi, first)):
-            raise ArithmeticError("phi from the traces differs from phi mod p0")
-        psi, disc_min, t = _int_radical(phi)
-        if psi != phi:
-            raise AssertionError("phi squarefree mod p0 must be squarefree")
-    else:
-        phi = _charpoly_int(rows, bound=bound, first=first)
-        psi, disc_min, t = _int_radical(phi)
-        mats = _resolvent_int(rows, psi)[1]
-    return phi, psi, disc_min, t, mats
 
 
 def _trace_form(rows: list[list[int]]) -> _TraceForm:
@@ -268,16 +163,14 @@ class _TraceTable(dict):
     """The trace form a T b = sum_k (a b)_k tau_k of two integer
     polynomials a, b of degree below deg psi, keyed by their coefficient
     tuples (a, b), with T[j][k] = tau[j+k] the Hankel matrix of the
-    trace weights.  Each distinct key costs one dot of the row a T with
-    b, and the row is kept in `rows`, computed once per distinct a.  A
-    table lives for one call, never across calls."""
+    trace weights.  Each distinct key costs one row a T and one dot of
+    it with b.  A table lives for one call, never across calls."""
 
     def __init__(self, tau: list[int]):
         super().__init__()
         deg = (len(tau) + 1) // 2
         # column k of T
         self.columns = [tau[k : k + deg] for k in range(deg)]
-        self.rows: dict[tuple[int, ...], list[int]] = {}
 
     def row(self, a: tuple[int, ...]) -> list[int]:
         """The row a T."""
@@ -285,10 +178,7 @@ class _TraceTable(dict):
 
     def __missing__(self, key: tuple[tuple[int, ...], tuple[int, ...]]) -> int:
         a, b = key
-        row = self.rows.get(a)
-        if row is None:
-            row = self.rows[a] = self.row(a)
-        value = self[key] = sum(map(mul, row, b))
+        value = self[key] = sum(map(mul, self.row(a), b))
         return value
 
 
@@ -333,6 +223,17 @@ def _mixing_matrix(form: _TraceForm) -> tuple[ExactMatrix, list[int]]:
                 nums[u][v] = nums[v][u] = table[fu[v], polys[v][u]]
     _check_mixing_invariants(nums, form.denom)
     return ExactMatrix(nums, form.denom), cls
+
+
+def _literal(form: _TraceForm) -> ExactMatrix:
+    """sum_r E_r o E_r: entry (a, b) is the trace form of (f_ab, f_ab)."""
+    res = form.resolvent
+    n = len(res[0])
+    table = _TraceTable(form.tau)
+    nums = [[table[f, f] for f in zip(*[b[a] for b in res])] for a in range(n)]
+    if any(nums[a][b] != nums[b][a] for a in range(n) for b in range(a + 1, n)):
+        raise AssertionError("the literal average mixing matrix must be symmetric")
+    return ExactMatrix(nums, form.denom)
 
 
 def average_mixing(m: ExactMatrix) -> AvgMixReport:

@@ -9,7 +9,7 @@ work of the one trace-form kernel.
 import pytest
 from hypothesis import settings
 
-from avgmix import discrete, mixing
+from avgmix import mixing
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
@@ -17,8 +17,8 @@ settings.load_profile("deterministic")
 
 @pytest.fixture
 def trace_tables(monkeypatch):
-    """Every `_TraceTable` that mixing and discrete make while the test
-    runs, in order.  Each counts the entries it computes in `computed`
+    """Every `_TraceTable` that mixing makes while the test runs, in
+    order.  Each counts the entries it computes in `computed`
     and the Hankel rows a T in `rows_computed`."""
     made = []
 
@@ -38,6 +38,5 @@ def trace_tables(monkeypatch):
             self.computed += 1
             return super().__missing__(key)
 
-    for module in (mixing, discrete):
-        monkeypatch.setattr(module, "_TraceTable", Table)
+    monkeypatch.setattr(mixing, "_TraceTable", Table)
     return made

@@ -22,7 +22,7 @@ from avgmix.analysis import (
     pst_necessary,
     verify_closed_form,
 )
-from avgmix.exact import ExactMatrix
+from avgmix.exact import ExactMatrix, _radical_resolvent
 from avgmix.graphs import (
     WeightedGraph,
     add_loops,
@@ -34,7 +34,7 @@ from avgmix.graphs import (
     matrix_of,
     path_graph,
 )
-from avgmix.mixing import _radical_resolvent, average_mixing
+from avgmix.mixing import average_mixing
 from avgmix.numeric import spectral_decomposition
 from avgmix.schemes import cyclotomic_scheme
 

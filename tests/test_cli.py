@@ -109,6 +109,37 @@ def test_compute_matrix_file_accepts_integer_valued_floats(tmp_path, capsys):
     assert from_floats == run_json(capsys, "compute", "--matrix-file", str(path))
 
 
+def _order_file(tmp_path, subcommand, n, size):
+    """argv reading a matrix or unitary file of the size x size identity
+    with 'n' set to n."""
+    rows = [[int(i == j) for j in range(size)] for i in range(size)]
+    key = "weights" if subcommand == "compute" else "entries"
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps({"n": n, key: rows}))
+    flag = "--matrix-file" if subcommand == "compute" else "--unitary-file"
+    return (subcommand, flag, str(path))
+
+
+FILE_KINDS = [("compute", "matrix file"), ("discrete", "unitary file")]
+
+
+@pytest.mark.parametrize("subcommand, what", FILE_KINDS)
+@pytest.mark.parametrize("n, size", [(True, 1), (2.0, 2), ("2", 2)])
+def test_file_order_must_be_a_json_integer(tmp_path, capsys, subcommand, what, n, size):
+    # an 'n' of another JSON type is refused, never coerced to the row count
+    code, out, err = run(capsys, *_order_file(tmp_path, subcommand, n, size))
+    assert (code, out) == (2, "")
+    assert f"error: {what} 'n' must be an integer" in err
+
+
+@pytest.mark.parametrize("subcommand, what", FILE_KINDS)
+def test_file_order_must_match_the_rows(tmp_path, capsys, subcommand, what):
+    code, out, err = run(capsys, *_order_file(tmp_path, subcommand, 3, 2))
+    assert (code, out) == (2, "")
+    assert f"error: {what} 'n' does not match the" in err
+    assert run(capsys, *_order_file(tmp_path, subcommand, 2, 2))[0] == 0
+
+
 def test_compute_json_matrix_round_trips(capsys):
     payload = run_json(capsys, "compute", "--family", "path:6",
                        "--loops", "0=2,5=2")

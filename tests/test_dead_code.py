@@ -9,6 +9,12 @@ Imports do not count as uses, and neither does recursion.
 `ExactMatrix` stores integer numerators over one denominator, so no
 module but `exact.py` has a reason to unbox a `Fraction`: the second
 guard fails when another module reads a `.numerator` attribute.
+
+Each engine stage lives in one module: `exact.py` builds the spectral
+integers (char poly, radical, resolvent) and `mixing.py` owns the trace
+table every entry route reads.  The layering guard fails when another
+module imports or reads a stage's internals, so a function the tests
+patch has one module to patch.
 """
 
 import ast
@@ -70,3 +76,35 @@ def test_only_exact_reads_numerators_of_fractions():
             if isinstance(node, ast.Attribute) and node.attr == "numerator":
                 readers.append(f"{path.name}:{node.lineno}")
     assert readers == []
+
+
+# internals of a stage, by the one module allowed to name them
+STAGE_INTERNALS = {
+    "exact.py": {
+        "_charpoly_bound",
+        "_charpoly_mod",
+        "_charpoly_int",
+        "_squarefree_mod",
+        "_prime",
+        "_int_radical",
+        "_resolvent_int",
+    },
+    "mixing.py": {"_TraceTable", "_TraceForm"},
+}
+
+
+def test_each_stage_keeps_its_internals():
+    leaks = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text())
+        imported = {
+            alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom)
+            for alias in node.names
+        }
+        named = imported | _uses(tree, set())
+        for owner, internals in STAGE_INTERNALS.items():
+            if path.name != owner:
+                leaks += [f"{path.name}::{name}" for name in sorted(named & internals)]
+    assert leaks == []

@@ -8,7 +8,6 @@ import numpy as np
 import pytest
 
 from avgmix.discrete import (
-    _literal,
     _require_orthogonal,
     avg_mixing_limits,
     avg_mixing_literal,
@@ -19,7 +18,7 @@ from avgmix.discrete import (
 import reference
 from avgmix.cli import main
 from avgmix.exact import ExactMatrix
-from avgmix.mixing import _TraceTable, _mixing_matrix, _trace_form
+from avgmix.mixing import _TraceTable, _literal, _mixing_matrix, _trace_form
 
 F = Fraction
 
@@ -271,7 +270,7 @@ class Skewed(_TraceTable):
 def test_literal_symmetry_is_a_hard_check(monkeypatch, tmp_path, capsys):
     # on the 3-4-5 rotation the second distinct key is (f_01, f_01) and
     # f_10 != f_01, so a wrong entry (0, 1) breaks the symmetry
-    monkeypatch.setattr("avgmix.discrete._TraceTable", Skewed)
+    monkeypatch.setattr("avgmix.mixing._TraceTable", Skewed)
     message = "the literal average mixing matrix must be symmetric"
     with pytest.raises(AssertionError, match=message):
         avg_mixing_literal(rotation_345())
@@ -439,7 +438,7 @@ def test_bound_skips_the_crt_when_the_first_prime_proves_a_simple_spectrum(
     def refuse(*args, **kwargs):
         raise AssertionError("the CRT char poly ran past the first prime")
 
-    monkeypatch.setattr("avgmix.mixing._charpoly_int", refuse)
+    monkeypatch.setattr("avgmix.exact._charpoly_int", refuse)
     assert cesaro_error_bound(u, 200) == expected
 
 

@@ -29,10 +29,10 @@ from avgmix.exact import (
     _int_resultant,
     _is_prime_62,
     _prime,
+    _resolvent_int,
     _rows_in_span,
     _squarefree_mod,
 )
-from avgmix.mixing import _resolvent_int
 
 F = Fraction
 
