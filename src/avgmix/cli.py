@@ -12,6 +12,7 @@ internal invariant is violated, 141 when the reader of stdout went away
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -451,7 +452,14 @@ def _add_format_argument(sub: argparse.ArgumentParser) -> None:
     )
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The `avgmix` parser, built on the first call and shared after it.
+
+    `main` is called many times in one process by tests and the
+    benchmark, and parsing leaves the parser unchanged; it is not built
+    at import, so `import avgmix.cli` stays cheap.
+    """
     parser = argparse.ArgumentParser(
         prog="avgmix",
         description="Exact average mixing matrices of quantum walks.",

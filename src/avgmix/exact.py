@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import chain
 from operator import itemgetter, mul
 from typing import Iterable, Sequence, Union
 
@@ -81,7 +82,12 @@ class ExactMatrix:
             )
         if denominator <= 0:
             raise ValueError("the denominator must be positive")
-        data = [[x if type(x) is int else _as_fraction(x) for x in row] for row in rows]
+        data = list(map(tuple, rows))
+        all_int = set(map(type, chain.from_iterable(data))) <= {int}
+        if not all_int:
+            data = [
+                [x if type(x) is int else _as_fraction(x) for x in row] for row in data
+            ]
         if not data:
             raise ValueError("matrix must have at least one row")
         width = len(data[0])
@@ -89,12 +95,12 @@ class ExactMatrix:
             raise ValueError("matrix must have at least one column")
         if any(len(row) != width for row in data):
             raise ValueError("rows have unequal lengths")
-        if any(type(x) is not int for row in data for x in row):
+        if not all_int:
             # ints have numerator x and denominator 1 too
             scale = math.lcm(*(x.denominator for row in data for x in row))
             data = [[x.numerator * (scale // x.denominator) for x in r] for r in data]
             denominator *= scale
-        g = math.gcd(denominator, *(x for row in data for x in row))
+        g = math.gcd(denominator, *chain.from_iterable(data))
         if g != 1:
             data = [[x // g for x in row] for row in data]
         self.numerators = tuple(map(tuple, data))

@@ -9,6 +9,7 @@ degree) and is only defined for loop-free graphs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain, repeat
 from typing import Iterable, Mapping
 
 from .exact import ExactMatrix
@@ -48,23 +49,23 @@ class WeightedGraph:
             len(row) != self.n for row in self.weights
         ):
             raise ValueError("weight matrix shape does not match n")
-        for row in self.weights:
-            for w in row:
-                if not isinstance(w, int) or isinstance(w, bool):
-                    raise ValueError("weights must be integers")
-        for i in range(self.n):
-            for j in range(i + 1, self.n):
-                if self.weights[i][j] != self.weights[j][i]:
-                    raise ValueError("weight matrix must be symmetric")
+        cells = list(chain.from_iterable(self.weights))
+        integers = all(map(isinstance, cells, repeat(int)))
+        if not integers or bool in set(map(type, cells)):
+            raise ValueError("weights must be integers")
+        if list(map(tuple, self.weights)) != list(zip(*self.weights)):
+            raise ValueError("weight matrix must be symmetric")
 
     @classmethod
     def from_weights(cls, rows: Iterable[Iterable[int]]) -> "WeightedGraph":
         """Graph from integer-valued weights; a bool, or a value that
         int() would change (1.7, "2"), is rejected naming its cell."""
-        data = tuple(
-            tuple(_integer_weight(w, i, j) for j, w in enumerate(row))
-            for i, row in enumerate(rows)
-        )
+        data = tuple(map(tuple, rows))
+        if not set(map(type, chain.from_iterable(data))) <= {int}:
+            data = tuple(
+                tuple(_integer_weight(w, i, j) for j, w in enumerate(row))
+                for i, row in enumerate(data)
+            )
         return cls(len(data), data)
 
     # -- basic structure ---------------------------------------------------

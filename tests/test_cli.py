@@ -3,6 +3,7 @@
 import io
 import json
 import os
+import subprocess
 import sys
 from fractions import Fraction
 
@@ -647,3 +648,83 @@ def test_loop_weights_follow_the_library_rules(capsys, loops, message):
 def test_integer_valued_float_loop_weight_accepted(capsys):
     as_float = run_json(capsys, "compute", "--family", "path:3", "--loops", "0=2.0")
     assert as_float == run_json(capsys, "compute", "--family", "path:3", "--loops", "0=2")
+
+
+# ---------------------------------------------------------------------------
+# one parser per process
+# ---------------------------------------------------------------------------
+
+# Each call's options, then the same subcommand without them: a reused
+# parser must not carry an option over to the next call.
+REUSED_PARSER_CALLS = [
+    ["analyze", "--family", "cycle:5", "--pair", "0,1"],
+    ["analyze", "--family", "cycle:5"],
+    ["verify", "--family", "path:4", "--check", "psd"],
+    ["verify", "--family", "path:4"],
+    ["compute", "--family", "path:3", "--format", "csv"],
+    ["compute", "--family", "path:3"],
+]
+
+# Counts ArgumentParser constructions across `import avgmix.cli` and then
+# one `main` call per argv, printing one JSON object.
+PARSER_COUNTING_SCRIPT = """
+import argparse, contextlib, io, json, sys
+
+made = []
+init = argparse.ArgumentParser.__init__
+
+def counting_init(self, *args, **kwargs):
+    made.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+
+argparse.ArgumentParser.__init__ = counting_init
+
+import avgmix.cli
+
+after_import = list(made)
+outputs, codes, counts = [], [], []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        codes.append(avgmix.cli.main(argv))
+    outputs.append(out.getvalue())
+    counts.append(len(made))
+print(json.dumps({"after_import": after_import, "made": made,
+                  "counts": counts, "codes": codes, "outputs": outputs}))
+"""
+
+
+def _python(*args):
+    src = os.path.dirname(os.path.dirname(avgmix.cli.__file__))
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ, PYTHONPATH=src + (os.pathsep + path if path else ""))
+    return subprocess.run(
+        [sys.executable, *args], env=env, capture_output=True, text=True,
+        timeout=120, check=False,
+    )
+
+
+def test_parser_is_built_once_on_the_first_call_and_not_at_import():
+    proc = _python("-c", PARSER_COUNTING_SCRIPT, json.dumps(REUSED_PARSER_CALLS))
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["after_import"] == []
+    # the subcommands are parsers too, made with the top-level one
+    assert result["made"].count("avgmix") == 1
+    assert len(set(result["counts"])) == 1
+    assert result["codes"] == [0] * len(REUSED_PARSER_CALLS)
+
+    outputs = result["outputs"]
+    assert "pair" in json.loads(outputs[0])
+    assert "pair" not in json.loads(outputs[1])
+    assert set(json.loads(outputs[2])["checks"]) == {"psd"}
+    assert set(json.loads(outputs[3])["checks"]) == {
+        "stochastic", "psd", "integrality", "closed_form",
+    }
+    assert not outputs[4].lstrip().startswith("{")
+    assert json.loads(outputs[5])["avg_mixing"]
+
+    for argv, out in zip(REUSED_PARSER_CALLS, outputs):
+        fresh = _python("-m", "avgmix.cli", *argv)
+        assert fresh.returncode == 0, fresh.stderr
+        assert fresh.stdout == out, argv

@@ -1,8 +1,12 @@
 """Tests for graph construction, families, and graph6 round-trips."""
 
+import enum
 import random
 
+import numpy
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from avgmix.exact import ExactMatrix
 from avgmix.graphs import (
@@ -38,6 +42,110 @@ class TestConstruction:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             WeightedGraph(0, ())
+
+
+# The per-cell validation that `from_weights` and `WeightedGraph` ran
+# before their one-pass checks, kept as the reference they must match.
+
+
+def _reference_integer_weight(w, i, j):
+    if not isinstance(w, bool):
+        try:
+            value = int(w)
+        except (TypeError, ValueError, OverflowError):
+            pass
+        else:
+            if value == w:
+                return value
+    raise ValueError(f"weight at ({i}, {j}) is not an integer: {w!r}")
+
+
+def _reference_graph(n, weights):
+    if n < 1:
+        raise ValueError("graph needs at least one vertex")
+    if len(weights) != n or any(len(row) != n for row in weights):
+        raise ValueError("weight matrix shape does not match n")
+    for row in weights:
+        for w in row:
+            if not isinstance(w, int) or isinstance(w, bool):
+                raise ValueError("weights must be integers")
+    for i in range(n):
+        for j in range(i + 1, n):
+            if weights[i][j] != weights[j][i]:
+                raise ValueError("weight matrix must be symmetric")
+    return weights
+
+
+def _reference_from_weights(rows):
+    data = tuple(
+        tuple(_reference_integer_weight(w, i, j) for j, w in enumerate(row))
+        for i, row in enumerate(rows)
+    )
+    return _reference_graph(len(data), data)
+
+
+def _outcome(build, *args):
+    """(exception type, message) on failure; each cell with its type on success."""
+    try:
+        weights = build(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return tuple(tuple((type(w), w) for w in row) for row in weights)
+
+
+class _Weight(enum.IntEnum):
+    TWO = 2
+
+
+_INTS = st.integers(-3, 3)
+_CELLS = st.one_of(
+    _INTS,
+    st.booleans(),
+    st.sampled_from(
+        [2.0, -1.0, 0.0, 0.5, 1.7, float("nan"), float("inf"), "2",
+         _Weight.TWO, numpy.int64(1)]
+    ),
+)
+
+
+@st.composite
+def _weight_rows(draw):
+    """Mostly symmetric square rows, of plain ints or of mixed cells, some
+    with one cell changed or one row cut or grown, as lists of lists or
+    tuples of tuples."""
+    n = draw(st.integers(0, 4))
+    cells = draw(st.sampled_from([_INTS, _CELLS]))
+    rows = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i, n):
+            rows[i][j] = rows[j][i] = draw(cells)
+    if n and draw(st.booleans()):
+        rows[draw(st.integers(0, n - 1))][draw(st.integers(0, n - 1))] = draw(cells)
+    if n and draw(st.integers(0, 4)) == 0:
+        row = rows[draw(st.integers(0, n - 1))]
+        if draw(st.booleans()):
+            row.pop()
+        else:
+            row.append(draw(cells))
+    if draw(st.booleans()):
+        return tuple(map(tuple, rows))
+    return rows
+
+
+class TestValidationMatchesPerCellReference:
+    @settings(max_examples=400)
+    @given(_weight_rows())
+    def test_from_weights(self, rows):
+        # the same weights or the same error, naming the same first bad cell
+        got = _outcome(lambda r: WeightedGraph.from_weights(r).weights, rows)
+        assert got == _outcome(_reference_from_weights, rows)
+
+    @settings(max_examples=400)
+    @given(_weight_rows(), st.integers(-1, 1))
+    def test_direct_construction(self, rows, n_shift):
+        n = len(rows) + n_shift
+        got = _outcome(lambda w: WeightedGraph(n, w).weights, rows)
+        assert got == _outcome(_reference_graph, n, rows)
 
 
 class TestFamilies:
