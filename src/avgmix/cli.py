@@ -97,11 +97,25 @@ def _cell_float(cell: str) -> float:
     return int(num) / int(den or 1)
 
 
+def _is_matrix(value) -> bool:
+    # an exact matrix is serialized as its rows, each a list of "p/q" strings
+    return isinstance(value, list) and bool(value) and isinstance(value[0], list)
+
+
+def _csv_lines(key: str, value) -> list[str]:
+    """key,value rows: a list of scalars on one row, dicts and lists of
+    dicts by dotted keys."""
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        value = dict(enumerate(value))
+    if isinstance(value, dict):
+        return [line for k, v in value.items() for line in _csv_lines(f"{key}.{k}", v)]
+    if isinstance(value, list):
+        return [",".join([key, *map(str, value)])]
+    return [f"{key},{value}"]
+
+
 def _emit_matrix_csv(cells: list[list[str]]) -> list[str]:
-    lines = ["# approximate decimal values, 12 significant digits"]
-    for row in cells:
-        lines.append(",".join(format(_cell_float(x), ".12g") for x in row))
-    return lines
+    return [",".join(format(_cell_float(x), ".12g") for x in row) for row in cells]
 
 
 def _emit_pretty_matrix(cells: list[list[str]]) -> list[str]:
@@ -112,34 +126,30 @@ def _emit_pretty_matrix(cells: list[list[str]]) -> list[str]:
     ]
 
 
-def _emit(payload: dict, fmt: str, matrix_keys: tuple[str, ...]) -> None:
+def _emit(payload: dict, fmt: str) -> None:
     """Print payload in the chosen format.
 
-    matrix_keys name the entries holding exact matrices, as rows of "p/q"
-    strings; CSV prints the first of them as a numeric table and the
-    remaining scalars as key,value rows, pretty prints aligned tables
-    plus scalar lines.
+    A value that is a list of rows is an exact matrix of "p/q" strings.
+    CSV prints each matrix as its key on a line of its own and then a
+    numeric table, the first table behind an `# approximate` comment, and
+    every other value as key,value rows; pretty prints aligned tables plus
+    scalar lines.
     """
     if fmt == "json":
         print(json.dumps(payload, indent=2))
         return
     if fmt == "csv":
-        lines = []
-        emitted_matrix = False
+        lines, header = [], ["# approximate decimal values, 12 significant digits"]
         for key, value in payload.items():
-            if key in matrix_keys:
-                if not emitted_matrix:
-                    lines.extend(_emit_matrix_csv(value))
-                    emitted_matrix = True
-                continue
-            if isinstance(value, dict):
-                lines.extend(f"{key}.{k},{v}" for k, v in value.items())
-            elif not isinstance(value, list):
-                lines.append(f"{key},{value}")
+            if _is_matrix(value):
+                lines += [key, *header, *_emit_matrix_csv(value)]
+                header = []
+            else:
+                lines += _csv_lines(key, value)
         print("\n".join(lines))
         return
     for key, value in payload.items():
-        if key in matrix_keys:
+        if _is_matrix(value):
             print(f"{key}:")
             for line in _emit_pretty_matrix(value):
                 print(f"  {line}")
@@ -268,7 +278,7 @@ def _parse_pair(text: str, n: int) -> tuple[int, int]:
 def _cmd_compute(args: argparse.Namespace) -> int:
     g = _load_graph(args)
     report = average_mixing(matrix_of(g, args.basis))
-    _emit(_report_payload(report, args.basis), args.format, ("avg_mixing",))
+    _emit(_report_payload(report, args.basis), args.format)
     return 0
 
 
@@ -323,7 +333,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             )
     passed = all(checks.values())
     payload = {"checks": checks, "passed": passed}
-    _emit(payload, args.format, ())
+    _emit(payload, args.format)
     return 0 if passed else 1
 
 
@@ -349,7 +359,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
             "reason": verdict.reason,
             "no_pst_anywhere": verdict.no_pst_anywhere,
         }
-    _emit(payload, args.format, ())
+    _emit(payload, args.format)
     return 0
 
 
@@ -397,7 +407,7 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
         raise AssertionError(
             "a cyclotomic scheme must be pseudocyclic by construction"
         )
-    _emit(payload, args.format, ())
+    _emit(payload, args.format)
     return 0 if ok else 1
 
 
@@ -413,7 +423,7 @@ def _cmd_discrete(args: argparse.Namespace) -> int:
         "physical": _matrix_payload(physical),
         "literal_equals_physical": literal == physical,
     }
-    _emit(payload, args.format, ("avg_mixing",))
+    _emit(payload, args.format)
     return 0
 
 

@@ -33,12 +33,14 @@ integer dot products over one shared denominator, and no rational
 routine runs here: each result is an `ExactMatrix` of integer
 numerators, with `Fraction` built only when an entry is read.
 
-The Cesaro error bound needs the idempotents themselves, in floats.  It
-evaluates the same integer resolvent, without the trace weights, at the
-roots theta_r of the monic psi_V(c y) / c^deg.  Each coefficient is
-scaled by an exact integer division (psi_k / c^(deg-k), B_j /
-c^(deg-1-j)), so every float has size about 1 even when c^deg does not
-fit a float.
+The Cesaro error bound is certified on the same integers.  The cross
+term r != s of the partial average is a geometric sum of ratio
+theta_r / theta_s, and Cauchy-Schwarz over the pairs bounds the gap to
+the literal limit by (2/N) max_uv P_uv sqrt(S), with P the physical
+limit and S = sum_(r != s) |theta_r - theta_s|^-2.  S is one more
+trace form over the weights tau, so the square of the bound is an exact
+rational, rounded up once to the least float whose square is at least
+it.  No root of psi is ever computed.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from operator import mul
 
 import numpy as np
 
-from .exact import ExactMatrix, _radical_resolvent
+from .exact import ExactMatrix, _int_derivative, _int_mul
 from .mixing import _literal, _mixing_matrix, _trace_form
 
 
@@ -114,47 +116,40 @@ def cesaro_partial(u: ExactMatrix, steps: int) -> np.ndarray:
     return total / steps
 
 
-def _numeric_idempotents(rows: list[list[int]]):
-    """Roots theta_r of psi and the projectors E_r of U, from the integer
-    resolvent of V = cU evaluated at the roots of psi_V(c y) / c^deg."""
-    _, psi, _, _, resolvent = _radical_resolvent(rows)
-    deg = len(psi) - 1
-    # V^T V = c^2 I, so the first row of V has norm c
-    c = math.isqrt(sum(x * x for x in rows[0]))
-    # exact int true division keeps every float of size about 1, where
-    # c^deg itself may not fit a float
-    coeffs = [psi[k] / c ** (deg - k) for k in range(deg + 1)]
-    dpsi = [k * psi[k] / c ** (deg - k) for k in range(1, deg + 1)]
-    mats = []
-    for j, b in enumerate(resolvent):
-        scale = c ** (deg - 1 - j)
-        mats.append(np.array([[x / scale for x in row] for row in b], dtype=complex))
-    roots = np.roots(coeffs[::-1])
-    projectors = []
-    for theta in roots:
-        value = sum(complex(a) * theta**k for k, a in enumerate(dpsi))
-        total = sum(mats[k] * theta**k for k in range(len(mats)))
-        projectors.append(total / value)
-    return roots, projectors
+def _round_up_sqrt(num: int, den: int) -> float:
+    """The least float b with b^2 >= num / den; inf past the float range."""
+    # ceil(sqrt(x)) = ceil(sqrt(ceil(x))) on the grid 2^-1074 of the
+    # smallest subnormal, then rounded up to the 53 bits of a float
+    x = -((-num << 2148) // den)
+    m = math.isqrt(x)
+    m += m * m < x
+    s = max(m.bit_length() - 53, 0)
+    m = -(-m >> s)
+    return math.ldexp(m, s - 1074) if m.bit_length() + s <= 2098 else math.inf
 
 
 def cesaro_error_bound(u: ExactMatrix, steps: int) -> float:
-    """A priori bound on the gap between the partial average and the
-    literal limit.
-
-    The cross term of eigenvalues theta_r, theta_s contributes a
-    geometric sum of ratio theta_r / theta_s, bounded entrywise by
-    2 max|E_r o E_s| / (N |1 - theta_r / theta_s|).
-    """
+    """Certified bound on the gap between the partial average and the
+    literal limit: the least float b with b^2 >= 4 S max_uv P_uv^2 / N^2."""
     rows = _require_orthogonal(u)
     _require_steps(steps)
-    roots, projectors = _numeric_idempotents(rows)
-    bound = 0.0
-    for r in range(len(roots)):
-        for s in range(len(roots)):
-            if r == s:
-                continue
-            ratio = roots[r] / roots[s]
-            size = float(np.max(np.abs(projectors[r] * projectors[s])))
-            bound += 2.0 * size / (steps * abs(1.0 - ratio))
-    return bound
+    form = _trace_form(rows)
+    physical = _mixing_matrix(form)[0]
+    # |a - b|^2 = -(a - b)^2 / (a b) on the unit circle, unchanged when
+    # V = cU scales the roots by c; summed over the pairs, 12 S is the sum
+    # of h / psi'^2 over the roots of psi_V, where h (of degree 2 deg - 2)
+    # is 6 y psi' psi'' - 3 y^2 psi''^2 + 4 y^2 psi' psi'''
+    d1 = _int_derivative(form.min_poly)
+    d2 = _int_derivative(d1)
+    d3 = _int_derivative(d2)
+    h = [0] * len(form.tau)
+    for shift, scale, f, g in ((1, 6, d1, d2), (2, -3, d2, d2), (2, 4, d1, d3)):
+        for k, x in enumerate(_int_mul(f, g), shift):
+            h[k] += scale * x
+    # tau_k / denom = sum_r theta_r^k / psi'(theta_r)^2: this is 12 denom S
+    s12 = sum(map(mul, h, form.tau))
+    if s12 < 0 or (s12 > 0) != (len(form.min_poly) > 2):
+        raise AssertionError("S must be positive exactly when deg psi > 1")
+    p = max(map(max, physical.numerators))
+    den = 3 * form.denom * physical.denominator**2 * steps * steps
+    return _round_up_sqrt(s12 * p * p, den)

@@ -200,6 +200,73 @@ def test_compute_pretty_format(capsys):
     assert "avg_mixing" in out
 
 
+def _every_subcommand(tmp_path):
+    """One argv per subcommand, a scheme file that fails its axioms included."""
+    ident = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
+    adj = [[0, 1, 0], [1, 0, 1], [0, 1, 0]]
+    rest = [[1 - ident[i][j] - adj[i][j] for j in range(3)] for i in range(3)]
+    scheme = tmp_path / "scheme.json"
+    scheme.write_text(json.dumps([ident, adj, rest]))
+    return [
+        ["compute", "--family", "path:3"],
+        ["verify", "--family", "cycle:5"],
+        ["analyze", "--family", "path:4", "--pair", "0,3"],
+        ["scheme", "--q", "13", "--d", "2"],
+        ["scheme", "--matrix-file", str(scheme)],
+        ["discrete", "--unitary-file", _third_file(tmp_path)],
+    ]
+
+
+def test_csv_and_pretty_name_every_json_key(tmp_path, capsys):
+    for argv in _every_subcommand(tmp_path):
+        code = main(argv)
+        keys = list(json.loads(capsys.readouterr().out))
+        for fmt, starts in (("csv", (",", ".")), ("pretty", (":",))):
+            assert main([*argv, "--format", fmt]) == code
+            lines = capsys.readouterr().out.splitlines()
+            missing = [
+                key
+                for key in keys
+                if not any(
+                    line == key or line.startswith(tuple(key + s for s in starts))
+                    for line in lines
+                )
+            ]
+            assert missing == [], (argv, fmt)
+
+
+def test_csv_prints_lists_and_every_matrix(tmp_path, capsys):
+    code, out, _ = run(capsys, "compute", "--family", "path:3", "--format", "csv")
+    assert code == 0
+    assert "min_poly,0,-2,0,1" in out.splitlines()
+    assert "pair,0,3" in run(
+        capsys, "analyze", "--family", "path:4", "--pair", "0,3", "--format", "csv"
+    )[1].splitlines()
+    argv = ["discrete", "--unitary-file", _third_file(tmp_path)]
+    payload = run_json(capsys, *argv)
+    lines = run(capsys, *argv, "--format", "csv")[1].splitlines()
+    # the approximate comment comes once, before the first matrix's rows
+    marker = "# approximate decimal values, 12 significant digits"
+    assert lines.count(marker) == 1
+    assert lines.index(marker) == lines.index("avg_mixing") + 1
+    for key in ("literal", "physical"):
+        start = lines.index(key) + 1
+        assert lines[start : start + 3] == [
+            ",".join(format(float(F(x)), ".12g") for x in row) for row in payload[key]
+        ]
+
+
+def test_pretty_prints_every_matrix_as_a_table(tmp_path, capsys):
+    argv = ["discrete", "--unitary-file", _third_file(tmp_path), "--format", "pretty"]
+    lines = run(capsys, *argv)[1].splitlines()
+    start = lines.index("literal:") + 1
+    assert lines[start : start + 3] == [
+        "   51/121  -48/121   8/121",
+        "  -48/121   51/121   8/121",
+        "    8/121    8/121  83/121",
+    ]
+
+
 # ---------------------------------------------------------------------------
 # verify
 # ---------------------------------------------------------------------------

@@ -15,6 +15,12 @@ integers (char poly, radical, resolvent) and `mixing.py` owns the trace
 table every entry route reads.  The layering guard fails when another
 module imports or reads a stage's internals, so a function the tests
 patch has one module to patch.
+
+Every exact result rests on integers, never on a float eigenvalue: the
+exactness guard fails when a module reads a float root or eigen solver
+(`roots`, `eig`, `eigh`, `eigvals`, `eigvalsh`), by attribute or by
+import.  Only the float oracle `numeric.py` and the joint-eigenspace
+clustering of `schemes.py`, whose multiplicities are not exact yet, may.
 """
 
 import ast
@@ -108,3 +114,24 @@ def test_each_stage_keeps_its_internals():
             if path.name != owner:
                 leaks += [f"{path.name}::{name}" for name in sorted(named & internals)]
     assert leaks == []
+
+
+FLOAT_SOLVERS = {"roots", "eig", "eigh", "eigvals", "eigvalsh"}
+FLOAT_SOLVER_MODULES = {"numeric.py", "schemes.py"}
+
+
+def test_only_the_float_modules_solve_for_eigenvalues():
+    readers = []
+    for path in SOURCES:
+        if path.name in FLOAT_SOLVER_MODULES:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom):
+                names = {alias.name for alias in node.names}
+            elif isinstance(node, ast.Attribute):
+                names = {node.attr}
+            else:
+                continue
+            for name in sorted(names & FLOAT_SOLVERS):
+                readers.append(f"{path.name}:{node.lineno}:{name}")
+    assert readers == []

@@ -1,6 +1,7 @@
 """Discrete-walk average mixing: literal vs physical, Cesaro control."""
 
 import json
+import math
 import random
 from fractions import Fraction
 
@@ -398,25 +399,24 @@ def euclid_rotation_walk() -> ExactMatrix:
     return ExactMatrix(rows)
 
 
-def rational_route_bound(u: ExactMatrix, steps: int) -> float:
-    """The bound from the rational squarefree part and resolvent of U."""
-    rows = u.to_lists()
-    psi = reference.squarefree(reference.char_poly(rows))
-    mats = [np.array(b, dtype=complex) for b in reference.resolvent(rows, psi)]
-    derivative = reference.derivative(psi)
+def gap_sum(u: ExactMatrix) -> float:
+    """S = sum_(r != s) |theta_r - theta_s|^-2 from float roots of the
+    rational squarefree part of the char poly of U."""
+    psi = reference.squarefree(reference.char_poly(u.to_lists()))
     roots = np.roots([float(c) for c in reversed(psi)])
-    projectors = [
-        sum(mats[k] * theta**k for k in range(len(mats)))
-        / sum(float(c) * theta**k for k, c in enumerate(derivative))
-        for theta in roots
-    ]
     return sum(
-        2.0 * float(np.max(np.abs(projectors[r] * projectors[s])))
-        / (steps * abs(1.0 - roots[r] / roots[s]))
+        abs(roots[r] - roots[s]) ** -2.0
         for r in range(len(roots))
         for s in range(len(roots))
         if r != s
     )
+
+
+def rational_route_bound(u: ExactMatrix, steps: int) -> float:
+    """(2/N) max_uv P_uv sqrt(S), with the physical limit P from the
+    rational reference and S from float roots."""
+    physical = reference.mixing(u.to_lists(), conjugate=True)
+    return 2.0 * float(max(map(max, physical))) * gap_sum(u) ** 0.5 / steps
 
 
 def test_bound_with_large_denominators_matches_rational_route():
@@ -449,6 +449,70 @@ def test_bound_matches_rational_route_on_random_walks():
     for u in cases:
         expected = rational_route_bound(u, 50)
         assert abs(cesaro_error_bound(u, 50) - expected) <= 1e-9 * max(expected, 1.0)
+
+
+def test_gap_sum_hand_values_fix_the_bound():
+    # the 3-4-5 rotation: theta = (3 +- 4i) / 5, |theta_1 - theta_2| = 8/5,
+    # S = 2 (5/8)^2 = 25/32; the swap: theta = +-1, S = 2 / 4 = 1/2; both
+    # have max P = 1/2, so bound^2 = 4 S / 4 / N^2 = S / N^2
+    swap = ExactMatrix([[0, 1], [1, 0]])
+    for u, s in ((rotation_345(), F(25, 32)), (swap, F(1, 2))):
+        assert abs(gap_sum(u) - s) <= 1e-12
+        for steps in (1, 50, 1000):
+            bound = cesaro_error_bound(u, steps)
+            square = s / steps**2
+            assert F(bound) ** 2 >= square > F(math.nextafter(bound, 0)) ** 2
+
+
+def test_bound_is_zero_exactly_for_one_eigenvalue(monkeypatch):
+    # deg psi = 1 (U = +-I) leaves no cross term, so S = 0 and the bound is
+    # exactly 0; for deg psi >= 2 a zero S is a hard failure
+    for sign in (1, -1):
+        u = ExactMatrix([[sign if i == j else 0 for j in range(3)] for i in range(3)])
+        assert cesaro_error_bound(u, 7) == 0.0
+    monkeypatch.setattr("avgmix.discrete._int_derivative", lambda p: [])
+    with pytest.raises(AssertionError, match="S must be positive"):
+        cesaro_error_bound(rotation_345(), 7)
+
+
+def rotation(m: int, p: int) -> list[list[Fraction]]:
+    # the rotation of the Euclid triple (m^2 - p^2, 2 m p, m^2 + p^2)
+    a, b, c = m * m - p * p, 2 * m * p, m * m + p * p
+    return [[F(a, c), F(-b, c)], [F(b, c), F(a, c)]]
+
+
+def close_angle_walk(m: int, p: int) -> ExactMatrix:
+    """H diag(R(m, p), R(m + 1, p)) H with the symmetric Hadamard H / 2:
+    two rotations whose angles differ by about 2 p / m^2."""
+    h = [[F(x, 2) for x in row] for row in
+         [[1, 1, 1, 1], [1, -1, 1, -1], [1, 1, -1, -1], [1, -1, -1, 1]]]
+    blocks = [[F(0)] * 4 for _ in range(4)]
+    for k, r in ((0, rotation(m, p)), (2, rotation(m + 1, p))):
+        for i in range(2):
+            for j in range(2):
+                blocks[k + i][k + j] = r[i][j]
+    return ExactMatrix(reference.matmul(reference.matmul(h, blocks), h))
+
+
+def test_bound_dominates_the_gap_on_close_angles():
+    # eigenvalues 5.5e-13 apart, where float roots of psi lose the gap:
+    # a 200-digit evaluation of the closed form of the partial averages
+    # puts the largest entry gap at 0.25000 for N = 10^8 and at 0.0045312
+    # for N = 10^14, and a bound from float roots read 0.075 and 7.5e-8
+    u = close_angle_walk(10**12, 3 * 10**11)
+    assert cesaro_error_bound(u, 10**8) >= 0.25
+    assert cesaro_error_bound(u, 10**14) >= 4.5e-3
+
+
+def test_bound_at_huge_step_counts():
+    # past the float range of N, and down to the smallest subnormal
+    u = rotation_345()
+    for steps in (10**309, 10**400):
+        bound = cesaro_error_bound(u, steps)
+        square = F(25, 32) / steps**2
+        assert F(bound) ** 2 >= square > F(math.nextafter(bound, 0)) ** 2
+    # sqrt(S) about 10^331 is past the largest float
+    assert cesaro_error_bound(close_angle_walk(10**330, 3 * 10**329), 1000) == math.inf
 
 
 def test_identity_minus_literal_is_psd():
