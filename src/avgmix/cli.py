@@ -7,6 +7,10 @@ approximate), or an aligned text table.  Exit status: 0 on success, 1
 when a requested verification fails, 2 on unusable input, 3 when an
 internal invariant is violated, 141 when the reader of stdout went away
 (as a process killed by SIGPIPE).
+
+The scheme and discrete stacks, which load numpy, are imported by their
+own subcommands, so `compute` and `analyze` run without numpy.  The
+library functions the other subcommands call stay module attributes.
 """
 
 from __future__ import annotations
@@ -28,7 +32,6 @@ from .analysis import (
     pst_necessary,
     verify_closed_form,
 )
-from .discrete import avg_mixing_limits
 from .exact import ExactMatrix, NotAnnihilatingError
 from .graphs import (
     Graph6Error,
@@ -41,12 +44,6 @@ from .graphs import (
 )
 from .mixing import AvgMixReport, average_mixing
 from .numeric import eigenvalue_range
-from .schemes import (
-    cyclotomic_scheme,
-    is_pseudocyclic,
-    koppinen_schur_check,
-    verify_scheme,
-)
 
 PSD_TOLERANCE = 1e-9
 
@@ -102,6 +99,15 @@ def _is_matrix(value) -> bool:
     return isinstance(value, list) and bool(value) and isinstance(value[0], list)
 
 
+def _csv_field(value) -> str:
+    """str(value), quoted as RFC 4180 asks when it holds a comma, a quote
+    or a line break."""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def _csv_lines(key: str, value) -> list[str]:
     """key,value rows: a list of scalars on one row, dicts and lists of
     dicts by dotted keys."""
@@ -109,9 +115,9 @@ def _csv_lines(key: str, value) -> list[str]:
         value = dict(enumerate(value))
     if isinstance(value, dict):
         return [line for k, v in value.items() for line in _csv_lines(f"{key}.{k}", v)]
-    if isinstance(value, list):
-        return [",".join([key, *map(str, value)])]
-    return [f"{key},{value}"]
+    if not isinstance(value, list):
+        value = [value]
+    return [",".join(map(_csv_field, [key, *value]))]
 
 
 def _emit_matrix_csv(cells: list[list[str]]) -> list[str]:
@@ -364,6 +370,8 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def _scheme_payload(matrices: list[ExactMatrix]) -> tuple[dict, bool]:
+    from .schemes import is_pseudocyclic, koppinen_schur_check, verify_scheme
+
     scheme_report = verify_scheme(matrices)
     payload: dict = {"ok": scheme_report.ok}
     if not scheme_report.ok:
@@ -394,6 +402,8 @@ def _scheme_payload(matrices: list[ExactMatrix]) -> tuple[dict, bool]:
 
 
 def _cmd_scheme(args: argparse.Namespace) -> int:
+    from .schemes import cyclotomic_scheme
+
     if (args.q is None) != (args.d is None):
         raise ValueError("--q and --d must be supplied together")
     if (args.q is None) == (args.matrix_file is None):
@@ -412,6 +422,8 @@ def _cmd_scheme(args: argparse.Namespace) -> int:
 
 
 def _cmd_discrete(args: argparse.Namespace) -> int:
+    from .discrete import avg_mixing_limits
+
     u = _read_unitary_file(args.unitary_file)
     literal, physical = avg_mixing_limits(u)
     selected = literal if args.mode == "literal" else physical

@@ -603,8 +603,9 @@ def _resolvent_int(
     """(psi, [B_0..B_{deg-1}]) of Phi(M, y) = psi(y) (yI - M)^-1 =
     sum_j B_j y^j, for an integer matrix M and a monic psi with psi(M) = 0.
 
-    Horner on the matrix: B_{deg-1} = I and B_{j-1} = M B_j + psi_j I.
-    The step past B_0 rebuilds psi(M), which must vanish.
+    Horner on the matrix: B_{deg-1} = I and B_{j-1} = M B_j + psi_j I,
+    so B_{deg-2} = M + psi_{deg-1} I is written down without the product
+    M I.  The step past B_0 rebuilds psi(M), which must vanish.
 
     With psi None the pass is Faddeev-LeVerrier and psi is the char poly
     phi, read off as the pass goes: tr adj(yI - M) = phi' gives
@@ -624,6 +625,18 @@ def _resolvent_int(
     symmetric = list(map(list, zip(*rows))) == rows
     column = [itemgetter(i) for i in range(n)]
 
+    def shift(nxt: list[list[int]], j: int) -> list[list[int]]:
+        """nxt + psi_j I, where nxt = M B_j."""
+        if psi is None:
+            c, leftover = divmod(-sum(nxt[i][i] for i in range(n)), n - j)
+            if leftover:
+                raise ArithmeticError("tr(M B_j) must be divisible by n - j")
+            coeffs[j] = c
+        c = coeffs[j]
+        for i in range(n):
+            nxt[i][i] += c
+        return nxt
+
     def step(current: list[list[int]], j: int) -> list[list[int]]:
         nxt = []
         for i in range(n):
@@ -638,22 +651,15 @@ def _resolvent_int(
                 for k in range(lo, n):
                     acc_row[k] += w * brow[k]
             nxt.append(acc_row)
-        if psi is None:
-            c, leftover = divmod(-sum(nxt[i][i] for i in range(n)), n - j)
-            if leftover:
-                raise ArithmeticError("tr(M B_j) must be divisible by n - j")
-            coeffs[j] = c
-        c = coeffs[j]
-        for i in range(n):
-            nxt[i][i] += c
-        return nxt
+        return shift(nxt, j)
 
-    current = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-    mats = [current]
-    for j in range(deg - 1, 0, -1):
-        current = step(current, j)
+    mats = [[[1 if i == j else 0 for j in range(n)] for i in range(n)]]
+    # M B_{deg-1} = M I = M; with deg 1 this is already psi(M)
+    current = shift([list(row) for row in rows], deg - 1)
+    for j in range(deg - 2, -1, -1):
         mats.append(current)
-    if any(any(row) for row in step(current, 0)):
+        current = step(current, j)
+    if any(any(row) for row in current):
         raise NotAnnihilatingError("psi(M) != 0")
     mats.reverse()
     return coeffs, mats

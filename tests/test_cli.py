@@ -1,5 +1,6 @@
 """End-to-end command-line tests driving main(argv) directly."""
 
+import csv
 import io
 import json
 import os
@@ -254,6 +255,34 @@ def test_csv_prints_lists_and_every_matrix(tmp_path, capsys):
         assert lines[start : start + 3] == [
             ",".join(format(float(F(x)), ".12g") for x in row) for row in payload[key]
         ]
+
+
+def _csv_rows(key, value):
+    """The key,value rows a JSON value should read back as from CSV;
+    matrices are left out."""
+    if isinstance(value, list) and value and isinstance(value[0], dict):
+        value = dict(enumerate(value))
+    if isinstance(value, dict):
+        return [row for k, v in value.items() for row in _csv_rows(f"{key}.{k}", v)]
+    if isinstance(value, list) and value and isinstance(value[0], list):
+        return []
+    return [[key, *map(str, value if isinstance(value, list) else [value])]]
+
+
+def test_csv_fields_round_trip_through_a_csv_reader(tmp_path, capsys):
+    # a field with a comma is quoted, not spilled into extra columns
+    scheme = tmp_path / "not_a_scheme.json"
+    scheme.write_text("[[[1,0,0],[0,1,0],[0,0,1]],[[0,1,0],[1,1,1],[0,1,0]]]")
+    argvs = [*_every_subcommand(tmp_path), ["scheme", "--matrix-file", str(scheme)]]
+    for argv in argvs:
+        code = main(argv)
+        payload = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--format", "csv"]) == code
+        rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+        expected = [row for k, v in payload.items() for row in _csv_rows(k, v)]
+        assert [row for row in expected if row not in rows] == [], argv
+    detail = payload["violations"][1]["detail"]
+    assert "," in detail and ["violations.1.detail", detail] in rows
 
 
 def test_pretty_prints_every_matrix_as_a_table(tmp_path, capsys):
@@ -552,7 +581,7 @@ def test_discrete_builds_one_trace_form(tmp_path, capsys, monkeypatch, fmt):
     code, out, _ = run(capsys, *argv)
     assert code == 0 and len(calls) == 1
     monkeypatch.setattr(
-        avgmix.cli,
+        discrete,
         "avg_mixing_limits",
         lambda u: (discrete.avg_mixing_literal(u), discrete.avg_mixing_physical(u)),
     )

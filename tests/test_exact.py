@@ -589,6 +589,29 @@ class TestResolventCoeffs:
         with pytest.raises(NotAnnihilatingError):
             _resolvent_int([[0, 1], [1, 0]], [-2, 0, 1])
 
+    @pytest.mark.parametrize("loop", [0, 5, -3])
+    def test_degree_one_is_the_check_alone(self, loop):
+        # n = 1 (the empty graph, or one loop): B_0 = I, and M + psi_0 I
+        # is psi(M) itself, on both routes
+        assert _resolvent_int([[loop]]) == ([-loop, 1], [[[1]]])
+        assert _resolvent_int([[loop]], [-loop, 1]) == ([-loop, 1], [[[1]]])
+        with pytest.raises(NotAnnihilatingError):
+            _resolvent_int([[loop]], [1 - loop, 1])
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 12])
+    def test_degree_two_complete_graph(self, n):
+        # K_n: psi = (y - (n - 1))(y + 1), B_1 = I, B_0 = A - (n - 2) I
+        a = [[int(i != j) for j in range(n)] for i in range(n)]
+        psi = [-(n - 1), -(n - 2), 1]
+        eye = [[int(i == j) for j in range(n)] for i in range(n)]
+        b0 = [[a[i][j] - (n - 2) * eye[i][j] for j in range(n)] for i in range(n)]
+        assert _resolvent_int(a, psi) == (psi, [b0, eye])
+        phi, mats = _resolvent_int(a)
+        assert phi == _charpoly_int(a)
+        assert mats == reference.resolvent(a, phi)
+        with pytest.raises(NotAnnihilatingError):
+            _resolvent_int(a, [-n, -(n - 2), 1])
+
     def test_reconstructs_idempotents(self):
         # Phi(M, theta_r) / psi'(theta_r) must match the numeric projector
         rng = random.Random(41)
