@@ -20,12 +20,7 @@ from typing import Hashable, Sequence
 
 from .exact import ExactMatrix, _radical_resolvent, _rows_in_span
 from .graphs import WeightedGraph, basis_rows, cycle_graph, matrix_of, path_graph
-from .mixing import (
-    AvgMixReport,
-    _diagonals,
-    average_mixing,
-    strong_cospectral_kernel,
-)
+from .mixing import AvgMixReport, average_mixing, strong_cospectral_kernel
 
 
 # ---------------------------------------------------------------------------
@@ -129,7 +124,7 @@ def _vertex_classes(
     """Labels, equal for u and v exactly when f_uu == f_vv: the report's
     classes, or without one f_uu itself, from the resolvent alone."""
     if report is None:
-        return _diagonals(_radical_resolvent(basis_rows(g, basis))[4])
+        return _radical_resolvent(basis_rows(g, basis))[4].diagonals()
     if report.n != g.n:
         raise ValueError("report order does not match the graph")
     return report.vertex_classes

@@ -103,16 +103,29 @@ def cesaro_partial(u: ExactMatrix, steps: int) -> np.ndarray:
 
     U^-t is the transpose of U^t, so each term has entries
     (U^t)_{uv} (U^t)_{vu}; the average converges to the literal form.
+
+    The powers go in blocks of b = min(isqrt(N), 64): U^0..U^(b-1) one
+    by one, then the whole stack times U^b per block, one batched
+    product, and each block's terms summed at once.  At most two stacks
+    of b n x n floats are live, so memory stays within 128 n^2 floats
+    for any N.
     """
     _require_orthogonal(u)
     _require_steps(steps)
     n = u.nrows
     array = np.array(u.to_float())
-    power = np.eye(n)
+    block = min(math.isqrt(steps), 64)
+    powers = np.empty((block, n, n))
+    powers[0] = np.eye(n)
+    for t in range(1, block):
+        powers[t] = powers[t - 1] @ array
+    stride = powers[-1] @ array
     total = np.zeros((n, n))
-    for _ in range(steps):
-        total += power * power.T
-        power = power @ array
+    for start in range(0, steps, block):
+        if start:
+            powers = powers @ stride
+        part = powers[: steps - start]
+        total += (part * part.transpose(0, 2, 1)).sum(0)
     return total / steps
 
 

@@ -28,10 +28,12 @@ a pair of entry polynomials.
 All of it runs in integers over one shared denominator.  It starts
 from `exact._radical_resolvent`, which gives the char poly phi, psi,
 D = disc(psi), the B_j and the cofactor t = D w, which has integer
-coefficients.  Euler's partial fractions, sum_r g(theta_r) /
-psi'(theta_r) = [y^(deg-1)] (g mod psi), give D tau_k as the top
-coefficient of y^k t mod psi, so the weights tau_k are integers over a
-divisor of D, and so is every entry.
+coefficients.  Each row of each B_j comes packed into one int
+(`exact._Resolvent`), and each route unpacks only what it reads.
+Euler's partial fractions, sum_r g(theta_r) / psi'(theta_r) =
+[y^(deg-1)] (g mod psi), give D tau_k as the top coefficient of
+y^k t mod psi, so the weights tau_k are integers over a divisor of D,
+and so is every entry.
 
 Every B_j is a polynomial in M, so it lies in the algebra that M
 generates, and f_uv repeats across the vertex pairs that this algebra
@@ -42,13 +44,20 @@ table computes one row a T and one dot per distinct pair (a, b), and
 three pairs cover every limit:
 
 - (f_uv, f_vu) for sum_r E_r o conj(E_r) of a normal M, whose E_r are
-  Hermitian; `_mixing_matrix` reads u <= v and mirrors the result;
+  Hermitian; `_mixing_matrix` reads u <= v and mirrors the result.  A
+  symmetric M has symmetric B_j, so f_vu = f_uv and row u of the B_j
+  alone gives every entry (u, v >= u): each row is unpacked when the
+  loop reaches it and dropped after, and no n^2 table of f_uv is held.
+  A nonsymmetric M (the numerators of a discrete walk) unpacks every
+  row first and reads f_vu;
 - (f_uu, f_vv) in its place when D_char = disc(char poly) != 0, a simple
   spectrum: every E_r has rank one, (E_r)_uv (E_r)_vu = (E_r)_uu
   (E_r)_vv, and Mhat = F T F^T / denom with row u of F the coefficients
-  of f_uu, one row per distinct f_uu and one dot per pair of them;
+  of f_uu, one row per distinct f_uu and one dot per pair of them; the
+  f_uu are read one slot per (j, u), no row is unpacked;
 - (f_uv, f_uv) for the literal limit sum_r E_r o E_r, `_literal`, of
-  the discrete walks in `avgmix.discrete`, which run on the same engine.
+  the discrete walks in `avgmix.discrete`, which run on the same engine;
+  it unpacks each row once.
 
 `_mixing_matrix` alone picks between the first two.  It also labels each
 vertex u by its diagonal polynomial f_uu: psi(M) = 0 gives
@@ -65,10 +74,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import getitem, mul
+from operator import mul
 from typing import NamedTuple
 
-from .exact import ExactMatrix, ExactPolynomial, _radical_resolvent
+from .exact import ExactMatrix, ExactPolynomial, _radical_resolvent, _Resolvent
 
 
 @dataclass(frozen=True)
@@ -116,8 +125,8 @@ class _TraceForm(NamedTuple):
     """The shared integer state of an integer matrix M.
 
     The entry (u, v) of E_r is f_uv(theta_r) w(theta_r) with
-    f_uv = sum_j resolvent[j][u][v] y^j, and for integer polynomials f, g
-    of degree below deg psi,
+    f_uv = sum_j B_j[u][v] y^j, the B_j packed in `resolvent`, and for
+    integer polynomials f, g of degree below deg psi,
 
         sum_r (f g w^2)(theta_r) = _TraceTable(tau)[f, g] / denom.
     """
@@ -126,14 +135,14 @@ class _TraceForm(NamedTuple):
     min_poly: list[int]
     disc_char: int
     disc_min: int
-    resolvent: list[list[list[int]]]
+    resolvent: _Resolvent
     tau: list[int]
     denom: int
 
 
 def _trace_form(rows: list[list[int]]) -> _TraceForm:
     """Char poly, minimal polynomial, resolvent and trace weights of M."""
-    phi, psi, disc_min, t, mats = _radical_resolvent(rows)
+    phi, psi, disc_min, t, res = _radical_resolvent(rows)
     # the radical's t / D = w = 1/psi' in Q[y]/(psi)
     deg = len(psi) - 1
     # psi is the squarefree part of phi, so deg psi < n exactly when phi
@@ -156,7 +165,7 @@ def _trace_form(rows: list[list[int]]) -> _TraceForm:
     if disc_min < 0:
         g = -g
     tau_num = [c // g for c in tau_num]
-    return _TraceForm(phi, psi, disc_char, disc_min, mats, tau_num, denom)
+    return _TraceForm(phi, psi, disc_char, disc_min, res, tau_num, denom)
 
 
 class _TraceTable(dict):
@@ -182,13 +191,6 @@ class _TraceTable(dict):
         return value
 
 
-def _diagonals(res: list[list[list[int]]]) -> list[tuple[int, ...]]:
-    """f_uu = sum_j B_j[u][u] y^j for every vertex u, as coefficient tuples."""
-    n = len(res[0])
-    # the diagonal of B_j is map(getitem, B_j, range(n))
-    return list(zip(*[list(map(getitem, b, range(n))) for b in res]))
-
-
 def _mixing_matrix(form: _TraceForm) -> tuple[ExactMatrix, list[int]]:
     """sum_r E_r o conj(E_r) for a normal M, checked: nonnegative,
     symmetric, rows summing to 1; and the vertex classes, cls[u] ==
@@ -203,7 +205,7 @@ def _mixing_matrix(form: _TraceForm) -> tuple[ExactMatrix, list[int]]:
     """
     res = form.resolvent
     index: dict[tuple[int, ...], int] = {}
-    cls = [index.setdefault(f, len(index)) for f in _diagonals(res)]
+    cls = [index.setdefault(f, len(index)) for f in res.diagonals()]
     table = _TraceTable(form.tau)
     if form.disc_char:
         diags = list(index)
@@ -214,13 +216,18 @@ def _mixing_matrix(form: _TraceForm) -> tuple[ExactMatrix, list[int]]:
                 dots[i][j] = dots[j][i] = sum(map(mul, row, diags[j]))
         nums = [list(map(dots[c].__getitem__, cls)) for c in cls]
     else:
-        n = len(res[0])
-        # row u holds f_uv for every v
-        polys = [list(zip(*[b[u] for b in res])) for u in range(n)]
+        n = res.n
         nums = [[0] * n for _ in range(n)]
-        for u, fu in enumerate(polys):
+        polys = None if res.symmetric else list(map(res.polys, range(n)))
+        for u in range(n):
+            # f_uv and f_vu for every v: a symmetric M has symmetric B_j,
+            # so row u is both, unpacked when the loop reaches it
+            if polys is None:
+                fu = gu = res.polys(u)
+            else:
+                fu, gu = polys[u], [f[u] for f in polys]
             for v in range(u, n):
-                nums[u][v] = nums[v][u] = table[fu[v], polys[v][u]]
+                nums[u][v] = nums[v][u] = table[fu[v], gu[v]]
     _check_mixing_invariants(nums, form.denom)
     return ExactMatrix(nums, form.denom), cls
 
@@ -228,9 +235,9 @@ def _mixing_matrix(form: _TraceForm) -> tuple[ExactMatrix, list[int]]:
 def _literal(form: _TraceForm) -> ExactMatrix:
     """sum_r E_r o E_r: entry (a, b) is the trace form of (f_ab, f_ab)."""
     res = form.resolvent
-    n = len(res[0])
+    n = res.n
     table = _TraceTable(form.tau)
-    nums = [[table[f, f] for f in zip(*[b[a] for b in res])] for a in range(n)]
+    nums = [[table[f, f] for f in res.polys(a)] for a in range(n)]
     if any(nums[a][b] != nums[b][a] for a in range(n) for b in range(a + 1, n)):
         raise AssertionError("the literal average mixing matrix must be symmetric")
     return ExactMatrix(nums, form.denom)

@@ -11,11 +11,16 @@ trace weights (not rows of their Hankel matrix), the conjugate pairing
 by composing with y^-1, simple spectra by closed walks and the power-sum
 Hankel matrix, cospectral vertices by vertex-deleted char polys and
 closed walks, and span membership as a rank comparison of flattened
-matrices (no duplicate equations dropped).
+matrices (no duplicate equations dropped).  The one float routine is the
+Cesaro partial average, summed one power of U after another.
+`unpacked_resolvent` reads an engine resolvent only through its own
+per-row `unpack`, so the B_j can be compared as nested lists.
 """
 
 from fractions import Fraction
 from itertools import product, zip_longest
+
+import numpy as np
 
 
 def trim(p):
@@ -315,3 +320,21 @@ def scheme_verdict(mats):
     if out:
         return out, None
     return out, tuple(sum(m[0]) for m in sorted(mats, key=lambda m: m != ident))
+
+
+def cesaro_partial(rows, steps):
+    """(1/N) sum_(t<N) U^t o U^-t for float rows of an orthogonal U, each
+    power from the one before it."""
+    array = np.array(rows, dtype=float)
+    n = len(rows)
+    power = np.eye(n)
+    total = np.zeros((n, n))
+    for _ in range(steps):
+        total += power * power.T
+        power = power @ array
+    return total / steps
+
+
+def unpacked_resolvent(res):
+    """[B_0..B_{deg-1}] of a packed resolvent, every row unpacked."""
+    return [list(map(res.unpack, b)) for b in res.packed]

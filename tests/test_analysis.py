@@ -277,12 +277,14 @@ def test_resolvent_diagonal_gives_the_vertex_deleted_char_poly(g, basis):
              for i, row in enumerate(g.weights)]
         )
     rows, n = basis_rows(g, basis), g.n
-    phi, psi, _, _, resolvent = _radical_resolvent(rows)
+    phi, psi, _, _, res = _radical_resolvent(rows)
+    resolvent = reference.unpacked_resolvent(res)
     quotient, rest = reference.poly_divmod(phi, psi)
     assert rest == []
     deleted = [reference.deleted_char_poly(rows, u) for u in range(n)]
     for u in range(n):
         f_uu = [b[u][u] for b in resolvent]
+        assert res.diagonals()[u] == tuple(f_uu)
         assert reference.mul(quotient, f_uu) == deleted[u]
     walks = reference.closed_walks(rows, n)
     report = average_mixing(matrix_of(g, basis))

@@ -210,7 +210,10 @@ def signed_cycle(rng: random.Random, n: int) -> ExactMatrix:
 def entry_route(form, literal=False):
     # one whole product per pair, f_ab read straight off the B_j
     return ExactMatrix(
-        reference.entry_numerators(form.resolvent, form.tau, literal), form.denom
+        reference.entry_numerators(
+            reference.unpacked_resolvent(form.resolvent), form.tau, literal
+        ),
+        form.denom,
     )
 
 
@@ -355,6 +358,36 @@ def test_rotation_partial_average_within_bound_of_literal():
     for steps in (100, 1000, 10_000):
         gap = np.max(np.abs(cesaro_partial(u, steps) - exact))
         assert gap <= cesaro_error_bound(u, steps)
+
+
+def mixed_rotations() -> ExactMatrix:
+    """Rotations by 3-4-5 and 5-12-13 and `orthogonal_third` on the
+    diagonal, conjugated by a signed permutation of the 7 vertices."""
+    rotation_5_12_13 = ExactMatrix([[F(5, 13), F(12, 13)], [F(-12, 13), F(5, 13)]])
+    blocks = [rotation_345(), rotation_5_12_13, orthogonal_third()]
+    rows = [[F(0)] * 7 for _ in range(7)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block.to_lists()):
+            rows[at + i][at : at + len(row)] = row
+        at += block.nrows
+    p = signed_permutation(random.Random(97), 7).to_lists()
+    pt = [list(col) for col in zip(*p)]
+    return ExactMatrix(
+        [[sum(p[i][k] * rows[k][l] * pt[l][j] for k in range(7) for l in range(7))
+          for j in range(7)] for i in range(7)]
+    )
+
+
+@pytest.mark.parametrize("steps", [1, 2, 3, 199, 200, 10_000])
+def test_blocked_partial_average_matches_the_sequential_loop(steps):
+    # blocks of isqrt(N) powers, N below, at and off a square
+    rng = random.Random(96)
+    cases = [rotation_345(), orthogonal_third(), signed_permutation(rng, 5)]
+    cases.append(mixed_rotations())
+    for u in cases:
+        want = reference.cesaro_partial(u.to_float(), steps)
+        assert np.max(np.abs(cesaro_partial(u, steps) - want)) <= 1e-12
 
 
 def test_bound_scales_inversely_with_steps():

@@ -29,6 +29,7 @@ from avgmix.exact import (
     _int_resultant,
     _is_prime_62,
     _prime,
+    _Resolvent,
     _resolvent_int,
     _rows_in_span,
     _squarefree_mod,
@@ -571,17 +572,26 @@ class TestModular:
 # ---------------------------------------------------------------------------
 
 
+def unpacked(pass_result):
+    """(psi, [B_0..B_{deg-1}]) of a `_resolvent_int` result, rows unpacked."""
+    psi, res = pass_result
+    return psi, reference.unpacked_resolvent(res)
+
+
 class TestResolventCoeffs:
     def test_swap_matrix(self):
         a = [[0, 1], [1, 0]]
-        assert _resolvent_int(a, [-1, 0, 1]) == ([-1, 0, 1], [a, [[1, 0], [0, 1]]])
+        assert unpacked(_resolvent_int(a, [-1, 0, 1])) == (
+            [-1, 0, 1],
+            [a, [[1, 0], [0, 1]]],
+        )
 
     def test_zero_matrix(self):
-        assert _resolvent_int([[0]], [0, 1]) == ([0, 1], [[[1]]])
+        assert unpacked(_resolvent_int([[0]], [0, 1])) == ([0, 1], [[[1]]])
 
     def test_k3_minimal(self):
         a = [[0, 1, 1], [1, 0, 1], [1, 1, 0]]
-        mats = _resolvent_int(a, [-2, -1, 1])[1]
+        mats = reference.unpacked_resolvent(_resolvent_int(a, [-2, -1, 1])[1])
         assert mats[0] == [[-1, 1, 1], [1, -1, 1], [1, 1, -1]]
         assert mats[1] == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
 
@@ -593,8 +603,8 @@ class TestResolventCoeffs:
     def test_degree_one_is_the_check_alone(self, loop):
         # n = 1 (the empty graph, or one loop): B_0 = I, and M + psi_0 I
         # is psi(M) itself, on both routes
-        assert _resolvent_int([[loop]]) == ([-loop, 1], [[[1]]])
-        assert _resolvent_int([[loop]], [-loop, 1]) == ([-loop, 1], [[[1]]])
+        assert unpacked(_resolvent_int([[loop]])) == ([-loop, 1], [[[1]]])
+        assert unpacked(_resolvent_int([[loop]], [-loop, 1])) == ([-loop, 1], [[[1]]])
         with pytest.raises(NotAnnihilatingError):
             _resolvent_int([[loop]], [1 - loop, 1])
 
@@ -605,8 +615,8 @@ class TestResolventCoeffs:
         psi = [-(n - 1), -(n - 2), 1]
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         b0 = [[a[i][j] - (n - 2) * eye[i][j] for j in range(n)] for i in range(n)]
-        assert _resolvent_int(a, psi) == (psi, [b0, eye])
-        phi, mats = _resolvent_int(a)
+        assert unpacked(_resolvent_int(a, psi)) == (psi, [b0, eye])
+        phi, mats = unpacked(_resolvent_int(a))
         assert phi == _charpoly_int(a)
         assert mats == reference.resolvent(a, phi)
         with pytest.raises(NotAnnihilatingError):
@@ -619,7 +629,7 @@ class TestResolventCoeffs:
             n = rng.randint(2, 6)
             rows = random_symmetric(rng, n)
             psi = _int_radical(_charpoly_int(rows))[0]
-            mats = _resolvent_int(rows, psi)[1]
+            mats = reference.unpacked_resolvent(_resolvent_int(rows, psi)[1])
             deg = len(psi) - 1
             assert mats == reference.resolvent(rows, psi)
             dpsi = [float(k * c) for k, c in enumerate(psi)][1:]
@@ -640,6 +650,150 @@ class TestResolventCoeffs:
                 phi = sum(lam**j * np.array(bj, dtype=float) for j, bj in enumerate(mats))
                 scale = np.polyval(dpsi[::-1], lam)
                 assert np.allclose(phi / scale, proj, atol=1e-8)
+
+
+# ---------------------------------------------------------------------------
+# packed resolvent rows
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def integer_matrices(draw):
+    """Square integer matrices, n = 1..9: symmetric or not, negative
+    weights and loops, mostly sparse."""
+    n = draw(st.integers(1, 9))
+    weight = st.one_of(st.just(0), st.just(0), st.integers(-6, 6))
+    rows = [[draw(weight) for _ in range(n)] for _ in range(n)]
+    if draw(st.booleans()):
+        rows = [[rows[min(i, j)][max(i, j)] for j in range(n)] for i in range(n)]
+    return rows
+
+
+def check_against_reference(rows, psi, res):
+    """Every B_j and every diagonal of a pass against the sums of powers."""
+    mats = reference.resolvent(rows, psi)
+    assert reference.unpacked_resolvent(res) == mats
+    n = len(rows)
+    assert res.diagonals() == [tuple(b[u][u] for b in mats) for u in range(n)]
+    for u in range(n):
+        assert res.polys(u) == [tuple(b[u][v] for b in mats) for v in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(integer_matrices())
+def test_packed_pass_matches_the_sums_of_powers(rows):
+    phi, res = _resolvent_int(rows)
+    assert phi == _charpoly_int(rows)
+    check_against_reference(rows, phi, res)
+    # a symmetric M is diagonalizable, so its squarefree part annihilates
+    # it; any M is annihilated by its char poly
+    symmetric = rows == [list(col) for col in zip(*rows)]
+    psi = _int_radical(phi)[0] if symmetric else phi
+    given_psi, res = _resolvent_int(rows, psi)
+    assert given_psi == psi and res.symmetric == symmetric
+    check_against_reference(rows, psi, res)
+
+
+def near_two_to_the_20(n, offset):
+    """Weights near 2^20 with mixed signs and a loop on every vertex."""
+    w = 2**20 + offset
+    return [
+        [w - 1 - i if i == j else (w - i - j) * (-1) ** (i * j) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+@pytest.mark.parametrize(
+    "rows, slots",
+    [
+        # (Faddeev-LeVerrier slot, slot with psi given)
+        (near_two_to_the_20(3, -(2**19)), (64, 64)),
+        (near_two_to_the_20(3, -(2**18)), (64, 66)),
+        (near_two_to_the_20(3, 0), (65, 67)),
+        # entries of 63 bits
+        (near_two_to_the_20(4, 2**18), (88, 92)),
+    ],
+)
+def test_packed_pass_at_slots_near_64_bits(rows, slots):
+    # a 64-bit slot unpacks by bytes, a wider one by shift and mask
+    phi, res = _resolvent_int(rows)
+    check_against_reference(rows, phi, res)
+    given_phi, given = _resolvent_int(rows, phi)
+    check_against_reference(rows, phi, given)
+    assert (res.slot, given.slot) == slots
+    wrong = phi[:]
+    wrong[0] += 1
+    with pytest.raises(NotAnnihilatingError):
+        _resolvent_int(rows, wrong)
+
+
+@pytest.mark.parametrize("slot", [64, 65, 97])
+def test_packed_rows_unpack_exactly_at_the_slot_edges(slot):
+    n = 4
+    top = 2 ** (slot - 1)
+    rng = random.Random(slot)
+    edges = [top - 1, 1 - top, -top, 0, 1, -1]
+    mat = [
+        [rng.choice(edges) if rng.random() < 0.6 else rng.randint(-top, top - 1)
+         for _ in range(n)]
+        for _ in range(n)
+    ]
+    res = _Resolvent(n, slot, False)
+    res.packed.append([sum(x << (slot * k) for k, x in enumerate(row)) for row in mat])
+    assert reference.unpacked_resolvent(res) == [mat]
+    assert res.diagonal(res.packed[0]) == [mat[i][i] for i in range(n)]
+    assert res.diagonals() == [(mat[u][u],) for u in range(n)]
+    assert res.polys(1) == [(x,) for x in mat[1]]
+
+
+@pytest.mark.parametrize("n", [1, 2, 4])
+@pytest.mark.parametrize("c", [0, 3, -7, 2**40])
+def test_scalar_matrix_has_a_degree_one_psi(n, c):
+    # M = cI: psi = y - c, B_0 = I, and M + psi_0 I is psi(M) itself
+    rows = [[c if i == j else 0 for j in range(n)] for i in range(n)]
+    eye = [[int(i == j) for j in range(n)] for i in range(n)]
+    psi, res = _resolvent_int(rows, [-c, 1])
+    assert (psi, reference.unpacked_resolvent(res)) == ([-c, 1], [eye])
+    assert res.diagonals() == [(1,)] * n
+    with pytest.raises(NotAnnihilatingError):
+        _resolvent_int(rows, [1 - c, 1])
+    # Faddeev-LeVerrier: phi = (y - c)^n
+    phi, res = _resolvent_int(rows)
+    assert phi == [math.comb(n, k) * (-c) ** (n - k) for k in range(n + 1)]
+    check_against_reference(rows, phi, res)
+
+
+@pytest.mark.parametrize("x", [0, -5, 2**70])
+def test_one_by_one_matrix(x):
+    for psi in (None, [-x, 1]):
+        phi, res = _resolvent_int([[x]], psi)
+        assert (phi, res.diagonals()) == ([-x, 1], [(1,)])
+        assert reference.unpacked_resolvent(res) == [[[1]]]
+    wide = _resolvent_int([[x]])[1].slot > 64
+    assert wide == (x == 2**70)
+    with pytest.raises(NotAnnihilatingError):
+        _resolvent_int([[x]], [-x - 1, 1])
+
+
+def test_traced_char_poly_coefficient_past_the_bound_raises():
+    # K4: phi = y^4 - 6 y^2 - 8 y - 3; a bound of 1 still leaves a 64-bit
+    # slot, so the traces read exactly and |phi_2| = 6 trips the check
+    k4 = [[int(i != j) for j in range(4)] for i in range(4)]
+    assert _resolvent_int(k4)[0] == [-3, -8, -6, 0, 1]
+    with pytest.raises(ArithmeticError, match="Hadamard bound"):
+        _resolvent_int(k4, bound=1)
+
+
+@pytest.mark.parametrize("w", [1, 2**40])
+def test_wrong_psi_raises_on_both_slot_paths(w):
+    rows = [[0, w], [w, 0]]
+    psi, res = _resolvent_int(rows, [-(w * w), 0, 1])
+    # the bound chain: 1, rho + |psi_1| = w, rho w + |psi_0| = 2 w^2
+    assert res.slot == (64 if w == 1 else 83)
+    check_against_reference(rows, psi, res)
+    for wrong in ([-(w * w) + 1, 0, 1], [-(w * w), 1, 1], [0, 0, 1]):
+        with pytest.raises(NotAnnihilatingError):
+            _resolvent_int(rows, wrong)
 
 
 class TestComposeMod:

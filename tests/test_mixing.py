@@ -35,7 +35,6 @@ from avgmix.mixing import (
     _TraceTable,
     _certify,
     _check_mixing_invariants,
-    _diagonals,
     _mixing_matrix,
     _trace_form,
     average_mixing,
@@ -122,7 +121,8 @@ def entry_route_matrix(form):
     # one whole product per pair, f_uv read straight off the B_j: the
     # plain reference for both routes of the trace table
     return ExactMatrix(
-        reference.entry_numerators(form.resolvent, form.tau), form.denom
+        reference.entry_numerators(reference.unpacked_resolvent(form.resolvent), form.tau),
+        form.denom,
     )
 
 
@@ -322,8 +322,9 @@ def test_repeated_spectrum_takes_the_entry_route(trace_tables):
     # must read (f_uv, f_vu) instead
     form = _trace_form([[0, 1, 1], [1, 0, 1], [1, 1, 0]])
     assert form.disc_char == 0
-    res = form.resolvent
-    diags = _diagonals(res)
+    res = reference.unpacked_resolvent(form.resolvent)
+    diags = form.resolvent.diagonals()
+    assert diags == [tuple(b[u][u] for b in res) for u in range(3)]
     polys = [[tuple(b[u][v] for b in res) for v in range(3)] for u in range(3)]
     table = _TraceTable(form.tau)
     gram = [[table[f, g] for g in diags] for f in diags]
@@ -663,9 +664,9 @@ def record_routes(monkeypatch):
         calls["charpoly_mod"] += 1
         return charpoly_mod(rows, p)
 
-    def recorded(rows, psi=None):
+    def recorded(rows, psi=None, bound=None):
         calls["psi"].append(psi)
-        return resolvent(rows, psi)
+        return resolvent(rows, psi, bound)
 
     monkeypatch.setattr("avgmix.exact._charpoly_mod", counted)
     monkeypatch.setattr("avgmix.exact._resolvent_int", recorded)
@@ -811,8 +812,10 @@ orthogonal_walk_rows = st.tuples(
 @example(CRT_ROWS, [2])
 def test_resolvent_pass_char_poly_matches_horner_and_determinant(rows, points):
     # Faddeev-LeVerrier on the resolvent pass, on any integer matrix
-    phi, mats = _resolvent_int(rows)
-    assert (phi, mats) == _resolvent_int(rows, _charpoly_int(rows))
+    phi, res = _resolvent_int(rows)
+    mats = reference.unpacked_resolvent(res)
+    given = _resolvent_int(rows, _charpoly_int(rows))
+    assert (phi, mats) == (given[0], reference.unpacked_resolvent(given[1]))
     # independent of Faddeev-LeVerrier (as is `reference.char_poly`):
     # det(xI - M) by rational elimination at a few points
     n = len(rows)
@@ -821,8 +824,8 @@ def test_resolvent_pass_char_poly_matches_horner_and_determinant(rows, points):
             [(x if i == j else 0) - rows[i][j] for j in range(n)] for i in range(n)
         ]
         assert sum(c * x**k for k, c in enumerate(phi)) == reference.determinant(shifted)
-    # symmetric rows take the half step, the walks the full one; both
-    # must give the term-by-term sums of powers of M
+    # symmetric rows and the walks alike must give the term-by-term sums
+    # of powers of M
     assert mats == reference.resolvent(rows, phi)
 
 
