@@ -100,67 +100,8 @@ _HOME = {
         "schemes",
     ),
 }
-_SUBMODULES = (
-    "analysis",
-    "cli",
-    "discrete",
-    "exact",
-    "graphs",
-    "mixing",
-    "numeric",
-    "schemes",
-)
-
-
-__all__ = [
-    "AssociationScheme",
-    "AvgMixReport",
-    "ClosedForm",
-    "ExactMatrix",
-    "ExactPolynomial",
-    "Graph6Error",
-    "IntegralityCertificates",
-    "PstStatus",
-    "PstVerdict",
-    "SchemeReport",
-    "SchemeViolation",
-    "SpanClass",
-    "SpectralDecomposition",
-    "WeightedGraph",
-    "add_loops",
-    "all_strongly_cospectral_check",
-    "are_cospectral",
-    "are_strongly_cospectral",
-    "average_mixing",
-    "average_upto",
-    "avg_mixing_literal",
-    "avg_mixing_physical",
-    "cesaro_error_bound",
-    "cesaro_partial",
-    "circulant_graph",
-    "closed_form_matrix",
-    "complement",
-    "complete_graph",
-    "cycle_graph",
-    "cyclotomic_scheme",
-    "emit_graph6",
-    "family",
-    "ij_span_check",
-    "is_pseudocyclic",
-    "is_walk_regular",
-    "koppinen_schur_check",
-    "matrix_of",
-    "mixing_at",
-    "numeric_avg_mixing",
-    "parse_graph6",
-    "path_graph",
-    "pst_necessary",
-    "spectral_decomposition",
-    "strong_cospectral_kernel",
-    "transition_matrix",
-    "verify_closed_form",
-    "verify_scheme",
-]
+__all__ = sorted(_HOME)
+_SUBMODULES = {*_HOME.values(), "cli"}
 
 
 def __getattr__(name: str):

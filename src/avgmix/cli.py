@@ -174,17 +174,20 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _parse_loops(text: str) -> dict[int, object]:
-    """vertex=weight pairs; each weight is parsed as JSON and left to
-    `add_loops` to check like any other weight."""
+    """vertex=weight pairs, each vertex named once; each weight is parsed
+    as JSON and left to `add_loops` to check like any other weight."""
     out: dict[int, object] = {}
     for chunk in text.split(","):
         vertex, _, weight = chunk.partition("=")
         try:
-            out[int(vertex)] = json.loads(weight)
+            v, w = int(vertex), json.loads(weight)
         except ValueError:
             raise ValueError(
                 f"loop entry {chunk!r} is not of the form vertex=weight"
             ) from None
+        if v in out:
+            raise ValueError(f"loop entry {chunk!r} names vertex {v} twice")
+        out[v] = w
     return out
 
 
@@ -195,33 +198,32 @@ def _require_rows(value, what: str) -> list[list]:
     return value
 
 
-def _read_weights_file(path: str) -> WeightedGraph:
+def _read_rows_file(path: str, what: str, key: str, rows_name: str) -> list[list]:
+    """The rows under key of a JSON object file, whose optional integer
+    'n' must be their count."""
     with open(path) as handle:
         data = json.load(handle)
-    if not isinstance(data, dict) or "weights" not in data:
-        raise ValueError("matrix file must be a JSON object with 'weights'")
-    weights = _require_rows(data["weights"], "matrix file 'weights'")
+    if not isinstance(data, dict) or key not in data:
+        raise ValueError(f"{what} must be a JSON object with '{key}'")
+    rows = _require_rows(data[key], f"{what} '{key}'")
     if "n" in data and type(data["n"]) is not int:
-        raise ValueError("matrix file 'n' must be an integer")
-    if "n" in data and len(weights) != data["n"]:
-        raise ValueError("matrix file 'n' does not match the weight rows")
+        raise ValueError(f"{what} 'n' must be an integer")
+    if "n" in data and len(rows) != data["n"]:
+        raise ValueError(f"{what} 'n' does not match the {rows_name} rows")
+    return rows
+
+
+def _read_weights_file(path: str) -> WeightedGraph:
+    weights = _read_rows_file(path, "matrix file", "weights", "weight")
     return WeightedGraph.from_weights(weights)
 
 
 def _read_unitary_file(path: str) -> ExactMatrix:
-    with open(path) as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict) or "entries" not in data:
-        raise ValueError("unitary file must be a JSON object with 'entries'")
-    entries = _require_rows(data["entries"], "unitary file 'entries'")
+    entries = _read_rows_file(path, "unitary file", "entries", "entry")
     try:
         rows = [[Fraction(str(x)) for x in row] for row in entries]
     except ZeroDivisionError:
         raise ValueError("unitary file has an entry over 0") from None
-    if "n" in data and type(data["n"]) is not int:
-        raise ValueError("unitary file 'n' must be an integer")
-    if "n" in data and len(rows) != data["n"]:
-        raise ValueError("unitary file 'n' does not match the entry rows")
     return ExactMatrix(rows)
 
 
@@ -258,7 +260,7 @@ def _load_graph(args: argparse.Namespace) -> WeightedGraph:
         g = parse_graph6(args.graph6)
     else:
         g = _read_weights_file(args.matrix_file)
-    if args.loops:
+    if args.loops is not None:
         g = add_loops(g, _parse_loops(args.loops))
     return g
 
@@ -332,11 +334,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     if selected == "all":
         form = _known_closed_form(args)
         if form is not None:
-            checks["closed_form"] = verify_closed_form(
-                form,
-                g if form.family == "pseudocyclic" else None,
-                report,
-            )
+            checks["closed_form"] = verify_closed_form(form, report=report)
     passed = all(checks.values())
     payload = {"checks": checks, "passed": passed}
     _emit(payload, args.format)

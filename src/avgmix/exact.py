@@ -10,14 +10,15 @@ numerators over one positive denominator in lowest terms and builds a
 zero polynomial is the empty tuple, of degree -1.
 
 All matrix and polynomial work runs on plain lists of Python ints in the
-`_int_*` kernels.  There is one remainder sequence, the subresultant
-one (coefficients stay at subresultant size): it gives the resultant,
-the cofactor that scales an inverse modulo a polynomial and, when the
-resultant is 0, the gcd.  Next to them are the deterministic
-Miller-Rabin test behind the 62-bit primes (also the primality check of
-`avgmix.schemes`) and `_rows_in_span`, the fraction-free span
-elimination shared by scheme axiom (d) and the span classification of
-`avgmix.analysis`.  No rational routine is left below the boundary.
+`_int_*` kernels.  There is one remainder sequence, the subresultant one
+on a monic psi and its derivative (coefficients stay at subresultant
+size): `_int_disc` reads D = disc(psi) off it, with the cofactor t that
+scales 1/psi' mod psi and, on a repeated root, the gcd of psi and psi'.
+Next to them are the deterministic Miller-Rabin test behind the 62-bit
+primes (also the primality check of `avgmix.schemes`) and
+`_rows_in_span`, the fraction-free span elimination shared by scheme
+axiom (d) and the span classification of `avgmix.analysis`.  No
+rational routine is left below the boundary.
 
 `_radical_resolvent` is the first stage of `avgmix.mixing`: it turns an
 integer matrix M into its spectral integers without representing an
@@ -28,10 +29,11 @@ needs more than the first prime p0 and phi mod p0 is squarefree
 (`_squarefree_mod`), disc(phi) is nonzero mod p0 and hence nonzero, the
 spectrum is simple and psi = phi, so phi is read off the resolvent pass
 that builds the B_j (Faddeev-LeVerrier, every division exact) and the
-other primes are skipped.  One subresultant sequence on (phi, phi')
+other primes are skipped; otherwise the CRT continues from the residue
+mod p0, which decides the route on every input.  One `_int_disc` of phi
 gives `_int_radical` the squarefree part psi, D = disc(psi) and the
 cofactor t = D / psi' mod psi, which has integer coefficients; a second
-sequence, on (psi, psi'), runs only when phi has a repeated root.
+one, of psi, runs only when phi has a repeated root.
 `_resolvent_int` is the Horner pass for the B_j of
 Phi(M, y) = psi(y) (yI - M)^-1 = sum_j B_j y^j, checked by psi(M) = 0.
 It keeps each row of each B_j as one int, the entries in signed slots
@@ -291,78 +293,67 @@ def _int_prem(f: Sequence[int], g: Sequence[int]) -> tuple[list[int], list[int]]
     return _int_trim(q), r
 
 
-def _int_resultant(
-    f: Sequence[int], g: Sequence[int]
-) -> tuple[int, list[int], list[int]]:
-    """Res(f, g), t with t g = Res(f, g) mod f and deg t < deg f, and the
-    gcd of f and g, primitive with a positive leading coefficient.
+def _int_disc(psi: Sequence[int]) -> tuple[int, list[int], list[int]]:
+    """(D, t, g) for a monic integer psi of degree m >= 1: D = disc(psi),
+    t with t psi' = D mod psi and deg t < m, and g the gcd of psi and
+    psi', primitive with a positive leading coefficient.
 
-    The subresultant remainder sequence of the primitive parts carries the
-    cofactor of g: each remainder is u f + v g, and v goes through the
-    same pseudo-division and exact division as the remainder itself.  The
-    cofactors are determinants like the subresultants, so every division
-    is exact, and checked.  When the last remainder is a constant of a
-    degree-dropping (abnormal) step, it and its cofactor are scaled up to
-    the resultant, and the gcd is [1].  A zero remainder means a shared
-    factor: Res = 0, t = [], and the last nonzero remainder (f itself
-    when g = 0) is a multiple of the gcd.
+    D = (-1)^(m(m-1)/2) Res(psi, psi'), read off the subresultant
+    remainder sequence of psi and the primitive part of psi'.  The
+    sequence carries the cofactor of psi': each remainder is u psi +
+    v psi', and v goes through the same pseudo-division and exact
+    division as the remainder itself.  The cofactors are determinants
+    like the subresultants, so every division is exact, and checked.
+    When the last remainder is a constant of a degree-dropping (abnormal)
+    step, it and its cofactor are scaled up to the resultant, and g = [1].
+    A zero remainder means a repeated root: D = 0, t = [], and the last
+    nonzero remainder is a multiple of g.
     """
-    a = _int_trim(list(f))
-    b = _int_trim(list(g))
-    sign = 1
-    swapped = len(a) < len(b)
-    if swapped:
-        if ((len(a) - 1) * (len(b) - 1)) % 2 == 1:
+    m = len(psi) - 1
+    if m == 1:
+        # psi' = 1
+        return 1, [1], [1]
+    a = list(psi)
+    b = _int_derivative(a)
+    content = _int_content(b)
+    b = [c // content for c in b]
+    sign = -1 if m * (m - 1) // 2 % 2 else 1
+    # va, vb: the cofactors of psi' / content in a and b
+    va, vb = [], [1]
+    g_ = 1
+    h = 1
+    while True:
+        da, db = len(a) - 1, len(b) - 1
+        delta = da - db
+        if da % 2 == 1 and db % 2 == 1:
             sign = -sign
-        a, b = b, a
-    if len(b) == 1:
-        # Res = b0^deg a; modulo a constant f nothing is left of t
-        da = len(a) - 1
-        t = [b[0] ** (da - 1)] if da and not swapped else []
-        return sign * b[0] ** da, t, [1]
-    if not b:
-        b = a  # gcd(f, 0) = f
-    else:
-        ca, cb = _int_content(a), _int_content(b)
-        a = [c // ca for c in a]
-        b = [c // cb for c in b]
-        scale = ca ** (len(b) - 1) * cb ** (len(a) - 1)
-        # va, vb: the cofactors of g / content(g) in a and b
-        va, vb = ([1], []) if swapped else ([], [1])
-        scale_t = scale // (ca if swapped else cb)
-        g_ = 1
-        h = 1
-        while True:
-            da, db = len(a) - 1, len(b) - 1
-            delta = da - db
-            if da % 2 == 1 and db % 2 == 1:
-                sign = -sign
-            q, r = _int_prem(a, b)
-            if not r:
-                break
-            # lc(b)^(delta+1) a = q b + r: r has cofactor lc^(delta+1) va - q vb
-            lead = b[-1] ** (delta + 1)
-            vr = [-c for c in _int_mul(q, vb)]
-            vr += [0] * (len(va) - len(vr))
-            for i, c in enumerate(va):
-                vr[i] += lead * c
-            divisor = g_ * h**delta
-            a, b = b, _int_exact_div(r, [divisor])
-            va, vb = vb, _int_exact_div(_int_trim(vr), [divisor])
-            g_ = a[-1]
-            if delta > 0:
-                h = g_**delta // h ** (delta - 1)
-            if len(b) == 1:
-                # b is the subresultant of index deg a - 1; the resultant
-                # is b * (b / h)^(deg a - 1)
-                da = len(a) - 1
-                lift = b[0] ** (da - 1)
-                h_last = h ** (da - 1)
-                res = _int_exact_div([b[0] * lift], [h_last])[0]
-                t = _int_exact_div([lift * c for c in vb], [h_last])
-                return sign * scale * res, [sign * scale_t * c for c in t], [1]
+        q, r = _int_prem(a, b)
+        if not r:
+            break
+        # lc(b)^(delta+1) a = q b + r: r has cofactor lc^(delta+1) va - q vb
+        lead = b[-1] ** (delta + 1)
+        vr = [-c for c in _int_mul(q, vb)]
+        vr += [0] * (len(va) - len(vr))
+        for i, c in enumerate(va):
+            vr[i] += lead * c
+        divisor = g_ * h**delta
+        a, b = b, _int_exact_div(r, [divisor])
+        va, vb = vb, _int_exact_div(_int_trim(vr), [divisor])
+        g_ = a[-1]
+        if delta > 0:
+            h = g_**delta // h ** (delta - 1)
+        if len(b) == 1:
+            # b is the subresultant of index deg a - 1, so Res(psi, psi'
+            # / content) = b (b / h)^(deg a - 1), content^-m Res(psi, psi')
+            da = len(a) - 1
+            lift = b[0] ** (da - 1)
+            h_last = h ** (da - 1)
+            res = _int_exact_div([b[0] * lift], [h_last])[0]
+            t = _int_exact_div([lift * c for c in vb], [h_last])
+            scale = sign * content ** (m - 1)
+            return scale * content * res, [scale * c for c in t], [1]
     unit = _int_content(b)
-    if b and b[-1] < 0:
+    if b[-1] < 0:
         unit = -unit
     return 0, [], [c // unit for c in b]
 
@@ -372,25 +363,19 @@ def _int_radical(phi: Sequence[int]) -> tuple[list[int], int, list[int]]:
     the monic squarefree part of phi, D = disc(psi), and t with
     t psi' = D mod psi, deg t < deg psi, so that t / D = 1/psi' mod psi.
 
-    One subresultant sequence on (phi, phi') gives all three when phi is
-    squarefree.  Otherwise its gcd divides phi exactly (primitive, it
-    divides the monic phi, so the quotient is monic with integer
-    coefficients) and a second sequence runs on (psi, psi').
+    One `_int_disc` of phi gives all three when phi is squarefree.
+    Otherwise its gcd divides phi exactly (primitive, it divides the
+    monic phi, so the quotient is monic with integer coefficients) and a
+    second one runs on psi.
     """
     psi = _int_trim(list(phi))
     if len(psi) < 2 or psi[-1] != 1:
         raise ValueError("expected a monic integer polynomial of degree >= 1")
-    dpsi = _int_derivative(psi)
-    d, t, g = _int_resultant(psi, dpsi)
+    d, t, g = _int_disc(psi)
     if not d:
         psi = _int_exact_div(psi, g)
-        dpsi = _int_derivative(psi)
-        d, t, _ = _int_resultant(psi, dpsi)
-    # disc(psi) = (-1)^(deg (deg - 1) / 2) Res(psi, psi') for a monic psi
-    deg = len(psi) - 1
-    if deg * (deg - 1) // 2 % 2:
-        d, t = -d, [-c for c in t]
-    if _int_prem(_int_mul(t, dpsi), psi)[1] != [d]:
+        d, t, _ = _int_disc(psi)
+    if _int_prem(_int_mul(t, _int_derivative(psi)), psi)[1] != [d]:
         raise AssertionError("t psi' must be disc(psi) modulo psi")
     return psi, d, t
 
@@ -546,33 +531,29 @@ def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def _charpoly_int(
-    rows: list[list[int]], *, bound: int | None = None, first: list[int] | None = None
-) -> list[int]:
-    """det(xI - M) for a square integer matrix, ascending integer coefficients.
+def _charpoly_int(rows: list[list[int]], bound: int, first: list[int]) -> list[int]:
+    """det(xI - M) for a square integer matrix, ascending integer
+    coefficients, from its residues `first` mod p0 = `_prime(0)` and
+    `bound`, the Hadamard bound of `_charpoly_bound` on its coefficients.
 
-    Multimodular: the polynomial is computed mod each of a fixed sequence
-    of 62-bit primes (`_prime`, found by a deterministic Miller-Rabin
-    test) by Hessenberg reduction over GF(p), and the residues are joined
-    by the Chinese remainder theorem into signed coefficients.  Primes are
-    added until their product exceeds twice the Hadamard bound of
-    `_charpoly_bound`, so the signed residues are the coefficients; no
-    prime is chosen at random and none is retried.  The result must come
-    out monic of degree n.  A caller that already holds that bound, or
-    the residue mod `_prime(0)`, passes it in and it is not recomputed.
+    Multimodular: the polynomial is computed mod each further prime of a
+    fixed sequence of 62-bit primes (`_prime`, found by a deterministic
+    Miller-Rabin test) by Hessenberg reduction over GF(p), and Garner's
+    Chinese remainder steps join the residues, starting from `first`,
+    into signed coefficients.  Primes are added until their product
+    exceeds twice the bound, so the signed residues are the coefficients;
+    no prime is chosen at random and none is retried.  The result must
+    come out monic.
     """
-    n = len(rows)
-    bound2 = 2 * (_charpoly_bound(rows) if bound is None else bound)
-    modulus = 1
-    poly = [0] * (n + 1)
-    k = 0
-    while modulus <= bound2:
+    poly = list(first)
+    modulus = _prime(0)
+    k = 1
+    while modulus <= 2 * bound:
         p = _prime(k)
-        residues = first if k == 0 and first is not None else _charpoly_mod(rows, p)
         k += 1
         # Garner step: poly stays the residue mod the product so far
         lift = pow(modulus % p, -1, p)
-        for i, r in enumerate(residues):
+        for i, r in enumerate(_charpoly_mod(rows, p)):
             poly[i] += modulus * ((r - poly[i]) * lift % p)
         modulus *= p
     half = modulus // 2
@@ -693,8 +674,8 @@ def _resolvent_int(
       phi_j = -tr(M B_j) / (n - j).  Entry (u, v) of B_j is a signed
       sum of at most C(n-1, j) minors of order n-1-j of M, so by
       Hadamard |B_j| <= C(n-1, j) beta^(n-1-j) with beta the largest
-      row 2-norm; `_charpoly_bound` (the caller's `bound`, if given)
-      covers that and every |phi_j|, and L is twice it, since
+      row 2-norm; the caller's `bound` from `_charpoly_bound` covers
+      that and every |phi_j|, and L is twice it, since
       M B_j = B_{j-1} - phi_j I.  phi has integer coefficients, so every
       division is exact; a remainder raises, as does a |phi_j| past the
       bound, and the step past B_0 is the Cayley-Hamilton check
@@ -703,8 +684,6 @@ def _resolvent_int(
     n = len(rows)
     if psi is None:
         coeffs = [0] * n + [1]
-        if bound is None:
-            bound = _charpoly_bound(rows)
         limit = 2 * bound
     else:
         coeffs = list(psi)
@@ -765,11 +744,11 @@ def _radical_resolvent(
     the resolvent coefficients of psi, packed as a `_Resolvent`."""
     bound = _charpoly_bound(rows)
     p0 = _prime(0)
+    first = _charpoly_mod(rows, p0)
     # past one prime, a residue mod p0 with no repeated root proves
     # disc(phi) != 0, a simple spectrum: psi = phi, and the resolvent
     # pass reads phi off its traces in place of the other primes
-    first = _charpoly_mod(rows, p0) if 2 * bound >= p0 else None
-    if first is not None and _squarefree_mod(first, p0):
+    if 2 * bound >= p0 and _squarefree_mod(first, p0):
         phi, res = _resolvent_int(rows, bound=bound)
         if any((a - b) % p0 for a, b in zip(phi, first)):
             raise ArithmeticError("phi from the traces differs from phi mod p0")
@@ -777,7 +756,7 @@ def _radical_resolvent(
         if psi != phi:
             raise AssertionError("phi squarefree mod p0 must be squarefree")
     else:
-        phi = _charpoly_int(rows, bound=bound, first=first)
+        phi = _charpoly_int(rows, bound, first)
         psi, disc_min, t = _int_radical(phi)
         res = _resolvent_int(rows, psi)[1]
     return phi, psi, disc_min, t, res

@@ -235,11 +235,9 @@ def _mixing_matrix(form: _TraceForm) -> tuple[ExactMatrix, list[int]]:
 def _literal(form: _TraceForm) -> ExactMatrix:
     """sum_r E_r o E_r: entry (a, b) is the trace form of (f_ab, f_ab)."""
     res = form.resolvent
-    n = res.n
     table = _TraceTable(form.tau)
-    nums = [[table[f, f] for f in res.polys(a)] for a in range(n)]
-    if any(nums[a][b] != nums[b][a] for a in range(n) for b in range(a + 1, n)):
-        raise AssertionError("the literal average mixing matrix must be symmetric")
+    nums = [[table[f, f] for f in res.polys(a)] for a in range(res.n)]
+    _require_symmetric(nums, "the literal average mixing matrix must be symmetric")
     return ExactMatrix(nums, form.denom)
 
 
@@ -277,9 +275,13 @@ def _check_mixing_invariants(nums: list[list[int]], denom: int) -> None:
             raise AssertionError("average mixing entry below zero")
     if any(sum(row) != denom for row in nums):
         raise AssertionError("average mixing row sum differs from 1")
-    n = len(nums)
-    if any(nums[u][v] != nums[v][u] for u in range(n) for v in range(u + 1, n)):
-        raise AssertionError("average mixing matrix is not symmetric")
+    _require_symmetric(nums, "average mixing matrix is not symmetric")
+
+
+def _require_symmetric(nums: list[list[int]], message: str) -> None:
+    # the transpose comparison of `ExactMatrix.is_symmetric`, on lists
+    if list(map(list, zip(*nums))) != nums:
+        raise AssertionError(message)
 
 
 def _certify(

@@ -733,6 +733,9 @@ def test_broken_pipe_exits_quietly_with_sigpipe_status(tmp_path, capsys, monkeyp
         ("0=true", "weight at (0, 0) is not an integer: True"),
         ("0=x", "loop entry '0=x'"),
         ("x=2", "loop entry 'x=2'"),
+        # a vertex named twice is ambiguous, and an empty list is no list
+        ("0=2,0=3", "loop entry '0=3' names vertex 0 twice"),
+        ("", "loop entry ''"),
     ],
 )
 def test_loop_weights_follow_the_library_rules(capsys, loops, message):

@@ -92,6 +92,7 @@ STAGE_INTERNALS = {
         "_charpoly_int",
         "_squarefree_mod",
         "_prime",
+        "_int_disc",
         "_int_radical",
         "_resolvent_int",
     },

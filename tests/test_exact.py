@@ -18,17 +18,20 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
+from avgmix import exact
 from avgmix.exact import (
     ExactMatrix,
     ExactPolynomial,
     NotAnnihilatingError,
     _charpoly_bound,
     _charpoly_int,
+    _charpoly_mod,
+    _int_disc,
     _int_exact_div,
     _int_radical,
-    _int_resultant,
     _is_prime_62,
     _prime,
+    _radical_resolvent,
     _Resolvent,
     _resolvent_int,
     _rows_in_span,
@@ -190,24 +193,29 @@ class TestExactPolynomial:
 # ---------------------------------------------------------------------------
 
 
+def crt_char_poly(rows):
+    """`_charpoly_int` on its own: the CRT from the residues mod p0."""
+    return _charpoly_int(rows, _charpoly_bound(rows), _charpoly_mod(rows, _prime(0)))
+
+
 class TestCharPoly:
     def test_p2(self):
-        assert _charpoly_int([[0, 1], [1, 0]]) == [-1, 0, 1]
+        assert crt_char_poly([[0, 1], [1, 0]]) == [-1, 0, 1]
 
     def test_k3(self):
         # roots 2, -1, -1
-        assert _charpoly_int([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == [-2, -3, 0, 1]
+        assert crt_char_poly([[0, 1, 1], [1, 0, 1], [1, 1, 0]]) == [-2, -3, 0, 1]
 
     def test_one_by_one(self):
-        assert _charpoly_int([[0]]) == [0, 1]
-        assert _charpoly_int([[5]]) == [-5, 1]
+        assert crt_char_poly([[0]]) == [0, 1]
+        assert crt_char_poly([[5]]) == [-5, 1]
 
     def test_cayley_hamilton_random(self):
         rng = random.Random(11)
         for _ in range(15):
             n = rng.randint(1, 8)
             rows = random_symmetric(rng, n)
-            p = _charpoly_int(rows)
+            p = crt_char_poly(rows)
             assert len(p) == n + 1 and p[-1] == 1
             at_m = reference.combine(p, reference.powers(rows, n + 1))
             assert not any(map(any, at_m))
@@ -217,13 +225,13 @@ class TestCharPoly:
         for _ in range(10):
             n = rng.randint(2, 7)
             rows = random_symmetric(rng, n)
-            p = _charpoly_int(rows)
+            p = crt_char_poly(rows)
             eigs = np.linalg.eigvalsh(np.array(rows, dtype=float))
             approx = np.poly(eigs)  # descending coefficients
             assert np.allclose(p[::-1], approx, atol=1e-6)
 
     def test_asymmetric_supported(self):
-        assert _charpoly_int([[0, 1], [0, 0]]) == [0, 0, 1]
+        assert crt_char_poly([[0, 1], [0, 0]]) == [0, 0, 1]
 
 
 square_integer_rows = st.integers(1, 7).flatmap(
@@ -240,7 +248,7 @@ square_integer_rows = st.integers(1, 7).flatmap(
 def test_charpoly_int_matches_determinant(rows, points):
     # no symmetry assumed; Faddeev-LeVerrier gives the coefficients and
     # det(xI - M) by rational elimination the values
-    coeffs = _charpoly_int(rows)
+    coeffs = crt_char_poly(rows)
     n = len(rows)
     assert len(coeffs) == n + 1 and coeffs[-1] == 1
     assert coeffs == reference.char_poly(rows)
@@ -267,7 +275,7 @@ def test_charpoly_int_matches_faddeev_leverrier_with_huge_entries():
         for size in (1, 9, 10**6, 10**30):
             for _ in range(2):
                 rows = random_integer_rows(rng, n, size)
-                assert _charpoly_int(rows) == reference.char_poly(rows)
+                assert crt_char_poly(rows) == reference.char_poly(rows)
     huge = random_integer_rows(random.Random(1), 9, 10**30)
     assert _charpoly_bound(huge).bit_length() > 10 * 62
 
@@ -286,7 +294,7 @@ def test_charpoly_bound_dominates_the_coefficients():
 
 
 def test_charpoly_of_empty_matrix_is_one():
-    assert _charpoly_int([]) == [1]
+    assert crt_char_poly([]) == [1]
 
 
 def test_prime_sequence_is_fixed_and_prime():
@@ -348,28 +356,50 @@ def primitive_gcd(f, g):
     return [c // math.gcd(*ints) for c in ints]
 
 
-def resultant_and_cofactor(f, g):
-    """_int_resultant(f, g), checked: Res against the Sylvester determinant,
-    t g = Res modulo f with deg t < deg f, t / Res = 1/g mod f, and the gcd
-    against `primitive_gcd`; returns (Res, t)."""
-    res, t, gcd = _int_resultant(f, g)
-    assert gcd == primitive_gcd(f, g)
-    assert res == (sylvester_resultant(f, g) if g else 0)
-    assert len(t) < len(f)
-    gap = reference.add(reference.mul(t, g), [-res])
-    assert reference.poly_divmod(gap, f)[1] == []
-    if res == 0:
+def sylvester_disc(p):
+    """disc(p) = (-1)^(m(m-1)/2) Res(p, p') for a monic p of degree m,
+    Res by the Sylvester determinant."""
+    m = len(p) - 1
+    res = sylvester_resultant(p, [int(c) for c in reference.derivative(p)])
+    return -res if m * (m - 1) // 2 % 2 else res
+
+
+def disc_and_cofactor(psi):
+    """_int_disc(psi), checked: D against the Sylvester determinant,
+    t psi' = D modulo psi with deg t < deg psi, t / D = 1/psi' mod psi,
+    and the gcd of psi and psi' against `primitive_gcd`; returns (D, t)."""
+    d, t, gcd = _int_disc(psi)
+    dpsi = reference.derivative(psi)
+    assert d == sylvester_disc(psi)
+    assert gcd == primitive_gcd(psi, dpsi)
+    assert len(t) < len(psi)
+    gap = reference.add(reference.mul(t, dpsi), [-d])
+    assert reference.poly_divmod(gap, psi)[1] == []
+    if d == 0:
         assert t == []
-    elif len(f) > 1:
-        assert [F(c, res) for c in t] == reference.inverse_mod(g, f)
-    return res, t
+    else:
+        assert [F(c, d) for c in t] == reference.inverse_mod(dpsi, psi)
+    return d, t
+
+
+def remainder_degrees(psi):
+    """(deg b, deg r) of each pseudo-division b | a -> r in `_int_disc(psi)`."""
+    steps = []
+    prem = exact._int_prem
+
+    def recorded(f, g):
+        q, r = prem(f, g)
+        steps.append((len(g) - 1, len(r) - 1))
+        return q, r
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact, "_int_prem", recorded)
+        _int_disc(psi)
+    return steps
 
 
 def disc(p):
-    """disc(p) = (-1)^(m(m-1)/2) Res(p, p') for a monic p of degree m."""
-    m = len(p) - 1
-    res = _int_resultant(p, [k * c for k, c in enumerate(p)][1:])[0]
-    return -res if m * (m - 1) // 2 % 2 else res
+    return _int_disc(p)[0]
 
 
 class TestSquarefreeAndDiscriminant:
@@ -426,21 +456,50 @@ class TestSquarefreeAndDiscriminant:
 
     def test_resultant_matches_sylvester(self):
         rng = random.Random(23)
-        for _ in range(30):
-            dp = rng.randint(1, 5)
-            dq = rng.randint(1, 5)
-            p = [rng.randint(-4, 4) for _ in range(dp)] + [rng.randint(1, 4)]
-            q = [rng.randint(-4, 4) for _ in range(dq)] + [rng.randint(1, 4)]
-            resultant_and_cofactor(p, q)
+        for _ in range(60):
+            disc_and_cofactor(random_monic(rng, rng.randint(1, 7)))
         # sparse coefficients: remainders that drop more than one degree,
         # in the middle of the sequence and at its last step
+        middle = last = 0
         for _ in range(250):
-            p, q = (
-                [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(rng.randint(0, 8))]
-                + [rng.randint(1, 3)]
-                for _ in range(2)
-            )
-            resultant_and_cofactor(p, q)
+            psi = [rng.choice((0, 0, 0, 1, -1, 2)) for _ in range(rng.randint(1, 9))]
+            disc_and_cofactor(psi + [1])
+            drops = [b - r > 1 for b, r in remainder_degrees(psi + [1]) if r >= 0]
+            middle += any(drops[:-1])
+            last += drops[-1:] == [True]
+        assert middle and last
+
+
+@st.composite
+def planted_repeated_roots(draw):
+    """Monic phi = f_1^(e_1 + 1) f_2^e_2 ..., the f_i monic of degree 1-3
+    and not always coprime, so f_1 at least is a repeated factor."""
+    factors = draw(
+        st.lists(
+            st.tuples(
+                st.lists(st.integers(-4, 4), min_size=1, max_size=3),
+                st.integers(1, 2),
+            ),
+            min_size=1,
+            max_size=3,
+        )
+    )
+    phi = [int(c) for c in factors[0][0]] + [1]
+    for low, e in factors:
+        for _ in range(e):
+            phi = [int(c) for c in reference.mul(phi, low + [1])]
+    return phi
+
+
+@settings(max_examples=80, deadline=None)
+@given(planted_repeated_roots())
+@example([0, 0, 1])
+def test_radical_of_planted_repeated_roots(phi):
+    psi, d, t = _int_radical(phi)
+    assert psi == reference.squarefree(phi) and len(psi) < len(phi)
+    assert d == sylvester_disc(psi) != 0
+    gap = reference.add(reference.mul(t, reference.derivative(psi)), [-d])
+    assert len(t) < len(psi) and reference.poly_divmod(gap, psi)[1] == []
 
 
 # ---------------------------------------------------------------------------
@@ -450,90 +509,86 @@ class TestSquarefreeAndDiscriminant:
 
 class TestModular:
     def test_inverse_mod_example(self):
-        # Res(y^2 - 2, y) = -2 and -y * y = -2 mod y^2 - 2: 1/y is y/2
-        assert resultant_and_cofactor([-2, 0, 1], [0, 1]) == (-2, [0, -1])
+        # psi = y^2 - 2, psi' = 2y: 2y * 2y = 8 mod psi, so 1/psi' is y/4
+        assert disc_and_cofactor([-2, 0, 1]) == (8, [0, 2])
         assert reference.inverse_mod([0, 1], [-2, 0, 1]) == [0, F(1, 2)]
 
     def test_inverse_of_one(self):
-        assert resultant_and_cofactor([-2, 0, 1], [1]) == (1, [1])
-        # a constant g: Res = g^deg f and t = g^(deg f - 1)
-        assert resultant_and_cofactor([1, 0, 0, 1], [3]) == (27, [9])
+        # deg psi = 1: psi' = 1, D = 1 and t = 1, before any pseudo-division
+        for psi in ([5, 1], [0, 1], [-(2**70), 1]):
+            assert _int_disc(psi) == (1, [1], [1])
+            assert remainder_degrees(psi) == []
+            disc_and_cofactor(psi)
 
     def test_non_invertible(self):
-        # a shared factor, or g = 0: Res = 0, no cofactor, and the gcd
-        assert resultant_and_cofactor([0, 0, 1], [0, 1]) == (0, [])
-        assert resultant_and_cofactor([-2, 0, 1], []) == (0, [])
-        assert resultant_and_cofactor([2, -3, 1], [-4, 2]) == (0, [])
-        # -2 (x - 2) and -3 (x - 1)(x - 2): content and sign divided out
-        assert _int_resultant([4, -2], [-6, 9, -3]) == (0, [], [-2, 1])
+        # a repeated root: D = 0, no cofactor, and the gcd of psi and psi'
+        assert _int_disc([0, 0, 1]) == (0, [], [0, 1])
+        assert _int_disc([0, 0, 0, 1]) == (0, [], [0, 0, 1])
+        assert _int_disc([1, -2, 1]) == (0, [], [-1, 1])
+        # (y - 2)^2 (y + 1), after one normal step
+        assert _int_disc([4, 0, -3, 1]) == (0, [], [-2, 1])
+        for psi in ([0, 0, 1], [0, 0, 0, 1], [1, -2, 1], [4, 0, -3, 1]):
+            assert disc_and_cofactor(psi) == (0, [])
         with pytest.raises(ZeroDivisionError):
             reference.inverse_mod([0, 1], [0, 0, 1])
 
     def test_gcd_of_planted_factor(self):
-        # f = c a h and g = c' b h with a shared factor h of positive
-        # degree, leading coefficients of either sign and contents c, c'
+        # psi = a h^2 with a repeated factor h of positive degree: the gcd
+        # is a multiple of h, primitive with a positive leading coefficient
         rng = random.Random(43)
         for _ in range(60):
-            h, a, b = (
-                [rng.randint(-4, 4) for _ in range(deg)]
-                + [rng.choice((-3, -2, -1, 1, 2, 3))]
-                for deg in (rng.randint(1, 3), rng.randint(0, 4), rng.randint(0, 4))
+            h, a = (
+                random_monic(rng, deg) for deg in (rng.randint(1, 3), rng.randint(0, 3))
             )
-            cf, cg = rng.choice((1, -2, 6)), rng.choice((1, 3, -4))
-            f = [cf * int(c) for c in reference.mul(a, h)]
-            g = [cg * int(c) for c in reference.mul(b, h)]
-            res, t, gcd = _int_resultant(f, g)
-            assert (res, t) == (0, [])
-            assert gcd == primitive_gcd(f, g) and gcd[-1] > 0
-            assert len(gcd) >= len(h)
+            psi = [int(c) for c in reference.mul(a, reference.mul(h, h))]
+            d, t, gcd = _int_disc(psi)
+            assert (d, t) == (0, [])
+            assert gcd == primitive_gcd(psi, reference.derivative(psi)) and gcd[-1] > 0
+            assert reference.poly_divmod(gcd, h)[1] == []
 
     def test_inverse_random(self):
-        # t g = Res mod f for monic f, deg t < deg f; Res = 0 iff a shared factor
+        # t psi' = D mod psi for monic psi, deg t < deg psi; D = 0 iff a
+        # repeated root
         rng = random.Random(29)
-        for _ in range(20):
-            deg = rng.randint(1, 7)
-            psi = random_monic(rng, deg, -5, 5)
-            a = reference.trim([rng.randint(-5, 5) for _ in range(deg)])
-            a = [int(c) for c in a]
-            if not a:
-                continue
-            res, _ = resultant_and_cofactor(psi, a)
-            assert (res == 0) == (len(reference.gcd(a, psi)) > 1)
+        for _ in range(40):
+            psi = random_monic(rng, rng.randint(1, 7), -5, 5)
+            d, _ = disc_and_cofactor(psi)
+            assert (d == 0) == (len(reference.gcd(psi, reference.derivative(psi))) > 1)
 
     def test_scaled_inverse_matches_inverse_mod(self):
-        # non-monic f and g, in either order of degree
+        # psi' with content c = m > 1: the sequence runs on psi' / c, and
+        # D and t are scaled back by c^m and c^(m-1)
         rng = random.Random(31)
         for _ in range(40):
-            f, g = (
-                [rng.randint(-5, 5) for _ in range(rng.randint(0, 6))]
-                + [rng.choice((-3, -1, 1, 2, 4))]
-                for _ in range(2)
-            )
-            res, _ = resultant_and_cofactor(f, g)
-            assert (res == 0) == (len(reference.gcd(f, g)) > 1)
+            m = rng.choice((2, 3, 4, 6))
+            psi = [m * rng.randint(-3, 3) for _ in range(m)] + [1]
+            disc_and_cofactor(psi)
 
     def test_cofactor_on_abnormal_sequences(self):
         # remainders that drop several degrees at once: y^4 + 1 = 1 mod
-        # y^3 in one step, and y^4 = -1 gives -y * y^3 = 1
-        assert resultant_and_cofactor([1, 0, 0, 0, 1], [0, 0, 0, 1]) == (1, [0, -1])
-        resultant_and_cofactor([1, 1, 0, 0, 0, 0, 1], [1, 0, 0, 0, 1])
-        resultant_and_cofactor([0, 0, 0, 0, 0, 1, 0, 0, 1], [1, 0, 0, 1])
+        # y^3 in one step, at the end; y^4 = -1 gives -64y * 4y^3 = 256
+        assert disc_and_cofactor([1, 0, 0, 0, 1]) == (256, [0, -64])
+        assert remainder_degrees([1, 0, 0, 0, 1]) == [(3, 0)]
+        # 6 (y^6 + y + 1) - y psi' = 5y + 6: a drop from 5 to 1 first;
+        # disc(y^n + ay + b) = +-(n^n b^(n-1) - (n-1)^(n-1) a^n) for even n
+        assert disc_and_cofactor([1, 1, 0, 0, 0, 0, 1])[0] == -(6**6 - 5**5)
+        assert remainder_degrees([1, 1, 0, 0, 0, 0, 1]) == [(5, 1), (1, 0)]
+        # 8 (y^8 + y^5 + 1) - y psi' = 3y^5 + 8: a drop of two, then more steps
+        disc_and_cofactor([1, 0, 0, 0, 0, 1, 0, 0, 1])
+        assert remainder_degrees([1, 0, 0, 0, 0, 1, 0, 0, 1])[0] == (7, 5)
 
     def test_cofactor_with_content(self):
-        # psi = y^2 - 2, psi' = 2y: Res = 2^2 Res(psi, y) = -8 = -disc(psi)
-        assert resultant_and_cofactor([-2, 0, 1], [0, 2]) == (-8, [0, -2])
-        # lc(f) times 6y at the roots +-sqrt(2): 2 (6 sqrt 2)(-6 sqrt 2)
-        assert resultant_and_cofactor([-4, 0, 2], [0, 6])[0] == -144
-        resultant_and_cofactor([6, 0, 0, 3], [4, 0, 2])
-        resultant_and_cofactor([4, 0, 2], [6, 0, 0, 3])
+        # psi' = 2y + 4: D = 4^2 - 4 * 2 = 8
+        assert disc_and_cofactor([2, 4, 1]) == (8, [4, 2])
+        # psi' = 3y^2 - 3: D = -4 p^3 - 27 q^2 = 108 - 27 for y^3 + py + q
+        assert disc_and_cofactor([1, -3, 0, 1]) == (81, [-36, 9, 18])
+        disc_and_cofactor([2, 0, 0, 0, 4, 0, 1])
 
     def test_cofactor_of_degree_one(self):
-        assert resultant_and_cofactor([5, 1], [1]) == (1, [1])
-        assert resultant_and_cofactor([5, 1], [7]) == (7, [1])
-        # Res(2y + 5, y + 3) = 2 (-5/2 + 3) = 1, and 2 (y + 3) = 1 mod 2y + 5
-        assert resultant_and_cofactor([5, 2], [3, 1]) == (1, [2])
-        # a constant f leaves no cofactor
-        assert resultant_and_cofactor([3], [1, 0, 1]) == (9, [])
+        # the early return gives what the sequence would: t psi' = 1 = D
+        assert _int_radical([7, 1]) == ([7, 1], 1, [1])
+        assert _int_radical([0, 0, 1]) == ([0, 1], 1, [1])
+        assert _int_radical([9, -6, 1]) == ([-3, 1], 1, [1])
 
     def test_exact_division_is_checked(self):
         assert _int_exact_div([6, -4, 2], [2]) == [3, -2, 1]
@@ -572,6 +627,11 @@ class TestModular:
 # ---------------------------------------------------------------------------
 
 
+def traced_pass(rows):
+    """The Faddeev-LeVerrier pass (no psi given) under the Hadamard bound."""
+    return _resolvent_int(rows, bound=_charpoly_bound(rows))
+
+
 def unpacked(pass_result):
     """(psi, [B_0..B_{deg-1}]) of a `_resolvent_int` result, rows unpacked."""
     psi, res = pass_result
@@ -603,7 +663,7 @@ class TestResolventCoeffs:
     def test_degree_one_is_the_check_alone(self, loop):
         # n = 1 (the empty graph, or one loop): B_0 = I, and M + psi_0 I
         # is psi(M) itself, on both routes
-        assert unpacked(_resolvent_int([[loop]])) == ([-loop, 1], [[[1]]])
+        assert unpacked(traced_pass([[loop]])) == ([-loop, 1], [[[1]]])
         assert unpacked(_resolvent_int([[loop]], [-loop, 1])) == ([-loop, 1], [[[1]]])
         with pytest.raises(NotAnnihilatingError):
             _resolvent_int([[loop]], [1 - loop, 1])
@@ -616,8 +676,8 @@ class TestResolventCoeffs:
         eye = [[int(i == j) for j in range(n)] for i in range(n)]
         b0 = [[a[i][j] - (n - 2) * eye[i][j] for j in range(n)] for i in range(n)]
         assert unpacked(_resolvent_int(a, psi)) == (psi, [b0, eye])
-        phi, mats = unpacked(_resolvent_int(a))
-        assert phi == _charpoly_int(a)
+        phi, mats = unpacked(traced_pass(a))
+        assert phi == reference.char_poly(a)
         assert mats == reference.resolvent(a, phi)
         with pytest.raises(NotAnnihilatingError):
             _resolvent_int(a, [-n, -(n - 2), 1])
@@ -628,7 +688,7 @@ class TestResolventCoeffs:
         for _ in range(10):
             n = rng.randint(2, 6)
             rows = random_symmetric(rng, n)
-            psi = _int_radical(_charpoly_int(rows))[0]
+            psi = _radical_resolvent(rows)[1]
             mats = reference.unpacked_resolvent(_resolvent_int(rows, psi)[1])
             deg = len(psi) - 1
             assert mats == reference.resolvent(rows, psi)
@@ -682,8 +742,8 @@ def check_against_reference(rows, psi, res):
 @settings(max_examples=60, deadline=None)
 @given(integer_matrices())
 def test_packed_pass_matches_the_sums_of_powers(rows):
-    phi, res = _resolvent_int(rows)
-    assert phi == _charpoly_int(rows)
+    phi, res = traced_pass(rows)
+    assert phi == reference.char_poly(rows)
     check_against_reference(rows, phi, res)
     # a symmetric M is diagonalizable, so its squarefree part annihilates
     # it; any M is annihilated by its char poly
@@ -716,7 +776,7 @@ def near_two_to_the_20(n, offset):
 )
 def test_packed_pass_at_slots_near_64_bits(rows, slots):
     # a 64-bit slot unpacks by bytes, a wider one by shift and mask
-    phi, res = _resolvent_int(rows)
+    phi, res = traced_pass(rows)
     check_against_reference(rows, phi, res)
     given_phi, given = _resolvent_int(rows, phi)
     check_against_reference(rows, phi, given)
@@ -758,7 +818,7 @@ def test_scalar_matrix_has_a_degree_one_psi(n, c):
     with pytest.raises(NotAnnihilatingError):
         _resolvent_int(rows, [1 - c, 1])
     # Faddeev-LeVerrier: phi = (y - c)^n
-    phi, res = _resolvent_int(rows)
+    phi, res = traced_pass(rows)
     assert phi == [math.comb(n, k) * (-c) ** (n - k) for k in range(n + 1)]
     check_against_reference(rows, phi, res)
 
@@ -766,10 +826,10 @@ def test_scalar_matrix_has_a_degree_one_psi(n, c):
 @pytest.mark.parametrize("x", [0, -5, 2**70])
 def test_one_by_one_matrix(x):
     for psi in (None, [-x, 1]):
-        phi, res = _resolvent_int([[x]], psi)
+        phi, res = _resolvent_int([[x]], psi, _charpoly_bound([[x]]))
         assert (phi, res.diagonals()) == ([-x, 1], [(1,)])
         assert reference.unpacked_resolvent(res) == [[[1]]]
-    wide = _resolvent_int([[x]])[1].slot > 64
+    wide = traced_pass([[x]])[1].slot > 64
     assert wide == (x == 2**70)
     with pytest.raises(NotAnnihilatingError):
         _resolvent_int([[x]], [-x - 1, 1])
@@ -779,7 +839,7 @@ def test_traced_char_poly_coefficient_past_the_bound_raises():
     # K4: phi = y^4 - 6 y^2 - 8 y - 3; a bound of 1 still leaves a 64-bit
     # slot, so the traces read exactly and |phi_2| = 6 trips the check
     k4 = [[int(i != j) for j in range(4)] for i in range(4)]
-    assert _resolvent_int(k4)[0] == [-3, -8, -6, 0, 1]
+    assert traced_pass(k4)[0] == [-3, -8, -6, 0, 1]
     with pytest.raises(ArithmeticError, match="Hadamard bound"):
         _resolvent_int(k4, bound=1)
 

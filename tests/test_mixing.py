@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import reference
 from avgmix import exact
-from avgmix.exact import ExactMatrix, ExactPolynomial, _charpoly_int, _resolvent_int
+from avgmix.exact import ExactMatrix, ExactPolynomial, _resolvent_int
 from avgmix.graphs import (
     WeightedGraph,
     add_loops,
@@ -161,14 +161,14 @@ def test_trace_table_is_the_symmetric_hankel_form(case):
 
 def test_simple_spectrum_runs_one_remainder_sequence(monkeypatch):
     # psi = phi, so average_mixing pseudo-divides as often as one
-    # subresultant sequence on (phi, phi'), plus once for the check
+    # `_int_disc` of phi, plus once for the check
     # t psi' = D mod psi
     m = matrix_of(looped_p6(), "adjacency")
-    phi = _charpoly_int([list(row) for row in m.numerators])
+    phi = exact._radical_resolvent([list(row) for row in m.numerators])[0]
     calls = []
     prem = exact._int_prem
     monkeypatch.setattr(exact, "_int_prem", lambda f, g: calls.append(1) or prem(f, g))
-    exact._int_resultant(phi, [k * c for k, c in enumerate(phi)][1:])
+    exact._int_disc(phi)
     lone = len(calls)
     calls.clear()
     assert average_mixing(m).simple_spectrum and lone > 1
@@ -645,6 +645,12 @@ def char_poly_route(rows):
     return "crt"
 
 
+def crt_char_poly(rows):
+    """det(xI - M) by the CRT alone, from the residues mod p0."""
+    first = exact._charpoly_mod(rows, P0)
+    return exact._charpoly_int(rows, exact._charpoly_bound(rows), first)
+
+
 def crt_prime_count(rows):
     bound2 = 2 * exact._charpoly_bound(rows)
     modulus, k = 1, 0
@@ -691,7 +697,7 @@ def test_multi_prime_simple_spectrum_reads_phi_off_the_resolvent(monkeypatch):
     # and keeps the rational Hankel reference to about a second
     rows = dense_weighted_rows(3, 14, 100, 3)
     assert crt_prime_count(rows) > 1 and char_poly_route(rows) == "resolvent"
-    phi = _charpoly_int(rows)
+    phi = crt_char_poly(rows)
     calls = record_routes(monkeypatch)
     r = average_mixing(ExactMatrix(rows))
     assert calls["charpoly_mod"] == 1 and calls["psi"] == [None]
@@ -812,9 +818,9 @@ orthogonal_walk_rows = st.tuples(
 @example(CRT_ROWS, [2])
 def test_resolvent_pass_char_poly_matches_horner_and_determinant(rows, points):
     # Faddeev-LeVerrier on the resolvent pass, on any integer matrix
-    phi, res = _resolvent_int(rows)
+    phi, res = _resolvent_int(rows, bound=exact._charpoly_bound(rows))
     mats = reference.unpacked_resolvent(res)
-    given = _resolvent_int(rows, _charpoly_int(rows))
+    given = _resolvent_int(rows, crt_char_poly(rows))
     assert (phi, mats) == (given[0], reference.unpacked_resolvent(given[1]))
     # independent of Faddeev-LeVerrier (as is `reference.char_poly`):
     # det(xI - M) by rational elimination at a few points
