@@ -22,6 +22,7 @@ import math
 import os
 import sys
 from fractions import Fraction
+from itertools import chain
 
 from .analysis import (
     ClosedForm,
@@ -60,8 +61,10 @@ def _ratio(num: int, den: int) -> str:
 
 
 def _matrix_payload(m: ExactMatrix) -> list[list[str]]:
+    # one gcd per distinct numerator: M-hat of path:36 has 2 in 1296 cells
     d = m.denominator
-    return [[_ratio(x, d) for x in row] for row in m.numerators]
+    text = {x: _ratio(x, d) for x in set(chain.from_iterable(m.numerators))}
+    return [list(map(text.__getitem__, row)) for row in m.numerators]
 
 
 def _poly_payload(p) -> list[str]:

@@ -11,41 +11,39 @@ zero polynomial is the empty tuple, of degree -1.
 
 All matrix and polynomial work runs on plain lists of Python ints in the
 `_int_*` kernels.  There is one remainder sequence, the subresultant one
-on a monic psi and its derivative (coefficients stay at subresultant
-size): `_int_disc` reads D = disc(psi) off it, with the cofactor t that
-scales 1/psi' mod psi and, on a repeated root, the gcd of psi and psi'.
-Next to them are the deterministic Miller-Rabin test behind the 62-bit
-primes (also the primality check of `avgmix.schemes`) and
-`_rows_in_span`, the fraction-free span elimination shared by scheme
-axiom (d) and the span classification of `avgmix.analysis`.  No
-rational routine is left below the boundary.
+on a monic psi and its derivative: `_int_disc` reads D = disc(psi) off
+it, with the cofactor t that scales 1/psi' mod psi and, on a repeated
+root, the gcd of psi and psi'.  Next to them are the Miller-Rabin test
+of 62-bit primes (also used by `avgmix.schemes`) and `_rows_in_span`,
+the span elimination of scheme axiom (d) and `avgmix.analysis`.
 
 `_radical_resolvent` is the first stage of `avgmix.mixing`: it turns an
 integer matrix M into its spectral integers without representing an
-eigenvalue.  The char poly phi comes from `_charpoly_int` (Hessenberg
-form modulo fixed 62-bit primes, joined by the Chinese remainder
-theorem under a Hadamard bound), with one shortcut: when the bound
-needs more than the first prime p0 and phi mod p0 is squarefree
-(`_squarefree_mod`), disc(phi) is nonzero mod p0 and hence nonzero, the
-spectrum is simple and psi = phi, so phi is read off the resolvent pass
-that builds the B_j (Faddeev-LeVerrier, every division exact) and the
-other primes are skipped; otherwise the CRT continues from the residue
-mod p0, which decides the route on every input.  One `_int_disc` of phi
-gives `_int_radical` the squarefree part psi, D = disc(psi) and the
-cofactor t = D / psi' mod psi, which has integer coefficients; a second
-one, of psi, runs only when phi has a repeated root.
-`_resolvent_int` is the Horner pass for the B_j of
-Phi(M, y) = psi(y) (yI - M)^-1 = sum_j B_j y^j, checked by psi(M) = 0.
-It keeps each row of each B_j as one int, the entries in signed slots
-of a fixed width (`_Resolvent`), so a row of M B_j is one big-int
-multiply-add per nonzero of row i of M.  The width comes from a proven
-bound on every entry the pass holds: with psi given, the chain
-|B_(j-1)| <= rho |B_j| + |psi_j| on the largest absolute row sum rho of
-M; on the Faddeev-LeVerrier route, the Hadamard bound on phi, which
-also bounds every B_j.  The same bound makes unpacking exact.  Readers
-take what they use: the Gram route, the Faddeev-LeVerrier traces and
-the vertex classes read only diagonals, one slot per (j, u), and the
-repeated and literal routes unpack whole rows.
+eigenvalue.  `_int_radical` gives the squarefree part psi of the char
+poly phi, D = disc(psi) and t = D / psi' mod psi, and one Horner pass
+(`_resolvent_int`, checked by psi(M) = 0) the B_j of
+Phi(M, y) = psi(y) (yI - M)^-1 = sum_j B_j y^j, one int per row.  When
+twice the Hadamard bound on phi is below the prime P0 = 2^62 - 57, phi
+is its Hessenberg form mod P0 (`_charpoly_mod`), signed.  Past that, phi
+is read off the Faddeev-LeVerrier pass that builds the B_j, which
+`_minimal_watch` can stop at the minimal polynomial mu of M: after each
+coefficient, Newton's identities give the power sum p_k = tr M^k, and
+Berlekamp-Massey over GF(P0) (J. L. Massey, "Shift-register synthesis
+and BCH decoding", IEEE Trans. IT 1969) the shortest linear recurrence
+of p_0..p_k, of length L.  Once p_k keeps it and 2L <= k, the exact
+Hankel system of p_0..p_(2L-1) gives a monic candidate psi of degree L,
+and a Horner pass over psi checks psi(M) = 0.  That proves psi = mu: mu
+has integer coefficients and annihilates the power sums, so L <= deg mu
+(mod P0 too), and psi(M) = 0 means mu divides psi.  psi's recurrence
+then gives every power sum, and Newton's identities phi.  The stop's
+hard checks: every division in the Hankel solve and in Newton's
+identities is exact, Newton's phi matches every coefficient the pass
+read, every |phi_j| is within the Hadamard bound, psi divides phi, and
+`_int_radical` finds D != 0 and t psi' = D mod psi.  A failed candidate
+(roots that meet mod P0) is not tried again at its length; a pass not
+stopped runs to the end, checked by phi(M) = 0, and a repeated spectrum
+then takes a Horner pass over psi.  A defective M is never stopped, as
+L <= deg psi < deg mu, and that pass refuses it.
 """
 
 from __future__ import annotations
@@ -53,7 +51,7 @@ from __future__ import annotations
 import math
 import sys
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, zip_longest
 from operator import mul
 from typing import Iterable, Sequence, Union
 
@@ -299,15 +297,13 @@ def _int_disc(psi: Sequence[int]) -> tuple[int, list[int], list[int]]:
     psi', primitive with a positive leading coefficient.
 
     D = (-1)^(m(m-1)/2) Res(psi, psi'), read off the subresultant
-    remainder sequence of psi and the primitive part of psi'.  The
-    sequence carries the cofactor of psi': each remainder is u psi +
-    v psi', and v goes through the same pseudo-division and exact
-    division as the remainder itself.  The cofactors are determinants
-    like the subresultants, so every division is exact, and checked.
-    When the last remainder is a constant of a degree-dropping (abnormal)
-    step, it and its cofactor are scaled up to the resultant, and g = [1].
-    A zero remainder means a repeated root: D = 0, t = [], and the last
-    nonzero remainder is a multiple of g.
+    remainder sequence of psi and the primitive part of psi', which also
+    carries the cofactor v of psi' in each remainder u psi + v psi'.
+    The cofactors are determinants like the subresultants, so every
+    division is exact, and checked.  A constant last remainder of an
+    abnormal step is scaled up to the resultant, with its cofactor, and
+    g = [1]; a zero one means a repeated root: D = 0, t = [], and the
+    last nonzero remainder is a multiple of g.
     """
     m = len(psi) - 1
     if m == 1:
@@ -363,10 +359,9 @@ def _int_radical(phi: Sequence[int]) -> tuple[list[int], int, list[int]]:
     the monic squarefree part of phi, D = disc(psi), and t with
     t psi' = D mod psi, deg t < deg psi, so that t / D = 1/psi' mod psi.
 
-    One `_int_disc` of phi gives all three when phi is squarefree.
-    Otherwise its gcd divides phi exactly (primitive, it divides the
-    monic phi, so the quotient is monic with integer coefficients) and a
-    second one runs on psi.
+    One `_int_disc` of phi gives all three when phi is squarefree; else
+    its primitive gcd divides the monic phi exactly, into a monic integer
+    psi, and a second one runs on psi.
     """
     psi = _int_trim(list(phi))
     if len(psi) < 2 or psi[-1] != 1:
@@ -412,16 +407,15 @@ def _int_exact_div(f: Sequence[int], g: Sequence[int]) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# characteristic polynomials (multimodular)
+# characteristic polynomials modulo a 62-bit prime
 # ---------------------------------------------------------------------------
 
 
 # The 12 smallest primes as Miller-Rabin bases decide primality for every
 # n < 3.18e23 (Jiang and Deng, 2014), which covers all 62-bit integers.
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-# 62-bit primes, descending from 2^62; extended on demand, always in the
-# same order, so a given matrix always uses the same primes
-_PRIMES: list[int] = []
+# the largest prime below 2^62, the modulus of phi and of the watch
+_P0 = 2**62 - 57
 
 
 def _is_prime_62(n: int) -> bool:
@@ -446,23 +440,12 @@ def _is_prime_62(n: int) -> bool:
     return True
 
 
-def _prime(k: int) -> int:
-    """The k-th largest prime below 2^62 (k = 0, 1, ...)."""
-    while len(_PRIMES) <= k:
-        candidate = (_PRIMES[-1] if _PRIMES else 2**62 + 1) - 2
-        while not _is_prime_62(candidate):
-            candidate -= 2
-        _PRIMES.append(candidate)
-    return _PRIMES[k]
-
-
 def _charpoly_bound(rows: list[list[int]]) -> int:
     """An integer bounding |c_k| for every coefficient of det(xI - M).
 
-    c_(n-k) is +- the sum of the C(n, k) principal k x k minors, and by
-    Hadamard each is at most B^k, with B the largest row 2-norm of M
-    (a row of a minor is part of a row of M).  B^k = sqrt(N^k) for the
-    integer N = B^2 is rounded up exactly with `isqrt`.
+    c_(n-k) is +- the sum of the C(n, k) principal k x k minors, each at
+    most B^k by Hadamard, B the largest row 2-norm of M; B^k = sqrt(N^k)
+    for the integer N = B^2 is rounded up exactly with `isqrt`.
     """
     n = len(rows)
     norm2 = max((sum(x * x for x in row) for row in rows), default=0)
@@ -478,12 +461,9 @@ def _charpoly_bound(rows: list[list[int]]) -> int:
 
 
 def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
-    """det(xI - M) mod p, ascending, via Hessenberg form over GF(p).
-
-    Similarity by elimination with row pivoting brings M to upper
-    Hessenberg form H; the leading principal char polys then follow the
-    recurrence P_(k+1) = (x - h_kk) P_k
-    - sum_(i<k) h_ik (h_(i+1,i) ... h_(k,k-1)) P_i.
+    """det(xI - M) mod p, ascending: row-pivoted elimination brings M to
+    upper Hessenberg form H, whose leading principal char polys follow
+    P_(k+1) = (x - h_kk) P_k - sum_(i<k) h_ik (h_(i+1,i) ... h_(k,k-1)) P_i.
     """
     n = len(rows)
     h = [[x % p for x in row] for row in rows]
@@ -531,81 +511,26 @@ def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
     return polys[n]
 
 
-def _charpoly_int(rows: list[list[int]], bound: int, first: list[int]) -> list[int]:
-    """det(xI - M) for a square integer matrix, ascending integer
-    coefficients, from its residues `first` mod p0 = `_prime(0)` and
-    `bound`, the Hadamard bound of `_charpoly_bound` on its coefficients.
-
-    Multimodular: the polynomial is computed mod each further prime of a
-    fixed sequence of 62-bit primes (`_prime`, found by a deterministic
-    Miller-Rabin test) by Hessenberg reduction over GF(p), and Garner's
-    Chinese remainder steps join the residues, starting from `first`,
-    into signed coefficients.  Primes are added until their product
-    exceeds twice the bound, so the signed residues are the coefficients;
-    no prime is chosen at random and none is retried.  The result must
-    come out monic.
-    """
-    poly = list(first)
-    modulus = _prime(0)
-    k = 1
-    while modulus <= 2 * bound:
-        p = _prime(k)
-        k += 1
-        # Garner step: poly stays the residue mod the product so far
-        lift = pow(modulus % p, -1, p)
-        for i, r in enumerate(_charpoly_mod(rows, p)):
-            poly[i] += modulus * ((r - poly[i]) * lift % p)
-        modulus *= p
-    half = modulus // 2
-    poly = [c - modulus if c > half else c for c in poly]
-    if poly[-1] != 1:
-        raise ArithmeticError("characteristic polynomial is not monic")
-    return poly
-
-
-def _squarefree_mod(f: Sequence[int], p: int) -> bool:
-    """Whether gcd(f, f') = 1 over GF(p), by Euclid, for the residues mod
-    p of a monic polynomial of degree 0 < deg f < p (so f' keeps degree
-    deg f - 1).  If so, disc(f) is nonzero mod p, and so is the
-    discriminant of every monic integer polynomial with these residues."""
-    a = list(f)
-    b = _int_trim([i * c % p for i, c in enumerate(f)][1:])
-    while len(b) > 1:
-        inv = pow(b[-1], -1, p)
-        db = len(b) - 1
-        # a mod b: cancel the top coefficient of a until deg a < deg b
-        while len(a) > db:
-            q = a.pop() * inv % p
-            if q:
-                s = len(a) - db
-                a[s:] = [(x - q * y) % p for x, y in zip(a[s:], b)]
-        a, b = b, _int_trim(a)
-    # a nonzero constant is a unit; b = 0 leaves gcd a of degree >= 1
-    return bool(b)
-
-
 # ---------------------------------------------------------------------------
 # the spectral integers of M: char poly, radical and resolvent
 # ---------------------------------------------------------------------------
 
 
 class _Resolvent:
-    """The B_j of one Horner pass, each row of each B_j one Python int.
+    """The B_j of one Horner pass for `psi`, each row of each B_j one int.
 
-    Row i of B_j is packed as P = sum_k x_k 2^(s k): entry k sits in slot
-    k, s = `slot` bits wide, signed.  Every entry the pass can hold has
-    |x_k| < 2^(s-1) (`_resolvent_int` proves the bound that sets s), so
-    the packing is unique, and adding `bias`, 2^(s-1) in every slot,
-    turns each slot into the digit x_k + 2^(s-1) in [0, 2^s) with no
-    carry between slots: one shift and one mask read an entry off.
-    Readers take only what they use: `diagonals` one slot per (j, u),
-    `polys` whole rows.  A 64-bit slot unpacks a row in C, as the two's
-    complement words of (P + bias) xor bias in native byte order; a
-    wider one takes one shift and one mask per entry.  `symmetric`
-    records whether M, and so every B_j, is symmetric.
+    Row i of B_j is packed as P = sum_k x_k 2^(s k), entry k signed in
+    slot k of s = `slot` bits.  `_resolvent_int` proves |x_k| < 2^(s-1),
+    so adding `bias`, 2^(s-1) in every slot, makes each slot the digit
+    x_k + 2^(s-1) with no carry: one shift and one mask read an entry.
+    `diagonals` reads one slot per (j, u), `polys` whole rows; a 64-bit
+    slot unpacks a row in C, as the two's complement words of
+    (P + bias) xor bias.  `symmetric`: whether M, so every B_j, is.
     """
 
-    __slots__ = ("n", "slot", "symmetric", "packed", "shifts", "bias", "mask", "half")
+    __slots__ = (
+        "n", "slot", "symmetric", "packed", "shifts", "bias", "mask", "half", "psi"
+    )
 
     def __init__(self, n: int, slot: int, symmetric: bool):
         self.n = n
@@ -649,37 +574,28 @@ class _Resolvent:
 def _resolvent_int(
     rows: list[list[int]], psi: Sequence[int] | None = None, bound: int | None = None
 ) -> tuple[list[int], _Resolvent]:
-    """(psi, B_0..B_{deg-1} as a `_Resolvent`) of Phi(M, y) =
-    psi(y) (yI - M)^-1 = sum_j B_j y^j, for an integer matrix M and a
-    monic psi with psi(M) = 0.
+    """(psi, B_0..B_{deg-1} as a `_Resolvent`, which keeps psi) of
+    Phi(M, y) = psi(y) (yI - M)^-1 = sum_j B_j y^j, for an integer matrix
+    M and a monic psi with psi(M) = 0.
 
-    Horner on the matrix: B_{deg-1} = I and B_{j-1} = M B_j + psi_j I,
-    so B_{deg-2} = M + psi_{deg-1} I is written down without the product
-    M I.  The step past B_0 rebuilds psi(M), which must vanish.
+    Horner on the matrix: B_{deg-1} = I, B_{j-1} = M B_j + psi_j I, and
+    the step past B_0 rebuilds psi(M), which must vanish.  Packed, row i
+    of M B_j is sum_t M_it P_t over the nonzeros of row i of M, and
+    psi(M) = 0 is "every packed row is 0".  The slot s >= 64 has
+    2^(s-1) > L for a bound L on every entry, so unpacking is exact:
 
-    Every row is packed into one int (`_Resolvent`), and packing is
-    linear: row i of M B_j is sum_t M_it P_t over the nonzeros of row i
-    of M, one big-int multiply-add each, and psi_j I adds psi_j to slot
-    i of row i.  psi(M) = 0 is "every packed row is 0".  The slot is
-    s >= 64 bits with 2^(s-1) > L, a sign bit over a bound L on every
-    entry the pass computes, so every entry it unpacks is exact:
-
-    - with psi given, |B_{deg-1}| = 1 and |B_{j-1}| <= rho |B_j| +
-      |psi_j|, rho the largest absolute row sum of M; rho |B_j| bounds
-      M B_j, the last term of the chain bounds psi(M), and L is the
-      largest term;
-    - with psi None the pass is Faddeev-LeVerrier and psi is the char
-      poly phi, read off as the pass goes: tr adj(yI - M) = phi' gives
-      tr B_j = (j + 1) phi_(j+1), so the trace of the step gives
-      phi_j = -tr(M B_j) / (n - j).  Entry (u, v) of B_j is a signed
-      sum of at most C(n-1, j) minors of order n-1-j of M, so by
-      Hadamard |B_j| <= C(n-1, j) beta^(n-1-j) with beta the largest
-      row 2-norm; the caller's `bound` from `_charpoly_bound` covers
-      that and every |phi_j|, and L is twice it, since
-      M B_j = B_{j-1} - phi_j I.  phi has integer coefficients, so every
-      division is exact; a remainder raises, as does a |phi_j| past the
-      bound, and the step past B_0 is the Cayley-Hamilton check
-      phi(M) = 0.
+    - with psi given, L is the largest term of the chain |B_{deg-1}| = 1,
+      |B_{j-1}| <= rho |B_j| + |psi_j| down to psi(M), rho the largest
+      absolute row sum of M;
+    - with psi None the pass is Faddeev-LeVerrier and returns the char
+      poly phi: tr B_j = (j + 1) phi_(j+1), from tr adj(yI - M) = phi',
+      gives phi_j = -tr(M B_j) / (n - j), an exact division, checked.
+      The caller's `bound` from `_charpoly_bound` covers every |phi_j|
+      (a larger one raises) and, by Hadamard, |B_j| <= C(n-1, j)
+      beta^(n-1-j), beta the largest row 2-norm; L is twice it, as
+      M B_j = B_{j-1} - phi_j I.  `_minimal_watch` may stop the pass at
+      the minimal polynomial, whose B_j are then returned; a pass run to
+      the end checks phi(M) = 0 (Cayley-Hamilton).
     """
     n = len(rows)
     if psi is None:
@@ -692,9 +608,11 @@ def _resolvent_int(
         for c in reversed(coeffs[:-1]):
             b = rho * b + abs(c)
             limit = max(limit, b)
+    watch = _minimal_watch(rows, coeffs, bound) if psi is None else None
     deg = len(coeffs) - 1
     slot = max(64, limit.bit_length() + 1)
     res = _Resolvent(n, slot, list(map(list, zip(*rows))) == rows)
+    res.psi = coeffs
     sparse = [[(t, w) for t, w in enumerate(row) if w] for row in rows]
     shifts = res.shifts
 
@@ -724,16 +642,103 @@ def _resolvent_int(
         return shift(nxt, j)
 
     res.packed.append([1 << k for k in shifts])
-    # M B_{deg-1} = M I = M; with deg 1 this is already psi(M)
+    # M B_{deg-1} = M I = M, no product; with deg 1 this is psi(M)
     packed_m = [sum(w << shifts[t] for t, w in terms) for terms in sparse]
     current = shift(packed_m, deg - 1)
     for j in range(deg - 2, -1, -1):
+        if watch is not None and (stop := next(watch)):
+            return stop
         res.packed.append(current)
         current = step(current, j)
     if any(current):
         raise NotAnnihilatingError("psi(M) != 0")
     res.packed.reverse()
     return coeffs, res
+
+
+def _minimal_watch(rows: list[list[int]], phi: list[int], bound: int):
+    """The watch on a Faddeev-LeVerrier pass over M (module docstring), a
+    generator sharing the pass's `phi`, resumed once per coefficient read:
+    it yields None, or what `_certified_stop` gives, once per length."""
+    n = len(phi) - 1
+    sums = [n]
+    # after p_0 = n: connection polynomial, the one before the last
+    # length change, the discrepancy then, and the steps since
+    conn, prev, length, last, gap = [1, -n % _P0], [1], 1, n, 1
+    tried = 0
+    for k in range(1, n):
+        # Newton: p_k = -(k c_k + sum_(0<i<k) c_i p_(k-i)), c_i = phi_(n-i)
+        terms = map(mul, phi[n - 1 : n - k : -1], sums[k - 1 : 0 : -1])
+        sums.append(-k * phi[n - k] - sum(terms))
+        d = sum(c * sums[k - i] for i, c in enumerate(conn)) % _P0
+        stop = None
+        if d:
+            scale = d * pow(last, -1, _P0) % _P0
+            shifted = [0] * gap + [scale * c for c in prev]
+            new = [(a - b) % _P0 for a, b in zip_longest(conn, shifted, fillvalue=0)]
+            if 2 * length <= k:
+                length, prev, last, gap = k + 1 - length, conn, d, 0
+            conn = _int_trim(new)
+        elif 2 * length <= k and length != tried:
+            tried = length
+            stop = _certified_stop(rows, phi, sums, length, k, bound)
+        gap += 1
+        yield stop
+
+
+def _certified_stop(
+    rows: list[list[int]], phi: list[int], sums: list[int], m: int, k: int, bound: int
+) -> tuple[list[int], _Resolvent] | None:
+    """(phi, the `_Resolvent` of psi) when the watch's degree-m candidate
+    psi annihilates M, else None; k coefficients and p_0..p_k are known."""
+    psi = _hankel_solve(sums, m)
+    if psi is None:
+        return None
+    try:
+        res = _resolvent_int(rows, psi)[1]
+    except NotAnnihilatingError:
+        return None
+    n = len(phi) - 1
+    p = sums[:m]
+    for j in range(m, n + 1):
+        p.append(-sum(map(mul, psi, p[j - m :])))
+    full = _newton(p)[::-1]
+    if full[n - k :] != phi[n - k :] or max(map(abs, full)) > bound:
+        raise ArithmeticError("phi by Newton must match the pass, under the bound")
+    _int_exact_div(full, psi)
+    return full, res
+
+
+def _hankel_solve(sums: Sequence[int], m: int) -> list[int] | None:
+    """The monic psi of degree m with sum_l psi_l p_(i+l) = 0 for i < m,
+    or None when this Hankel system is singular or has no integral
+    solution.  Fraction-free Gauss-Jordan: each division by the last
+    pivot is exact (entries stay minors), and checked."""
+    a = [[sums[i + l] for l in range(m)] + [-sums[i + m]] for i in range(m)]
+    prev = 1
+    for col in range(m):
+        hit = next((r for r in range(col, m) if a[r][col]), None)
+        if hit is None:
+            return None
+        a[col], a[hit] = a[hit], a[col]
+        top, lead = a[col], a[col][col]
+        for r in range(m):
+            if r != col:
+                f = a[r][col]
+                row = [lead * x - f * y for x, y in zip(a[r], top)]
+                a[r] = _int_exact_div(row, [prev])
+        prev = lead
+    psi = [divmod(row[m], prev) for row in a]
+    return None if any(r for _, r in psi) else [q for q, _ in psi] + [1]
+
+
+def _newton(sums: Sequence[int]) -> list[int]:
+    """c_0..c_n of phi = sum_i c_i x^(n-i) from the power sums p_0 = n,
+    p_1..p_n of its roots by Newton: k c_k = -sum_(i<k) c_i p_(k-i)."""
+    c = [1]
+    for k in range(1, len(sums)):
+        c += _int_exact_div([-sum(map(mul, c, sums[k:0:-1]))], [k])
+    return c
 
 
 def _radical_resolvent(
@@ -743,21 +748,13 @@ def _radical_resolvent(
     poly, its squarefree part, D = disc(psi), t = D / psi' mod psi and
     the resolvent coefficients of psi, packed as a `_Resolvent`."""
     bound = _charpoly_bound(rows)
-    p0 = _prime(0)
-    first = _charpoly_mod(rows, p0)
-    # past one prime, a residue mod p0 with no repeated root proves
-    # disc(phi) != 0, a simple spectrum: psi = phi, and the resolvent
-    # pass reads phi off its traces in place of the other primes
-    if 2 * bound >= p0 and _squarefree_mod(first, p0):
-        phi, res = _resolvent_int(rows, bound=bound)
-        if any((a - b) % p0 for a, b in zip(phi, first)):
-            raise ArithmeticError("phi from the traces differs from phi mod p0")
+    if 2 * bound < _P0:
+        phi = [c - _P0 if 2 * c > _P0 else c for c in _charpoly_mod(rows, _P0)]
         psi, disc_min, t = _int_radical(phi)
-        if psi != phi:
-            raise AssertionError("phi squarefree mod p0 must be squarefree")
-    else:
-        phi = _charpoly_int(rows, bound, first)
-        psi, disc_min, t = _int_radical(phi)
+        return phi, psi, disc_min, t, _resolvent_int(rows, psi)[1]
+    phi, res = _resolvent_int(rows, bound=bound)
+    psi, disc_min, t = _int_radical(res.psi)
+    if psi != res.psi:
         res = _resolvent_int(rows, psi)[1]
     return phi, psi, disc_min, t, res
 
@@ -768,15 +765,12 @@ def _radical_resolvent(
 
 
 def _rows_in_span(rows: Iterable[Sequence[int]]) -> bool:
-    """Exact consistency of the linear system with the given augmented rows.
-
-    Each integer row holds the coefficients of one equation followed by
-    its right hand side.  Duplicate rows are dropped first: the distinct
-    rows span the same row space, so the answer cannot change, and a
-    system built from few distinct values (a span test over 0/1 classes)
-    shrinks to a handful of rows.  The elimination is fraction-free: a
-    row loses its pivot column as lead * row - factor * pivot row, and is
-    divided by its content, so the integers stay small.
+    """Exact consistency of the linear system with the given augmented
+    integer rows (coefficients, then the right hand side).  Duplicates go
+    first: the distinct rows span the same space, and a system of few
+    distinct values (0/1 classes) shrinks to a handful.  Fraction-free:
+    a row loses its pivot column as lead * row - factor * pivot row and
+    is divided by its content, so the integers stay small.
     """
     rows = [list(row) for row in dict.fromkeys(map(tuple, rows))]
     cols = len(rows[0]) - 1

@@ -152,13 +152,16 @@ def _axiom_d(
     products: list[list[np.ndarray]],
     out: list[SchemeViolation],
 ) -> None:
-    # one equation per position: the class entries, then the product entry
-    basis = np.stack([a.ravel() for a in arrays], axis=1)
-    for i in range(len(arrays)):
-        for j in range(len(arrays)):
+    # one equation per position: the class entries, then the product
+    # entry, read off the positions deduplicated once for all products
+    d = len(arrays)
+    columns = [a.ravel() for a in arrays] + [p.ravel() for row in products for p in row]
+    distinct = list(dict.fromkeys(map(tuple, np.stack(columns, axis=1).tolist())))
+    for i in range(d):
+        for j in range(d):
             product = products[i][j]
-            rows = np.column_stack((basis, product.ravel())).tolist()
-            if not _rows_in_span(rows):
+            col = d + i * d + j
+            if not _rows_in_span(row[:d] + (row[col],) for row in distinct):
                 detail = (
                     f"the product of classes {i} and {j} is not a linear "
                     f"combination of the classes"

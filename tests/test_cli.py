@@ -412,11 +412,11 @@ def test_analyze_builds_one_resolvent_and_no_deleted_char_poly(
     # walk-regularity read its vertex classes, not n - 1 vertex char polys
     resolvents, char_polys = [], []
     _record_calls(monkeypatch, "_radical_resolvent", resolvents)
-    _record_calls(monkeypatch, "_charpoly_int", char_polys)
+    _record_calls(monkeypatch, "_charpoly_mod", char_polys)
     n = int(name.split(":")[1])
     payload = run_json(capsys, "analyze", "--family", name, "--pair", "0,1")
     assert resolvents == [n]
-    assert n - 1 not in char_polys
+    assert char_polys == [n]
     assert payload["cospectral"] is name.startswith("cycle")
     assert payload["walk_regular"] is name.startswith("cycle")
 

@@ -89,12 +89,13 @@ STAGE_INTERNALS = {
     "exact.py": {
         "_charpoly_bound",
         "_charpoly_mod",
-        "_charpoly_int",
-        "_squarefree_mod",
-        "_prime",
         "_int_disc",
         "_int_radical",
         "_resolvent_int",
+        "_minimal_watch",
+        "_certified_stop",
+        "_hankel_solve",
+        "_newton",
     },
     "mixing.py": {"_TraceTable", "_TraceForm"},
 }

@@ -460,18 +460,16 @@ def test_bound_with_large_denominators_matches_rational_route():
     assert abs(bound - expected) <= 1e-9 * expected
 
 
-def test_bound_skips_the_crt_when_the_first_prime_proves_a_simple_spectrum(
-    monkeypatch,
-):
-    # the Euclid walk needs several primes, but its char poly is
-    # squarefree mod the first, so the bound reads it off the resolvent
+def test_bound_runs_no_hessenberg_residue_on_a_multi_prime_walk(monkeypatch):
+    # the Euclid walk needs several primes, so the bound reads its char
+    # poly off the traced resolvent pass alone
     u = euclid_rotation_walk()
     expected = cesaro_error_bound(u, 200)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the CRT char poly ran past the first prime")
+        raise AssertionError("a residue mod P0 was computed")
 
-    monkeypatch.setattr("avgmix.exact._charpoly_int", refuse)
+    monkeypatch.setattr("avgmix.exact._charpoly_mod", refuse)
     assert cesaro_error_bound(u, 200) == expected
 
 

@@ -19,7 +19,12 @@ from hypothesis import strategies as st
 
 import reference
 from avgmix import exact
-from avgmix.exact import ExactMatrix, ExactPolynomial, _resolvent_int
+from avgmix.exact import (
+    ExactMatrix,
+    ExactPolynomial,
+    NotAnnihilatingError,
+    _resolvent_int,
+)
 from avgmix.graphs import (
     WeightedGraph,
     add_loops,
@@ -626,44 +631,21 @@ class TestInvariants:
 
 
 # ---------------------------------------------------------------------------
-# char poly routes: one prime, read off the resolvent pass, or CRT
+# char poly routes: one prime, or the Faddeev-LeVerrier pass and its watch
 # ---------------------------------------------------------------------------
 
-P0 = exact._prime(0)
-# a simple spectrum whose char poly needs several primes and stays
-# squarefree mod p0, and 2^40 A(K_3), a repeated spectrum that needs several
+P0 = exact._P0
+# a simple spectrum whose char poly needs several primes, and 2^40 A(K_3),
+# a repeated spectrum that needs several
 RESOLVENT_ROWS = [[2**40, 3, 0], [3, -7, 2**35], [0, 2**35, 1]]
-CRT_ROWS = [[0 if i == j else 2**40 for j in range(3)] for i in range(3)]
+REPEATED_ROWS = [[0 if i == j else 2**40 for j in range(3)] for i in range(3)]
 
 
-def char_poly_route(rows):
-    """The route `_trace_form` takes for rows, decided the way it decides."""
-    if 2 * exact._charpoly_bound(rows) < P0:
-        return "one prime"
-    if exact._squarefree_mod(exact._charpoly_mod(rows, P0), P0):
-        return "resolvent"
-    return "crt"
-
-
-def crt_char_poly(rows):
-    """det(xI - M) by the CRT alone, from the residues mod p0."""
-    first = exact._charpoly_mod(rows, P0)
-    return exact._charpoly_int(rows, exact._charpoly_bound(rows), first)
-
-
-def crt_prime_count(rows):
-    bound2 = 2 * exact._charpoly_bound(rows)
-    modulus, k = 1, 0
-    while modulus <= bound2:
-        modulus *= exact._prime(k)
-        k += 1
-    return k
-
-
-def record_routes(monkeypatch):
-    """Counts `_charpoly_mod` calls and keeps the psi of each resolvent pass."""
-    calls = {"charpoly_mod": 0, "psi": []}
-    charpoly_mod = exact._charpoly_mod
+def record_passes(monkeypatch):
+    """Counts `_charpoly_mod` calls and the coefficients the
+    Faddeev-LeVerrier pass traces, and keeps the psi of each pass."""
+    calls = {"charpoly_mod": 0, "traced": 0, "psi": []}
+    charpoly_mod, diagonal = exact._charpoly_mod, exact._Resolvent.diagonal
     resolvent = _resolvent_int
 
     def counted(rows, p):
@@ -674,8 +656,14 @@ def record_routes(monkeypatch):
         calls["psi"].append(psi)
         return resolvent(rows, psi, bound)
 
+    def traced(res, rows):
+        # only the pass with psi None reads diagonals inside the engine
+        calls["traced"] += 1
+        return diagonal(res, rows)
+
     monkeypatch.setattr("avgmix.exact._charpoly_mod", counted)
     monkeypatch.setattr("avgmix.exact._resolvent_int", recorded)
+    monkeypatch.setattr(exact._Resolvent, "diagonal", traced)
     return calls
 
 
@@ -691,75 +679,135 @@ def dense_weighted_rows(seed, n, wmax, loops):
     return rows
 
 
+def multi_prime(rows):
+    return 2 * exact._charpoly_bound(rows) >= P0
+
+
+def from_roots(roots):
+    """prod (y - r) over the roots, ascending integer coefficients."""
+    out = [1]
+    for r in roots:
+        out = [int(c) for c in reference.mul(out, [-r, 1])]
+    return out
+
+
 def test_multi_prime_simple_spectrum_reads_phi_off_the_resolvent(monkeypatch):
     # n = 14 with weights up to 100 needs two primes, as the n = 20-22
     # graphs of the benchmark with weights up to 30 need two to four,
     # and keeps the rational Hankel reference to about a second
     rows = dense_weighted_rows(3, 14, 100, 3)
-    assert crt_prime_count(rows) > 1 and char_poly_route(rows) == "resolvent"
-    phi = crt_char_poly(rows)
-    calls = record_routes(monkeypatch)
+    assert multi_prime(rows)
+    calls = record_passes(monkeypatch)
     r = average_mixing(ExactMatrix(rows))
-    assert calls["charpoly_mod"] == 1 and calls["psi"] == [None]
-    assert r.simple_spectrum and list(r.char_poly.coeffs) == phi
+    # no Hessenberg residue: the one pass runs to the end
+    assert calls["charpoly_mod"] == 0 and calls["psi"] == [None]
+    assert r.simple_spectrum and list(r.char_poly.coeffs) == reference.char_poly(rows)
     assert r.mixing == ExactMatrix(reference.hankel_mixing(rows))
 
 
-def test_squarefree_mod_p0_decides_the_route_not_the_spectrum(monkeypatch):
-    # phi = x (x - 1) (x - p0) has three distinct roots over Z, but
-    # phi = x^2 (x - 1) mod p0, so the resolvent route cannot prove it
-    rows = [[0, 0, 0], [0, 1, 0], [0, 0, P0]]
-    assert char_poly_route(rows) == "crt"
-    calls = record_routes(monkeypatch)
-    r = average_mixing(ExactMatrix(rows))
-    assert r.simple_spectrum and r.mixing == ExactMatrix.identity(3)
-    assert list(r.char_poly.coeffs) == [0, P0, -(P0 + 1), 1]
-    # the CRT starts from the residue mod p0 instead of recomputing it
-    assert calls["charpoly_mod"] == crt_prime_count(rows) > 1
-    assert calls["psi"] == [[0, P0, -(P0 + 1), 1]]
+def weighted_complete(n, w):
+    return [[0 if i == j else w for j in range(n)] for i in range(n)]
 
 
-@pytest.mark.parametrize(
-    "rows",
-    [
-        CRT_ROWS,
-        [[0 if i == j else 2**40 for j in range(4)] for i in range(4)],
-        matrix_of(complete_graph(30)).numerators,
-    ],
-    ids=["2^40 K3", "2^40 K4", "K30"],
-)
-def test_multi_prime_repeated_spectrum_takes_the_crt_route(monkeypatch, rows):
-    rows = [list(row) for row in rows]
-    n = len(rows)
-    assert crt_prime_count(rows) > 1 and char_poly_route(rows) == "crt"
-    calls = record_routes(monkeypatch)
-    r = average_mixing(ExactMatrix(rows))
-    assert calls["charpoly_mod"] == crt_prime_count(rows)
-    assert len(calls["psi"]) == 1 and len(calls["psi"][0]) == 3
-    assert not r.simple_spectrum
-    # c K_n has the idempotents J/n and I - J/n of K_n
-    expected = [[F((n - 1) ** 2 + 1 if u == v else 2, n * n) for v in range(n)]
-                for u in range(n)]
-    assert r.mixing == ExactMatrix(expected)
+def hypercube(d):
+    return [[int(bin(u ^ v).count("1") == 1) for v in range(2**d)] for u in range(2**d)]
 
 
-def test_fused_char_poly_must_match_its_residue_mod_p0(monkeypatch):
-    # a squarefree residue of some other polynomial: the traces give the
-    # true phi, and the congruence check refuses it
-    true = exact._charpoly_mod(RESOLVENT_ROWS, P0)
-    wrong = [(true[0] + 1) % P0] + true[1:]
-    assert exact._squarefree_mod(wrong, P0)
-    monkeypatch.setattr("avgmix.exact._charpoly_mod", lambda rows, p: wrong)
-    with pytest.raises(ArithmeticError, match="mod p0"):
-        _trace_form(RESOLVENT_ROWS)
+# rows and their spectrum, eigenvalue: multiplicity
+STOPS = {
+    "2^40 K3": (REPEATED_ROWS, {2**41: 1, -(2**40): 2}),
+    "2^40 K4": (weighted_complete(4, 2**40), {3 * 2**40: 1, -(2**40): 3}),
+    "K30": (basis_rows(complete_graph(30)), {29: 1, -1: 29}),
+    "weighted K12": (
+        weighted_complete(12, 2**40 + 1), {11 * (2**40 + 1): 1, -(2**40 + 1): 11}
+    ),
+    "6-cube": (hypercube(6), {6 - 2 * i: math.comb(6, i) for i in range(7)}),
+}
 
 
-def test_resolvent_route_refuses_a_repeated_spectrum(monkeypatch):
-    # were the residue test wrong, the squarefree part of the traced phi
-    # would differ from phi, and that is a hard check too
-    monkeypatch.setattr("avgmix.exact._squarefree_mod", lambda f, p: True)
-    with pytest.raises(AssertionError, match="squarefree"):
-        _trace_form(CRT_ROWS)
+@pytest.mark.parametrize("name", list(STOPS))
+def test_multi_prime_repeated_spectrum_stops_at_the_minimal_polynomial(
+    monkeypatch, name
+):
+    rows, spectrum = STOPS[name]
+    assert multi_prime(rows)
+    calls = record_passes(monkeypatch)
+    phi, psi, _, _, res = exact._radical_resolvent(rows)
+    assert phi == from_roots(r for r, k in spectrum.items() for _ in range(k))
+    assert psi == from_roots(spectrum) == res.psi
+    # one traced pass, stopped by the watch (or at n, for n = 3 and 4),
+    # then one Horner pass over psi; no residue mod P0
+    assert calls["charpoly_mod"] == 0 and calls["psi"] == [None, psi]
+    assert calls["traced"] <= min(2 * (len(psi) - 1) + 2, len(rows))
+    if name != "6-cube":
+        # c K_n has the idempotents J/n and I - J/n of K_n
+        n = len(rows)
+        assert reference.unpacked_resolvent(res) == reference.resolvent(rows, psi)
+        expected = [[F((n - 1) ** 2 + 1 if u == v else 2, n * n) for v in range(n)]
+                    for u in range(n)]
+        assert average_mixing(ExactMatrix(rows)).mixing == ExactMatrix(expected)
+
+
+def test_power_sums_that_collide_mod_p0_do_not_stop_the_pass(monkeypatch):
+    # 0, P0 and 2 P0 meet mod P0, so the power sums mod P0 keep the
+    # recurrence of y; the candidate y - P0 fails psi(M) = 0, and no
+    # other length comes up, so the pass runs to the end
+    for diagonal, psi in (
+        ([0, P0, 2 * P0], from_roots([0, P0, 2 * P0])),
+        ([0, 0, 2 * P0, 2 * P0], [0, -2 * P0, 1]),
+    ):
+        n = len(diagonal)
+        rows = [[diagonal[i] if i == j else 0 for j in range(n)] for i in range(n)]
+        r = average_mixing(ExactMatrix(rows))
+        assert r.mixing == ExactMatrix.identity(n)
+        assert list(r.char_poly.coeffs) == from_roots(diagonal)
+        assert list(r.min_poly.coeffs) == psi
+        calls = record_passes(monkeypatch)
+        exact._radical_resolvent(rows)
+        after = [psi] if psi != from_roots(diagonal) else []
+        assert calls["psi"] == [None, [-P0, 1]] + after
+        assert calls["traced"] == n
+        monkeypatch.undo()
+
+
+def unpacked_result(rows):
+    phi, psi, d, t, res = exact._radical_resolvent(rows)
+    return phi, psi, d, t, reference.unpacked_resolvent(res)
+
+
+def test_a_forged_watch_candidate_does_not_stop_the_pass(monkeypatch):
+    # a candidate off by one in its constant term fails psi(M) = 0: the
+    # pass goes on to the end and the result does not change
+    rows = STOPS["weighted K12"][0]
+    expected = unpacked_result(rows)
+    solve = exact._hankel_solve
+
+    def forged(sums, m):
+        psi = solve(sums, m)
+        return [psi[0] + 1] + psi[1:]
+
+    monkeypatch.setattr("avgmix.exact._hankel_solve", forged)
+    calls = record_passes(monkeypatch)
+    assert unpacked_result(rows) == expected
+    assert calls["traced"] == len(rows)
+    assert calls["psi"][0] is None and len(calls["psi"]) == 3
+
+
+def test_newton_phi_must_agree_with_the_traced_pass(monkeypatch):
+    # Newton's phi off by one in a coefficient the pass read (c_1), or
+    # in one it did not (the constant term, which psi then no longer
+    # divides): both raise
+    newton = exact._newton
+    for index, message in ((1, "Newton"), (-1, "exact")):
+
+        def forged(sums, index=index):
+            c = newton(sums)
+            c[index] += 1
+            return c
+
+        monkeypatch.setattr("avgmix.exact._newton", forged)
+        with pytest.raises(ArithmeticError, match=message):
+            _trace_form(STOPS["K30"][0])
 
 
 large_symmetric_rows = st.integers(1, 6).flatmap(
@@ -809,19 +857,117 @@ orthogonal_walk_rows = st.tuples(
 )
 
 
+def _scaled_direct_sum(w, block):
+    return [[w * x for x in row] for row in _direct_sum(block, block)]
+
+
+def _kronecker(w, a, b):
+    m = len(b)
+    return [
+        [w * a[i // m][j // m] * b[i % m][j % m] for j in range(len(a) * m)]
+        for i in range(len(a) * m)
+    ]
+
+
+small_symmetric = st.integers(1, 4).flatmap(
+    lambda n: st.lists(
+        st.integers(-3, 3), min_size=n * (n + 1) // 2, max_size=n * (n + 1) // 2
+    ).map(lambda xs: _symmetric_from_upper(n, xs))
+).filter(lambda rows: any(map(any, rows)))
+# weights past 2^31 make even n = 2 need more than one prime
+big_weight = st.integers(2**31, 10**12)
+
+repeated_spectrum_rows = st.one_of(
+    st.builds(_scaled_direct_sum, st.integers(2**31, 3 * 10**11), small_symmetric),
+    st.builds(
+        _kronecker,
+        st.integers(2**31, 10**11),
+        small_symmetric,
+        st.sampled_from([[[1, 0], [0, 1]], [[1, 1], [1, 1]], [[0, 1], [1, 0]]]),
+    ),
+    st.builds(lambda n, w: weighted_complete(n, w), st.integers(2, 8), big_weight),
+    # one Pythagorean rotation repeated in two or three blocks
+    st.tuples(
+        st.tuples(st.integers(100, 10**4), st.integers(100, 10**4)),
+        st.integers(2, 3),
+        st.integers(0, 1),
+    ).flatmap(
+        lambda tcf: st.builds(
+            _orthogonal_walk_rows,
+            st.just([tcf[0]] * tcf[1]),
+            st.just(tcf[2]),
+            st.permutations(range(2 * tcf[1] + tcf[2])),
+            st.lists(
+                st.sampled_from([1, -1]),
+                min_size=2 * tcf[1] + tcf[2],
+                max_size=2 * tcf[1] + tcf[2],
+            ),
+        )
+    ),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(repeated_spectrum_rows)
+@example(REPEATED_ROWS)
+def test_radical_resolvent_matches_the_reference_past_one_prime(rows):
+    assume(multi_prime(rows))
+    phi, psi, d, t, res = exact._radical_resolvent(rows)
+    assert phi == reference.char_poly(rows)
+    assert psi == reference.squarefree(phi) == res.psi
+    # det of the power-sum Hankel matrix of psi is disc(psi)
+    assert d == reference.determinant(reference.power_hankel(psi)) != 0
+    scaled = reference.poly_divmod(reference.mul(t, reference.derivative(psi)), psi)[1]
+    assert scaled == [d]
+    assert reference.unpacked_resolvent(res) == reference.resolvent(rows, psi)
+
+
+def _conjugated_jordan(lam, n, ops):
+    """U (lam I + E_01) U^-1 for the unimodular U of the row operations
+    ops, (i, j, c): row i += c row j; lam I + E_01 is not diagonalizable."""
+    m = [[lam * (i == j) + ((i, j) == (0, 1)) for j in range(n)] for i in range(n)]
+    for i, j, c in ops:
+        if i != j:
+            # U E U^-1 with E = I + c e_i e_j^T, E^-1 = I - c e_i e_j^T
+            m[i] = [x + c * y for x, y in zip(m[i], m[j])]
+            for row in m:
+                row[j] -= c * row[i]
+    return m
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    st.integers(2, 5).flatmap(
+        lambda n: st.builds(
+            _conjugated_jordan,
+            st.one_of(big_weight, st.integers(-(10**12), -(2**31))),
+            st.just(n),
+            st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1),
+                               st.integers(-3, 3)), max_size=6),
+        )
+    )
+)
+def test_a_defective_multi_prime_matrix_is_refused(rows):
+    assert multi_prime(rows)
+    with pytest.raises(NotAnnihilatingError):
+        exact._radical_resolvent(rows)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.one_of(large_symmetric_rows, orthogonal_walk_rows),
     st.lists(st.integers(-20, 20), min_size=1, max_size=3),
 )
 @example(RESOLVENT_ROWS, [0, 1])
-@example(CRT_ROWS, [2])
+@example(REPEATED_ROWS, [2])
 def test_resolvent_pass_char_poly_matches_horner_and_determinant(rows, points):
-    # Faddeev-LeVerrier on the resolvent pass, on any integer matrix
+    # Faddeev-LeVerrier on the resolvent pass, on any integer matrix; the
+    # watch may stop it at the minimal polynomial, whose B_j it returns
     phi, res = _resolvent_int(rows, bound=exact._charpoly_bound(rows))
     mats = reference.unpacked_resolvent(res)
-    given = _resolvent_int(rows, crt_char_poly(rows))
-    assert (phi, mats) == (given[0], reference.unpacked_resolvent(given[1]))
+    given = _resolvent_int(rows, res.psi)
+    assert mats == reference.unpacked_resolvent(given[1])
+    assert phi == reference.char_poly(rows)
     # independent of Faddeev-LeVerrier (as is `reference.char_poly`):
     # det(xI - M) by rational elimination at a few points
     n = len(rows)
@@ -832,7 +978,7 @@ def test_resolvent_pass_char_poly_matches_horner_and_determinant(rows, points):
         assert sum(c * x**k for k, c in enumerate(phi)) == reference.determinant(shifted)
     # symmetric rows and the walks alike must give the term-by-term sums
     # of powers of M
-    assert mats == reference.resolvent(rows, phi)
+    assert mats == reference.resolvent(rows, res.psi)
 
 
 # ---------------------------------------------------------------------------
@@ -858,7 +1004,7 @@ relabelled_rows = large_symmetric_rows.flatmap(
 @settings(max_examples=40, deadline=None)
 @given(relabelled_rows)
 @example((RESOLVENT_ROWS, [2, 0, 1]))
-@example((CRT_ROWS, [1, 2, 0]))
+@example((REPEATED_ROWS, [1, 2, 0]))
 def test_relabelling_permutes_the_mixing_matrix(case):
     rows, perm = case
     mixing = average_mixing(ExactMatrix(rows)).mixing
@@ -872,7 +1018,7 @@ def test_relabelling_permutes_the_mixing_matrix(case):
 @given(large_symmetric_rows, large_symmetric_rows)
 @example(RESOLVENT_ROWS, [[1, 2], [2, 3]])
 @example(RESOLVENT_ROWS, RESOLVENT_ROWS)
-@example(CRT_ROWS, [[2**40, 0], [0, -(2**40)]])
+@example(REPEATED_ROWS, [[2**40, 0], [0, -(2**40)]])
 def test_disjoint_union_gives_the_direct_sum(x, y):
     mx = average_mixing(ExactMatrix(x)).mixing.to_lists()
     my = average_mixing(ExactMatrix(y)).mixing.to_lists()
