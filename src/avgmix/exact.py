@@ -23,14 +23,18 @@ eigenvalue.  `_int_radical` gives the squarefree part psi of the char
 poly phi, D = disc(psi) and t = D / psi' mod psi, and one Horner pass
 (`_resolvent_int`, checked by psi(M) = 0) the B_j of
 Phi(M, y) = psi(y) (yI - M)^-1 = sum_j B_j y^j, one int per row.  When
-twice the Hadamard bound on phi is below the prime P0 = 2^62 - 57, phi
-is its Hessenberg form mod P0 (`_charpoly_mod`), signed.  Past that, phi
-is read off the Faddeev-LeVerrier pass that builds the B_j, which
+twice the Hadamard bound on phi is below the prime P0 = 2^62 - 57 and M
+is regular (equal row sums and diagonal) or upper Hessenberg, phi is its
+Hessenberg form mod P0 (`_charpoly_mod`), signed: a regular M has a
+repeated spectrum, which the pass below runs to the end, and a
+Hessenberg M leaves nothing to eliminate.  Every other M reads phi off
+the Faddeev-LeVerrier pass that builds the B_j, which
 `_minimal_watch` can stop at the minimal polynomial mu of M: after each
 coefficient, Newton's identities give the power sum p_k = tr M^k, and
 Berlekamp-Massey over GF(P0) (J. L. Massey, "Shift-register synthesis
 and BCH decoding", IEEE Trans. IT 1969) the shortest linear recurrence
-of p_0..p_k, of length L.  Once p_k keeps it and 2L <= k, the exact
+of p_0..p_k, of length L.  Once p_k keeps it and 2L <= k <= 2n/3 (past
+that, a stop's Horner pass costs more than the steps it saves), the exact
 Hankel system of p_0..p_(2L-1) gives a monic candidate psi of degree L,
 and a Horner pass over psi checks psi(M) = 0.  That proves psi = mu: mu
 has integer coefficients and annihilates the power sums, so L <= deg mu
@@ -477,20 +481,21 @@ def _charpoly_mod(rows: list[list[int]], p: int) -> list[int]:
                 row[m], row[pivot] = row[pivot], row[m]
         inv = pow(h[m][m - 1], -1, p)
         row_m = h[m]
-        factors = [0] * n
+        cols, us = [], []
         for r in range(m + 1, n):
             row_r = h[r]
             u = row_r[m - 1] * inv % p
             if u:
-                factors[r] = u
+                cols.append(r)
+                us.append(u)
                 row_r[m - 1 :] = [
                     (a - u * b) % p for a, b in zip(row_r[m - 1 :], row_m[m - 1 :])
                 ]
-        # the inverse similarity: column m gains u_r times column r
-        tail = factors[m + 1 :]
-        if any(tail):
+        # the inverse similarity: column m gains u_r times column r, read
+        # only where u_r != 0
+        if cols:
             for row in h:
-                row[m] = (row[m] + sum(map(mul, tail, row[m + 1 :]))) % p
+                row[m] = (row[m] + sum(map(mul, us, map(row.__getitem__, cols)))) % p
     polys = [[1]]
     for k in range(n):
         prev = polys[k]
@@ -646,7 +651,7 @@ def _resolvent_int(
     packed_m = [sum(w << shifts[t] for t, w in terms) for terms in sparse]
     current = shift(packed_m, deg - 1)
     for j in range(deg - 2, -1, -1):
-        if watch is not None and (stop := next(watch)):
+        if watch is not None and (stop := next(watch, None)):
             return stop
         res.packed.append(current)
         current = step(current, j)
@@ -666,11 +671,13 @@ def _minimal_watch(rows: list[list[int]], phi: list[int], bound: int):
     # length change, the discrepancy then, and the steps since
     conn, prev, length, last, gap = [1, -n % _P0], [1], 1, n, 1
     tried = 0
-    for k in range(1, n):
+    # a stop at k = 2L saves n - k steps for a Horner pass of L steps,
+    # the Hankel solve and Newton: past k = 2n/3 it cannot pay
+    for k in range(1, 2 * n // 3 + 1):
         # Newton: p_k = -(k c_k + sum_(0<i<k) c_i p_(k-i)), c_i = phi_(n-i)
         terms = map(mul, phi[n - 1 : n - k : -1], sums[k - 1 : 0 : -1])
         sums.append(-k * phi[n - k] - sum(terms))
-        d = sum(c * sums[k - i] for i, c in enumerate(conn)) % _P0
+        d = sum(map(mul, conn, reversed(sums))) % _P0
         stop = None
         if d:
             scale = d * pow(last, -1, _P0) % _P0
@@ -748,7 +755,12 @@ def _radical_resolvent(
     poly, its squarefree part, D = disc(psi), t = D / psi' mod psi and
     the resolvent coefficients of psi, packed as a `_Resolvent`."""
     bound = _charpoly_bound(rows)
-    if 2 * bound < _P0:
+    # the residue mod P0 for a regular or upper Hessenberg M, where it
+    # beats the Faddeev-LeVerrier pass (module docstring)
+    if 2 * bound < _P0 and (
+        len({*map(sum, rows)}) == 1 == len({r[i] for i, r in enumerate(rows)})
+        or not any(any(r[: i - 1]) for i, r in enumerate(rows[2:], 2))
+    ):
         phi = [c - _P0 if 2 * c > _P0 else c for c in _charpoly_mod(rows, _P0)]
         psi, disc_min, t = _int_radical(phi)
         return phi, psi, disc_min, t, _resolvent_int(rows, psi)[1]

@@ -7,6 +7,7 @@ denominator 1926 = 2 * 9 * 107 and its characteristic discriminant is
 nontrivial numbers.
 """
 
+import itertools
 import math
 import random
 import time
@@ -33,6 +34,7 @@ from avgmix.graphs import (
     complete_graph,
     cycle_graph,
     matrix_of,
+    parse_graph6,
     path_graph,
 )
 from avgmix.mixing import (
@@ -735,10 +737,10 @@ def test_multi_prime_repeated_spectrum_stops_at_the_minimal_polynomial(
     phi, psi, _, _, res = exact._radical_resolvent(rows)
     assert phi == from_roots(r for r, k in spectrum.items() for _ in range(k))
     assert psi == from_roots(spectrum) == res.psi
-    # one traced pass, stopped by the watch (or at n, for n = 3 and 4),
-    # then one Horner pass over psi; no residue mod P0
+    # one traced pass, stopped by the watch at k = 2 deg psi (or run to
+    # n = 3 and 4), then one Horner pass over psi; no residue mod P0
     assert calls["charpoly_mod"] == 0 and calls["psi"] == [None, psi]
-    assert calls["traced"] <= min(2 * (len(psi) - 1) + 2, len(rows))
+    assert calls["traced"] == min(2 * (len(psi) - 1), len(rows))
     if name != "6-cube":
         # c K_n has the idempotents J/n and I - J/n of K_n
         n = len(rows)
@@ -979,6 +981,144 @@ def test_resolvent_pass_char_poly_matches_horner_and_determinant(rows, points):
     # symmetric rows and the walks alike must give the term-by-term sums
     # of powers of M
     assert mats == reference.resolvent(rows, res.psi)
+
+
+# ---------------------------------------------------------------------------
+# the one-prime route: the residue mod P0 only for a regular or upper
+# Hessenberg M, the traced pass for every other
+# ---------------------------------------------------------------------------
+
+
+def hessenberg_route(rows):
+    """(phi, psi, D, t, unpacked B_j) by the residue mod P0 of phi."""
+    phi = [c - P0 if 2 * c > P0 else c for c in exact._charpoly_mod(rows, P0)]
+    psi, d, t = exact._int_radical(phi)
+    return phi, psi, d, t, reference.unpacked_resolvent(_resolvent_int(rows, psi)[1])
+
+
+def traced_route(rows):
+    """The same by the Faddeev-LeVerrier pass and its watch."""
+    phi, res = _resolvent_int(rows, bound=exact._charpoly_bound(rows))
+    psi, d, t = exact._int_radical(res.psi)
+    if psi != res.psi:
+        res = _resolvent_int(rows, psi)[1]
+    return phi, psi, d, t, reference.unpacked_resolvent(res)
+
+
+def petersen_laplacian():
+    pairs = list(itertools.combinations(range(5), 2))
+    adjacency = [[int(not set(u) & set(v)) for v in pairs] for u in pairs]
+    return basis_rows(WeightedGraph.from_weights(adjacency), "laplacian")
+
+
+@pytest.mark.parametrize("text, degree", [("ICmyoOeoG", 10), ("IhEgBOlKW", 9)])
+def test_an_irregular_one_prime_graph_takes_one_traced_pass(monkeypatch, text, degree):
+    rows = basis_rows(parse_graph6(text))
+    assert not multi_prime(rows)
+    calls = record_passes(monkeypatch)
+    phi, psi, _, _, res = exact._radical_resolvent(rows)
+    assert len(psi) - 1 == degree and phi == reference.char_poly(rows)
+    # no residue mod P0; deg psi > n/3, so the pass runs to the end, and
+    # a repeated spectrum then takes a Horner pass over psi
+    assert calls["charpoly_mod"] == 0 and calls["traced"] == len(rows)
+    assert calls["psi"] == [None] + ([psi] if psi != phi else [])
+    assert reference.unpacked_resolvent(res) == reference.resolvent(rows, psi)
+
+
+ONE_PRIME_RESIDUES = {
+    "cycle:13": basis_rows(cycle_graph(13)),
+    "K8": basis_rows(complete_graph(8)),
+    "Petersen Laplacian": petersen_laplacian(),
+    "path:12": basis_rows(path_graph(12)),
+}
+
+
+@pytest.mark.parametrize("name", list(ONE_PRIME_RESIDUES))
+def test_a_regular_or_tridiagonal_one_prime_matrix_takes_the_residue(
+    monkeypatch, name
+):
+    rows = ONE_PRIME_RESIDUES[name]
+    assert not multi_prime(rows)
+    calls = record_passes(monkeypatch)
+    phi, psi, _, _, res = exact._radical_resolvent(rows)
+    assert calls["charpoly_mod"] == 1 and calls["traced"] == 0
+    assert calls["psi"] == [psi] and phi == reference.char_poly(rows)
+    assert reference.unpacked_resolvent(res) == reference.resolvent(rows, psi)
+
+
+def one_prime_route_cases():
+    """About 100 seeded one-prime inputs of every kind the engine takes."""
+    rng = random.Random(22)
+    cases = []
+    for _ in range(24):
+        n = rng.randint(2, 14)
+        graph = random_weighted_graph(rng, n, 1)
+        cases += [basis_rows(graph), basis_rows(graph, "laplacian")]
+        looped = basis_rows(random_weighted_graph(rng, n, 5))
+        for i in rng.sample(range(n), rng.randint(1, n)):
+            looped[i][i] = rng.randint(-5, 5)
+        cases.append(looped)
+        block = basis_rows(random_weighted_graph(rng, rng.randint(1, 6), 3))
+        cases.append(_direct_sum(block, block))
+    for _ in range(8):
+        triples = [(rng.randint(1, 3), rng.randint(1, 3))
+                   for _ in range(rng.randint(1, 3))]
+        fixed = rng.randint(0, 1)
+        n = 2 * len(triples) + fixed
+        perm = rng.sample(range(n), n)
+        signs = [rng.choice([1, -1]) for _ in range(n)]
+        cases.append(_orthogonal_walk_rows(triples, fixed, perm, signs))
+    return [rows for rows in cases if not multi_prime(rows)]
+
+
+def test_both_one_prime_routes_give_the_same_spectral_integers():
+    cases = one_prime_route_cases()
+    assert len(cases) >= 100
+    repeated = 0
+    for rows in cases:
+        expected = hessenberg_route(rows)
+        assert traced_route(rows) == expected == unpacked_result(rows)
+        repeated += expected[0] != expected[1]
+    assert repeated >= 30
+
+
+@pytest.mark.parametrize("a, b", [(1, 11), (4, 8), (1, 29), (10, 20)])
+def test_a_complete_bipartite_graph_stops_at_twice_deg_psi(monkeypatch, a, b):
+    # spectrum +-sqrt(ab) and 0, so deg psi = 3: K_{1,11} and K_{4,8}
+    # need one prime, K_{1,29} and K_{10,20} more than one, and all four
+    # take the traced pass, stopped at k = 6
+    rows = _multipartite_rows([a, b], 1, [0, 0])
+    assert multi_prime(rows) is (a + b == 30)
+    calls = record_passes(monkeypatch)
+    phi, psi, _, _, res = exact._radical_resolvent(rows)
+    assert psi == [0, -a * b, 0, 1] == res.psi
+    assert phi == [0] * (a + b - 2) + [-a * b, 0, 1]
+    assert calls["charpoly_mod"] == 0 and calls["psi"] == [None, psi]
+    assert calls["traced"] == 6
+
+
+def test_a_simple_spectrum_pass_tries_no_candidate_past_two_thirds(monkeypatch):
+    # 0, P0, 2 P0, .. meet mod P0, so with 1 and 2 the power sums mod P0
+    # keep a recurrence of length 3 from k = 6 on; past k = 2n/3 no stop
+    # can pay for its Horner pass, so the watch tries that candidate for
+    # n = 9 and has quit before it for n = 7 and 8
+    tried = []
+    certified_stop = exact._certified_stop
+
+    def recorded(rows, phi, sums, m, k, bound):
+        tried.append((len(phi) - 1, k))
+        return certified_stop(rows, phi, sums, m, k, bound)
+
+    monkeypatch.setattr("avgmix.exact._certified_stop", recorded)
+    diagonals = [[c * P0 for c in range(m)] + [1, 2] for m in (5, 6, 7)]
+    cases = [[[d[i] if i == j else 0 for j in range(len(d))] for i in range(len(d))]
+             for d in diagonals]
+    cases += [RESOLVENT_ROWS, dense_weighted_rows(3, 14, 100, 3)]
+    cases.append(basis_rows(parse_graph6("ICmyoOeoG")))
+    for rows in cases:
+        phi, psi, *_ = exact._radical_resolvent(rows)
+        assert psi == phi == reference.char_poly(rows)
+    assert (9, 6) in tried and all(3 * k <= 2 * n for n, k in tried)
 
 
 # ---------------------------------------------------------------------------
