@@ -33,6 +33,19 @@ integer dot products over one shared denominator, and no rational
 routine runs here: each result is an `ExactMatrix` of integer
 numerators, with `Fraction` built only when an entry is read.
 
+A reducible U splits.  Every E_r is a polynomial in U, so when U is a
+direct sum after a simultaneous permutation of rows and columns, every
+E_r is block diagonal and both limits are the direct sums of the blocks'
+limits.  The rows of V are split into the connected components of their
+off-diagonal support (u ~ v when V_uv or V_vu is nonzero), each block is
+reduced to its own common denominator c_k, and each gets its own trace
+form, with every hard check of the engine.  Five 2 x 2 rotations with
+denominators 5 to 29 thus take five quadratic psi, not one psi of
+degree 10 over the lcm of the denominators.  The block results are put
+back at their original indices over the lcm of their denominators, zero
+across blocks, and the invariants are checked again on the whole.  An
+irreducible U takes one trace form of the whole V.
+
 The Cesaro error bound is certified on the same integers.  The cross
 term r != s of the partial average is a geometric sum of ratio
 theta_r / theta_s, and Cauchy-Schwarz over the pairs bounds the gap to
@@ -40,18 +53,26 @@ the literal limit by (2/N) max_uv P_uv sqrt(S), with P the physical
 limit and S = sum_(r != s) |theta_r - theta_s|^-2.  S is one more
 trace form over the weights tau, so the square of the bound is an exact
 rational, rounded up once to the least float whose square is at least
-it.  No root of psi is ever computed.
+it.  S sums over root pairs across blocks too, so the bound runs on
+the whole V.  No root of psi is ever computed.
 """
 
 from __future__ import annotations
 
 import math
 from operator import mul
+from typing import Callable
 
 import numpy as np
 
-from .exact import ExactMatrix, _int_derivative, _int_mul
-from .mixing import _literal, _mixing_matrix, _trace_form
+from .exact import ExactMatrix, _int_derivative, _int_mul, _support_components
+from .mixing import (
+    _check_mixing_invariants,
+    _literal,
+    _mixing_matrix,
+    _require_symmetric,
+    _trace_form,
+)
 
 
 def _require_orthogonal(u: ExactMatrix) -> list[list[int]]:
@@ -70,22 +91,64 @@ def _require_orthogonal(u: ExactMatrix) -> list[list[int]]:
     return rows
 
 
+def _block_forms(u: ExactMatrix) -> tuple[list[list[int]], list]:
+    """The components of the off-diagonal support of V = cU, and one trace
+    form per component, each block over its own denominator c_k."""
+    rows = _require_orthogonal(u)
+    comps = _support_components(rows)
+    forms = []
+    for comp in comps:
+        block = ExactMatrix([[rows[i][j] for j in comp] for i in comp], u.denominator)
+        forms.append(_trace_form([list(row) for row in block.numerators]))
+    return comps, forms
+
+
+def _direct_sum(
+    comps: list[list[int]], parts: list[ExactMatrix], check: Callable
+) -> ExactMatrix:
+    """The block results at their original indices, zero across blocks,
+    over the lcm of the block denominators, with `check` run on the
+    assembled numerators.  One block is returned as it is."""
+    if len(parts) == 1:
+        return parts[0]
+    denom = math.lcm(*(part.denominator for part in parts))
+    n = sum(map(len, comps))
+    nums = [[0] * n for _ in range(n)]
+    for comp, part in zip(comps, parts):
+        scale = denom // part.denominator
+        for i, row in zip(comp, part.numerators):
+            out = nums[i]
+            for j, x in zip(comp, row):
+                out[j] = x * scale
+    check(nums, denom)
+    return ExactMatrix(nums, denom)
+
+
+def _check_literal(nums: list[list[int]], denom: int) -> None:
+    _require_symmetric(nums, "the literal average mixing matrix must be symmetric")
+
+
 def avg_mixing_literal(u: ExactMatrix) -> ExactMatrix:
     """sum_r E_r o E_r, exactly; symmetric and rational, but its rows
     need not sum to 1 when U is not symmetric."""
-    return _literal(_trace_form(_require_orthogonal(u)))
+    comps, forms = _block_forms(u)
+    return _direct_sum(comps, list(map(_literal, forms)), _check_literal)
 
 
 def avg_mixing_physical(u: ExactMatrix) -> ExactMatrix:
     """sum_r E_r o conj(E_r), exactly: the Cesaro limit of the step
     mixing matrices, doubly stochastic with nonnegative entries."""
-    return _mixing_matrix(_trace_form(_require_orthogonal(u)))[0]
+    comps, forms = _block_forms(u)
+    parts = [_mixing_matrix(form)[0] for form in forms]
+    return _direct_sum(comps, parts, _check_mixing_invariants)
 
 
 def avg_mixing_limits(u: ExactMatrix) -> tuple[ExactMatrix, ExactMatrix]:
-    """(literal, physical), both read off one trace form of U."""
-    form = _trace_form(_require_orthogonal(u))
-    return _literal(form), _mixing_matrix(form)[0]
+    """(literal, physical), both read off one trace form per block of U."""
+    comps, forms = _block_forms(u)
+    literal = _direct_sum(comps, list(map(_literal, forms)), _check_literal)
+    parts = [_mixing_matrix(form)[0] for form in forms]
+    return literal, _direct_sum(comps, parts, _check_mixing_invariants)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,10 @@ All matrix and polynomial work runs on plain lists of Python ints in the
 on a monic psi and its derivative: `_int_disc` reads D = disc(psi) off
 it, with the cofactor t that scales 1/psi' mod psi and, on a repeated
 root, the gcd of psi and psi'.  Next to them are the Miller-Rabin test
-of 62-bit primes (also used by `avgmix.schemes`) and `_rows_in_span`,
-the span elimination of scheme axiom (d) and `avgmix.analysis`.
+of 62-bit primes (also used by `avgmix.schemes`), `_rows_in_span`,
+the span elimination of scheme axiom (d) and `avgmix.analysis`, and
+`_support_components`, the one component finder on integer rows, behind
+`WeightedGraph.components` and the block split of `avgmix.discrete`.
 
 `_radical_resolvent` is the first stage of `avgmix.mixing`: it turns an
 integer matrix M into its spectral integers without representing an
@@ -182,6 +184,35 @@ class ExactMatrix:
     def row_sums(self) -> tuple[Fraction, ...]:
         d = self.denominator
         return tuple(Fraction(sum(row), d) for row in self.numerators)
+
+
+def _support_components(rows: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Connected components of the off-diagonal support of M + M^T for
+    integer rows M: u ~ v when M[u][v] != 0 or M[v][u] != 0.  Each
+    component is sorted, and they come in the order of their least vertex."""
+    n = len(rows)
+    adjacent: list[list[int]] = [[] for _ in range(n)]
+    for u, row in enumerate(rows):
+        for v, x in enumerate(row):
+            if x and v != u:
+                adjacent[u].append(v)
+                adjacent[v].append(u)
+    seen = [False] * n
+    out = []
+    for start in range(n):
+        if seen[start]:
+            continue
+        seen[start] = True
+        stack, comp = [start], []
+        while stack:
+            u = stack.pop()
+            comp.append(u)
+            for v in adjacent[u]:
+                if not seen[v]:
+                    seen[v] = True
+                    stack.append(v)
+        out.append(sorted(comp))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Mapping
 
-from .exact import ExactMatrix
+from .exact import ExactMatrix, _support_components
 
 
 class Graph6Error(ValueError):
@@ -102,24 +102,9 @@ class WeightedGraph:
         )
 
     def components(self) -> list[list[int]]:
-        """Connected components of the nonzero off-diagonal support."""
-        seen = [False] * self.n
-        out = []
-        for start in range(self.n):
-            if seen[start]:
-                continue
-            stack = [start]
-            seen[start] = True
-            comp = []
-            while stack:
-                u = stack.pop()
-                comp.append(u)
-                for v in range(self.n):
-                    if v != u and self.weights[u][v] != 0 and not seen[v]:
-                        seen[v] = True
-                        stack.append(v)
-            out.append(sorted(comp))
-        return out
+        """Connected components of the nonzero off-diagonal support, each
+        sorted, in the order of their least vertex."""
+        return _support_components(self.weights)
 
     def is_connected(self) -> bool:
         return len(self.components()) == 1

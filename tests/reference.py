@@ -10,8 +10,9 @@ Newton power sums), entry numerators as whole products dotted with the
 trace weights (not rows of their Hankel matrix), the conjugate pairing
 by composing with y^-1, simple spectra by closed walks and the power-sum
 Hankel matrix, cospectral vertices by vertex-deleted char polys and
-closed walks, and span membership as a rank comparison of flattened
-matrices (no duplicate equations dropped).  The one float routine is the
+closed walks, span membership as a rank comparison of flattened
+matrices (no duplicate equations dropped), and positive semidefiniteness
+by fraction-free symmetric elimination.  The one float routine is the
 Cesaro partial average, summed one power of U after another.
 `unpacked_resolvent` reads an engine resolvent only through its own
 per-row `unpack`, so the B_j can be compared as nested lists.
@@ -265,6 +266,36 @@ def hankel_mixing(rows):
     xs = solve(power_hankel(psi), ys)
     values = [sum(ys[k][i] * xs[k][i] for k in range(m)) for i in range(len(pairs))]
     return [values[u * n:(u + 1) * n] for u in range(n)]
+
+
+def is_psd(rows):
+    """Whether a symmetric integer matrix is positive semidefinite, exactly.
+
+    Fraction-free (Bareiss) symmetric elimination, each pivot the largest
+    diagonal entry left: once pivots p_1 .. p_k > 0 are eliminated, the
+    block left is p_k times their Schur complement, so it has the signs
+    of the Schur complement, which is PSD exactly when the matrix is.  A
+    negative diagonal entry fails; a zero largest pivot leaves a block
+    that must be zero, since a PSD matrix has a zero row wherever its
+    diagonal is zero.
+    """
+    a = [list(row) for row in rows]
+    left, last = list(range(len(a))), 1
+    while left:
+        if min(a[i][i] for i in left) < 0:
+            return False
+        k = max(left, key=lambda i: a[i][i])
+        pivot = a[k][k]
+        if pivot == 0:
+            return not any(a[i][j] for i in left for j in left)
+        left.remove(k)
+        for i in left:
+            for j in left:
+                a[i][j], rem = divmod(pivot * a[i][j] - a[i][k] * a[k][j], last)
+                if rem:
+                    raise ArithmeticError("a Bareiss division left a remainder")
+        last = pivot
+    return True
 
 
 def rank(vectors):

@@ -58,6 +58,24 @@ def symmetric_signed_permutation(rng: random.Random, n: int) -> ExactMatrix:
     return ExactMatrix(rows)
 
 
+def conjugated_block_sum(blocks: list[ExactMatrix], rng: random.Random) -> ExactMatrix:
+    """P diag(blocks) P^T for a seeded signed permutation P."""
+    n = sum(block.nrows for block in blocks)
+    rows = [[F(0)] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        for i, row in enumerate(block.to_lists()):
+            rows[at + i][at : at + len(row)] = row
+        at += block.nrows
+    p = signed_permutation(rng, n).to_lists()
+    pt = [list(col) for col in zip(*p)]
+    return ExactMatrix(reference.matmul(reference.matmul(p, rows), pt))
+
+
+def rotation_5_12_13() -> ExactMatrix:
+    return ExactMatrix([[F(5, 13), F(12, 13)], [F(-12, 13), F(5, 13)]])
+
+
 # ---------------------------------------------------------------------------
 # frozen examples
 # ---------------------------------------------------------------------------
@@ -328,12 +346,87 @@ def test_literal_equals_physical_for_symmetric_steps():
 
 
 def test_identity_minus_physical_is_psd():
-    for u in [rotation_345(), orthogonal_third()]:
-        gap = np.eye(u.nrows) - np.array(
-            avg_mixing_physical(u).to_float()
-        )
+    rng = random.Random(98)
+    cases = [rotation_345(), orthogonal_third(), mixed_rotations()]
+    cases += [signed_permutation(rng, n) for n in (4, 6)]
+    cases += [conjugated_block_sum(blocks, rng) for blocks in block_sums().values()]
+    for u in cases:
+        physical = avg_mixing_physical(u)
+        gap = np.eye(u.nrows) - np.array(physical.to_float())
         values = np.linalg.eigvalsh((gap + gap.T) / 2)
         assert values.min() >= -1e-9
+        # exactly, on the numerators of d I - d P
+        d = physical.denominator
+        assert reference.is_psd(
+            [[d * (i == j) - x for j, x in enumerate(row)]
+             for i, row in enumerate(physical.numerators)]
+        )
+
+
+# ---------------------------------------------------------------------------
+# reducible walks: one trace form per block
+# ---------------------------------------------------------------------------
+
+
+def transpose(u: ExactMatrix) -> ExactMatrix:
+    return ExactMatrix(list(zip(*u.numerators)), u.denominator)
+
+
+def block_sums() -> dict[str, list[ExactMatrix]]:
+    """Block sums whose blocks share eigenvalues, or are 1 x 1."""
+    plus, minus = ExactMatrix([[1]]), ExactMatrix([[-1]])
+    return {
+        "equal rotations": [rotation_345(), rotation_345()],
+        # (3 +- 4i) / 5 in both blocks, each block's E_r the other's conj(E_r)
+        "rotation and transpose": [rotation_345(), transpose(rotation_345())],
+        "fixed points": [rotation_345(), plus, rotation_5_12_13(), minus, plus],
+        "lone 1x1": [orthogonal_third(), minus],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(block_sums()))
+def test_block_sums_match_the_whole_matrix_route(name):
+    for seed in (11, 12, 13):
+        u = conjugated_block_sum(block_sums()[name], random.Random(seed))
+        form = _trace_form(_require_orthogonal(u))
+        literal, physical = _literal(form), _mixing_matrix(form)[0]
+        assert (literal, physical) == rational_reference(u)
+        assert avg_mixing_literal(u) == literal
+        assert avg_mixing_physical(u) == physical
+        assert avg_mixing_limits(u) == (literal, physical)
+
+
+def block_cases() -> list[tuple[ExactMatrix, list[int]]]:
+    """Walks and the sizes of the blocks that their support splits into."""
+    sums = block_sums()
+    fixed = conjugated_block_sum(sums["fixed points"], random.Random(11))
+    lone = conjugated_block_sum(sums["lone 1x1"], random.Random(12))
+    return [
+        (orthogonal_third(), [3]),
+        (permutation([[0, 2, 1]]), [3]),
+        (mixed_rotations(), [2, 2, 3]),
+        (fixed, [1, 1, 1, 2, 2]),
+        (lone, [1, 3]),
+    ]
+
+
+def test_each_limit_runs_one_trace_form_per_block(monkeypatch):
+    calls = []
+
+    def counted(rows):
+        calls.append(len(rows))
+        return _trace_form(rows)
+
+    monkeypatch.setattr("avgmix.discrete._trace_form", counted)
+    for u, sizes in block_cases():
+        for limits in (avg_mixing_literal, avg_mixing_physical, avg_mixing_limits):
+            calls.clear()
+            limits(u)
+            assert sorted(calls) == sizes
+        # the bound sums over root pairs across blocks: one whole trace form
+        calls.clear()
+        cesaro_error_bound(u, 100)
+        assert calls == [u.nrows]
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +456,8 @@ def test_rotation_partial_average_within_bound_of_literal():
 def mixed_rotations() -> ExactMatrix:
     """Rotations by 3-4-5 and 5-12-13 and `orthogonal_third` on the
     diagonal, conjugated by a signed permutation of the 7 vertices."""
-    rotation_5_12_13 = ExactMatrix([[F(5, 13), F(12, 13)], [F(-12, 13), F(5, 13)]])
-    blocks = [rotation_345(), rotation_5_12_13, orthogonal_third()]
-    rows = [[F(0)] * 7 for _ in range(7)]
-    at = 0
-    for block in blocks:
-        for i, row in enumerate(block.to_lists()):
-            rows[at + i][at : at + len(row)] = row
-        at += block.nrows
-    p = signed_permutation(random.Random(97), 7).to_lists()
-    pt = [list(col) for col in zip(*p)]
-    return ExactMatrix(
-        [[sum(p[i][k] * rows[k][l] * pt[l][j] for k in range(7) for l in range(7))
-          for j in range(7)] for i in range(7)]
-    )
+    blocks = [rotation_345(), rotation_5_12_13(), orthogonal_third()]
+    return conjugated_block_sum(blocks, random.Random(97))
 
 
 @pytest.mark.parametrize("steps", [1, 2, 3, 199, 200, 10_000])

@@ -34,6 +34,7 @@ from avgmix.exact import (
     _Resolvent,
     _resolvent_int,
     _rows_in_span,
+    _support_components,
 )
 
 F = Fraction
@@ -161,6 +162,14 @@ class TestExactMatrix:
         assert [[x.hex() for x in row] for row in first.to_float()] == [
             [float(x).hex() for x in row] for row in rows
         ]
+
+
+def test_support_components_join_one_way_entries():
+    # u ~ v when M[u][v] or M[v][u] is nonzero; the diagonal joins nothing
+    rows = [[4, 0, 0, 0], [0, 0, 0, 0], [0, 0, 5, 0], [-1, 2, 0, 0]]
+    assert _support_components(rows) == [[0, 1, 3], [2]]
+    assert _support_components([[0, 0], [0, 0]]) == [[0], [1]]
+    assert _support_components([[7]]) == [[0]]
 
 
 # ---------------------------------------------------------------------------

@@ -614,6 +614,46 @@ class TestInvariants:
             exact = np.array(r.mixing.to_float())
             assert np.abs(exact - numeric).max() < 1e-8
 
+    def test_exact_psd_reference_follows_the_inertia(self):
+        # B diag(s) B^T with B invertible has the inertia of diag(s)
+        # (Sylvester), so it is PSD exactly when no s_i is negative
+        rng = random.Random(72)
+        seen = set()
+        for _ in range(60):
+            n = rng.randint(1, 7)
+            b = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+            if reference.determinant(b) == 0:
+                continue
+            s = [rng.choice((-1, 0, 0, 1, 2)) for _ in range(n)]
+            rows = [[sum(b[i][k] * s[k] * b[j][k] for k in range(n))
+                     for j in range(n)] for i in range(n)]
+            expected = min(s) >= 0
+            assert reference.is_psd(rows) == expected
+            seen.add((expected, 0 in s))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+        # a zero diagonal entry next to a nonzero off-diagonal one
+        assert not reference.is_psd([[0, 1], [1, 0]])
+        assert not reference.is_psd([[2, 0, 1], [0, 1, 0], [1, 0, 0]])
+
+    def test_average_mixing_and_its_gap_to_identity_are_psd_exactly(self):
+        # M-hat = sum_r E_r o E_r is PSD (Schur), and I - M-hat is PSD as
+        # M-hat is doubly stochastic
+        rng = random.Random(73)
+        cases = []
+        for n in range(2, 13):
+            g = random_weighted_graph(rng, n, 1)
+            cases += [matrix_of(g), matrix_of(g, "laplacian")]
+            w = random_weighted_graph(rng, n, 9)
+            looped = add_loops(w, {0: rng.randint(1, 5), n - 1: rng.randint(-5, -1)})
+            cases += [matrix_of(w), matrix_of(looped)]
+        for m in cases:
+            mixing = average_mixing(m).mixing
+            nums, d = mixing.numerators, mixing.denominator
+            assert reference.is_psd(nums)
+            gap = [[d * (i == j) - x for j, x in enumerate(row)]
+                   for i, row in enumerate(nums)]
+            assert reference.is_psd(gap)
+
     def test_disconnected_zeros(self):
         rows = [
             [0, 1, 0, 0],
