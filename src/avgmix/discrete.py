@@ -46,15 +46,21 @@ back at their original indices over the lcm of their denominators, zero
 across blocks, and the invariants are checked again on the whole.  An
 irreducible U takes one trace form of the whole V.
 
-The Cesaro error bound is certified on the same integers.  The cross
-term r != s of the partial average is a geometric sum of ratio
-theta_r / theta_s, and Cauchy-Schwarz over the pairs bounds the gap to
-the literal limit by (2/N) max_uv P_uv sqrt(S), with P the physical
-limit and S = sum_(r != s) |theta_r - theta_s|^-2.  S is one more
-trace form over the weights tau, so the square of the bound is an exact
-rational, rounded up once to the least float whose square is at least
-it.  S sums over root pairs across blocks too, so the bound runs on
-the whole V.  No root of psi is ever computed.
+The Cesaro error bound is certified on the same integers and blocks.
+The cross term r != s of the partial average is a geometric sum of
+ratio theta_r / theta_s, and Cauchy-Schwarz over the pairs bounds the
+gap to the literal limit by (2/N) max_uv P_uv sqrt(S), with P the
+physical limit and S = sum_(r != s) |theta_r - theta_s|^-2.  The
+partial average is block diagonal too, so the gap is zero across
+blocks, and inside block k it is that block's own Cesaro error, since
+every E_r o E_s restricted to block k involves only its eigenvalues.
+The bound is thus max_k (2/N) max P_k sqrt(S_k), with P_k and S_k over
+block k alone.  S_k sums over a subset of the pairs of S, so the bound
+is never above that of the whole V, and equals it for an irreducible U.
+Each S_k is one more trace form over the block's weights tau, the
+largest S_k max P_k^2 is chosen by exact cross-multiplication, and the
+square of the bound, an exact rational, is rounded up once to the least
+float whose square is at least it.  No root of psi is ever computed.
 """
 
 from __future__ import annotations
@@ -204,13 +210,9 @@ def _round_up_sqrt(num: int, den: int) -> float:
     return math.ldexp(m, s - 1074) if m.bit_length() + s <= 2098 else math.inf
 
 
-def cesaro_error_bound(u: ExactMatrix, steps: int) -> float:
-    """Certified bound on the gap between the partial average and the
-    literal limit: the least float b with b^2 >= 4 S max_uv P_uv^2 / N^2."""
-    rows = _require_orthogonal(u)
-    _require_steps(steps)
-    form = _trace_form(rows)
-    physical = _mixing_matrix(form)[0]
+def _twelve_denom_s(form) -> int:
+    """12 denom S of one trace form: S = sum_(r != s) |theta_r - theta_s|^-2
+    over the roots of its psi, scaled back by c."""
     # |a - b|^2 = -(a - b)^2 / (a b) on the unit circle, unchanged when
     # V = cU scales the roots by c; summed over the pairs, 12 S is the sum
     # of h / psi'^2 over the roots of psi_V, where h (of degree 2 deg - 2)
@@ -226,6 +228,23 @@ def cesaro_error_bound(u: ExactMatrix, steps: int) -> float:
     s12 = sum(map(mul, h, form.tau))
     if s12 < 0 or (s12 > 0) != (len(form.min_poly) > 2):
         raise AssertionError("S must be positive exactly when deg psi > 1")
-    p = max(map(max, physical.numerators))
-    den = 3 * form.denom * physical.denominator**2 * steps * steps
-    return _round_up_sqrt(s12 * p * p, den)
+    return s12
+
+
+def cesaro_error_bound(u: ExactMatrix, steps: int) -> float:
+    """Certified bound on the gap between the partial average and the
+    literal limit: the least float b with b^2 >= 4 S_k max_uv (P_k)_uv^2 / N^2
+    for every block k of U, with P_k its physical limit and S_k the sum
+    over its own root pairs.  The gap is zero across blocks and, inside
+    one, that block's own, so each block is bounded on its trace form."""
+    _require_steps(steps)
+    num, den = 0, 1
+    for form in _block_forms(u)[1]:
+        physical = _mixing_matrix(form)[0]
+        p = max(map(max, physical.numerators))
+        # S_k max P_k^2 = s12 p^2 / (12 denom_k Pden_k^2); keep the largest
+        block_num = _twelve_denom_s(form) * p * p
+        block_den = form.denom * physical.denominator**2
+        if block_num * den > num * block_den:
+            num, den = block_num, block_den
+    return _round_up_sqrt(num, 3 * den * steps * steps)

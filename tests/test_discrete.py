@@ -417,16 +417,15 @@ def test_each_limit_runs_one_trace_form_per_block(monkeypatch):
         calls.append(len(rows))
         return _trace_form(rows)
 
+    def bound(u):
+        return cesaro_error_bound(u, 100)
+
     monkeypatch.setattr("avgmix.discrete._trace_form", counted)
     for u, sizes in block_cases():
-        for limits in (avg_mixing_literal, avg_mixing_physical, avg_mixing_limits):
+        for run in (avg_mixing_literal, avg_mixing_physical, avg_mixing_limits, bound):
             calls.clear()
-            limits(u)
+            run(u)
             assert sorted(calls) == sizes
-        # the bound sums over root pairs across blocks: one whole trace form
-        calls.clear()
-        cesaro_error_bound(u, 100)
-        assert calls == [u.nrows]
 
 
 # ---------------------------------------------------------------------------
@@ -533,12 +532,42 @@ def rational_route_bound(u: ExactMatrix, steps: int) -> float:
     return 2.0 * float(max(map(max, physical))) * gap_sum(u) ** 0.5 / steps
 
 
+def support_blocks(u: ExactMatrix) -> list[list[int]]:
+    """The blocks of U, grown from each least unplaced vertex through the
+    nonzero entries of its row and its column."""
+    rows = u.to_lists()
+    n = len(rows)
+    left, blocks = set(range(n)), []
+    while left:
+        block, todo = set(), [min(left)]
+        while todo:
+            a = todo.pop()
+            if a not in block:
+                block.add(a)
+                todo += [b for b in range(n) if rows[a][b] or rows[b][a]]
+        left -= block
+        blocks.append(sorted(block))
+    return blocks
+
+
+def block_route_bound(u: ExactMatrix, steps: int) -> float:
+    """The largest `rational_route_bound` of the blocks of U: the gap to
+    the literal limit is zero across blocks and, inside one, that
+    block's own."""
+    rows = u.to_lists()
+    return max(
+        rational_route_bound(ExactMatrix([[rows[i][j] for j in b] for i in b]), steps)
+        for b in support_blocks(u)
+    )
+
+
 def test_bound_with_large_denominators_matches_rational_route():
     u = euclid_rotation_walk()
     bound = cesaro_error_bound(u, 200)
-    expected = rational_route_bound(u, 200)
+    expected = block_route_bound(u, 200)
     assert np.isfinite(bound)
     assert abs(bound - expected) <= 1e-9 * expected
+    assert bound <= rational_route_bound(u, 200)
 
 
 def test_bound_runs_no_hessenberg_residue_on_a_multi_prime_walk(monkeypatch):
@@ -559,8 +588,67 @@ def test_bound_matches_rational_route_on_random_walks():
     cases = [rotation_345(), orthogonal_third()]
     cases += [signed_permutation(rng, rng.randint(1, 6)) for _ in range(6)]
     for u in cases:
-        expected = rational_route_bound(u, 50)
-        assert abs(cesaro_error_bound(u, 50) - expected) <= 1e-9 * max(expected, 1.0)
+        bound = cesaro_error_bound(u, 50)
+        expected = block_route_bound(u, 50)
+        assert abs(bound - expected) <= 1e-9 * max(expected, 1.0)
+        assert bound <= rational_route_bound(u, 50) + 1e-9 * max(expected, 1.0)
+
+
+def reducible_walks() -> list[ExactMatrix]:
+    walks = [mixed_rotations(), euclid_rotation_walk()]
+    for seed in (11, 12, 13):
+        walks += [conjugated_block_sum(b, random.Random(seed)) for b in block_sums().values()]
+    return walks
+
+
+def test_bound_on_reducible_walks_is_the_largest_block_bound():
+    for u in reducible_walks():
+        assert len(support_blocks(u)) > 1
+        literal = np.array(avg_mixing_literal(u).to_float())
+        # both references are their value at N = 1 over N
+        block, whole = block_route_bound(u, 1), rational_route_bound(u, 1)
+        for steps in (50, 200, 1000):
+            bound = cesaro_error_bound(u, steps)
+            assert abs(bound - block / steps) <= 1e-9 * block / steps
+            # S_k sums over a subset of the pairs of S, max P_k <= max P
+            assert bound <= whole / steps * (1 + 1e-9)
+            assert np.max(np.abs(cesaro_partial(u, steps) - literal)) <= bound
+
+
+def test_bound_is_zero_on_signed_diagonal_walks():
+    # every block is 1 x 1 with deg psi = 1: no cross term anywhere, though
+    # the whole psi of diag(1, -1) has two roots
+    assert cesaro_error_bound(ExactMatrix([[1, 0], [0, -1]]), 10) == 0.0
+    rng = random.Random(99)
+    for n in range(1, 7):
+        u = ExactMatrix([[rng.choice([1, -1]) * (i == j) for j in range(n)] for i in range(n)])
+        for steps in (1, 10, 1000):
+            assert cesaro_error_bound(u, steps) == 0.0
+
+
+def smoke_reducible() -> ExactMatrix:
+    """The 5 x 5 walk of the CI smoke test: a 3-4-5 rotation, its
+    transpose and a fixed point, conjugated by a fixed signed permutation."""
+    b = [[F(0)] * 5 for _ in range(5)]
+    b[0][0] = b[1][1] = b[2][2] = b[3][3] = F(3, 5)
+    b[0][1] = b[3][2] = F(4, 5)
+    b[1][0] = b[2][3] = F(-4, 5)
+    b[4][4] = F(1)
+    perm, sign = [3, 0, 4, 1, 2], [1, -1, 1, 1, -1]
+    return ExactMatrix(
+        [[sign[i] * sign[j] * b[perm[i]][perm[j]] for j in range(5)] for i in range(5)]
+    )
+
+
+def test_bound_of_the_smoke_walk_is_the_rotation_bound():
+    # each rotation block has S = 25/32 and max P = 1/2, the fixed point S = 0
+    u = smoke_reducible()
+    assert sorted(map(len, support_blocks(u))) == [1, 2, 2]
+    for steps in (1, 10, 1000):
+        bound = cesaro_error_bound(u, steps)
+        assert bound == cesaro_error_bound(rotation_345(), steps)
+        square = F(25, 32) / steps**2
+        assert F(bound) ** 2 >= square > F(math.nextafter(bound, 0)) ** 2
 
 
 def test_gap_sum_hand_values_fix_the_bound():
