@@ -12,9 +12,11 @@ discrete-walk analogue for rational orthogonal step matrices.
 looked up in its submodule on first access (PEP 562), so a caller pays
 only for the stack it uses: `average_mixing` loads `exact` and `mixing`,
 `cesaro_error_bound` the discrete stack, `verify_scheme` the scheme
-stack.  numpy is imported by `discrete` and `schemes` when they load,
-and by `numeric` on the first float computation.  Bare submodule names
-(`avgmix.schemes`, `avgmix.cli`, ...) resolve the same way.
+stack, `spectral_decomposition` the float oracle `numeric`.  Bare
+submodule names (`avgmix.schemes`, `avgmix.cli`, ...) resolve the same
+way.  This namespace and the `avgmix.cli` subcommands are the only
+places that decide what a call loads: every module imports what it
+computes with, numpy included, at its top.
 """
 
 import importlib

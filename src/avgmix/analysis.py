@@ -18,7 +18,7 @@ import enum
 from dataclasses import dataclass
 from typing import Hashable, Sequence
 
-from .exact import ExactMatrix, _radical_resolvent, _rows_in_span
+from .exact import ExactMatrix, _check_vertices, _radical_resolvent, _rows_in_span
 from .graphs import WeightedGraph, basis_rows, cycle_graph, matrix_of, path_graph
 from .mixing import AvgMixReport, average_mixing, strong_cospectral_kernel
 
@@ -141,8 +141,7 @@ def are_cospectral(
 
     report, when given, must be the average mixing report of g in basis.
     """
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise IndexError("vertex out of range")
+    _check_vertices(g.n, u, v)
     if u == v:
         return True
     classes = _vertex_classes(g, basis, report)
@@ -227,8 +226,7 @@ def pst_necessary(
 
     report, when given, must be the average mixing report of g in basis.
     """
-    if not (0 <= u < g.n and 0 <= v < g.n):
-        raise IndexError("vertex out of range")
+    _check_vertices(g.n, u, v)
     if u == v:
         raise ValueError("transfer needs two distinct vertices")
     if report is None:

@@ -8,9 +8,12 @@ when a requested verification fails, 2 on unusable input, 3 when an
 internal invariant is violated, 141 when the reader of stdout went away
 (as a process killed by SIGPIPE).
 
-The scheme and discrete stacks, which load numpy, are imported by their
-own subcommands, so `compute` and `analyze` run without numpy.  The
-library functions the other subcommands call stay module attributes.
+What a call loads is decided here and in the lazy `avgmix` namespace,
+nowhere else.  Every module imports what it computes with, numpy
+included, at its top; a subcommand imports the float oracle `numeric`
+(for `verify`'s psd check) or the scheme and discrete stacks only when
+it runs them, so `compute`, `analyze` and `verify --check
+stochastic|integrality` run without numpy.
 """
 
 from __future__ import annotations
@@ -44,7 +47,6 @@ from .graphs import (
     parse_graph6,
 )
 from .mixing import AvgMixReport, average_mixing
-from .numeric import eigenvalue_range
 
 PSD_TOLERANCE = 1e-9
 
@@ -135,6 +137,10 @@ def _emit_pretty_matrix(cells: list[list[str]]) -> list[str]:
     ]
 
 
+def _pretty_pairs(value: dict) -> str:
+    return ", ".join(f"{k}={v}" for k, v in value.items())
+
+
 def _emit(payload: dict, fmt: str) -> None:
     """Print payload in the chosen format.
 
@@ -142,7 +148,7 @@ def _emit(payload: dict, fmt: str) -> None:
     CSV prints each matrix as its key on a line of its own and then a
     numeric table, the first table behind an `# approximate` comment, and
     every other value as key,value rows; pretty prints aligned tables plus
-    scalar lines.
+    scalar lines, a dict as k=v pairs, and a list of dicts one item a line.
     """
     if fmt == "json":
         print(json.dumps(payload, indent=2))
@@ -163,8 +169,11 @@ def _emit(payload: dict, fmt: str) -> None:
             for line in _emit_pretty_matrix(value):
                 print(f"  {line}")
         elif isinstance(value, dict):
-            flat = ", ".join(f"{k}={v}" for k, v in value.items())
-            print(f"{key}: {flat}")
+            print(f"{key}: {_pretty_pairs(value)}")
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            print(f"{key}:")
+            for item in value:
+                print(f"  {_pretty_pairs(item)}")
         elif isinstance(value, list):
             print(f"{key}: {' '.join(str(v) for v in value)}")
         else:
@@ -268,7 +277,8 @@ def _load_graph(args: argparse.Namespace) -> WeightedGraph:
     return g
 
 
-def _parse_pair(text: str, n: int) -> tuple[int, int]:
+def _parse_pair(text: str) -> tuple[int, int]:
+    """Two ints; the library functions they go to check their range."""
     parts = text.split(",")
     try:
         u, v = (int(p) for p in parts)
@@ -276,8 +286,6 @@ def _parse_pair(text: str, n: int) -> tuple[int, int]:
         raise ValueError(
             f"--pair {text!r} is not two comma-separated vertices"
         ) from None
-    if not (0 <= u < n and 0 <= v < n):
-        raise IndexError("pair vertex out of range")
     return u, v
 
 
@@ -329,6 +337,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             and all(sum(row) == mixing.denominator for row in mixing.numerators)
         )
     if selected in ("all", "psd"):
+        from .numeric import eigenvalue_range
+
         low, high = eigenvalue_range(report.mixing)
         checks["psd"] = low >= -PSD_TOLERANCE and high <= 1 + PSD_TOLERANCE
     if selected in ("all", "integrality"):
@@ -354,7 +364,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         "span_class": ij_span_check(report).value,
     }
     if args.pair is not None:
-        u, v = _parse_pair(args.pair, g.n)
+        u, v = _parse_pair(args.pair)
         verdict = pst_necessary(g, u, v, args.basis, report)
         payload["pair"] = [u, v]
         payload["cospectral"] = are_cospectral(g, u, v, args.basis, report)

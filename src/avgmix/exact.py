@@ -14,10 +14,13 @@ All matrix and polynomial work runs on plain lists of Python ints in the
 on a monic psi and its derivative: `_int_disc` reads D = disc(psi) off
 it, with the cofactor t that scales 1/psi' mod psi and, on a repeated
 root, the gcd of psi and psi'.  Next to them are the Miller-Rabin test
-of 62-bit primes (also used by `avgmix.schemes`), `_rows_in_span`,
-the span elimination of scheme axiom (d) and `avgmix.analysis`, and
-`_support_components`, the one component finder on integer rows, behind
-`WeightedGraph.components` and the block split of `avgmix.discrete`.
+of 62-bit primes, whose one library caller is
+`schemes.cyclotomic_scheme` (a test checks that P0 is prime),
+`_rows_in_span`, the span elimination of scheme axiom (d) and
+`avgmix.analysis`, `_support_components`, the one component finder on
+integer rows, behind `WeightedGraph.components` and the block split of
+`avgmix.discrete`, and `_check_vertices`, the one vertex check of every
+function that takes a vertex.
 
 `_radical_resolvent` is the first stage of `avgmix.mixing`: it turns an
 integer matrix M into its spectral integers without representing an
@@ -184,6 +187,16 @@ class ExactMatrix:
     def row_sums(self) -> tuple[Fraction, ...]:
         d = self.denominator
         return tuple(Fraction(sum(row), d) for row in self.numerators)
+
+
+def _check_vertices(n: int, *vertices: object) -> None:
+    """Reject a vertex that is not an int, a bool included (TypeError), or
+    not in range(n) (IndexError): a vertex is never coerced."""
+    for v in vertices:
+        if type(v) is not int:
+            raise TypeError(f"vertex {v!r} is not an int")
+        if not 0 <= v < n:
+            raise IndexError(f"vertex {v} out of range for n={n}")
 
 
 def _support_components(rows: Sequence[Sequence[int]]) -> list[list[int]]:

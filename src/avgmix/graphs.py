@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import chain, repeat
 from typing import Iterable, Mapping
 
-from .exact import ExactMatrix, _support_components
+from .exact import ExactMatrix, _check_vertices, _support_components
 
 
 class Graph6Error(ValueError):
@@ -71,6 +71,7 @@ class WeightedGraph:
     # -- basic structure ---------------------------------------------------
 
     def weight(self, u: int, v: int) -> int:
+        _check_vertices(self.n, u, v)
         return self.weights[u][v]
 
     def edges(self) -> list[tuple[int, int, int]]:
@@ -144,10 +145,15 @@ def complete_graph(n: int) -> WeightedGraph:
 
 
 def circulant_graph(n: int, connections: Iterable[int]) -> WeightedGraph:
-    """Circulant with vertex i adjacent to i +- s for each connection s."""
+    """Circulant with vertex i adjacent to i +- s for each connection s,
+    an int (not a bool) in 1..n//2."""
     if n < 1:
         raise ValueError("circulant needs n >= 1")
-    conns = sorted(set(int(s) for s in connections))
+    conns = list(connections)
+    for s in conns:
+        if type(s) is not int:
+            raise TypeError(f"connection {s!r} is not an int")
+    conns = sorted(set(conns))
     if any(s < 1 or s > n // 2 for s in conns):
         raise ValueError("connections must lie in 1..n//2")
     rows = [[0] * n for _ in range(n)]
@@ -194,9 +200,7 @@ def family(descriptor: str) -> WeightedGraph:
 
 def add_loops(g: WeightedGraph, loops: Mapping[int, int]) -> WeightedGraph:
     """Set diagonal weights from a vertex -> weight map, checked by from_weights."""
-    for v in loops:
-        if not (0 <= v < g.n):
-            raise IndexError(f"vertex {v} out of range for n={g.n}")
+    _check_vertices(g.n, *loops)
     rows = [list(row) for row in g.weights]
     for v, w in loops.items():
         rows[v][v] = w

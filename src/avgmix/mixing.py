@@ -77,7 +77,13 @@ from fractions import Fraction
 from operator import mul
 from typing import NamedTuple
 
-from .exact import ExactMatrix, ExactPolynomial, _radical_resolvent, _Resolvent
+from .exact import (
+    ExactMatrix,
+    ExactPolynomial,
+    _check_vertices,
+    _radical_resolvent,
+    _Resolvent,
+)
 
 
 @dataclass(frozen=True)
@@ -305,9 +311,7 @@ def strong_cospectral_kernel(report: AvgMixReport, u: int, v: int) -> bool:
     For symmetric idempotents this is exactly strong cospectrality of the
     pair: E_r e_u = +- E_r e_v for every r.
     """
-    n = report.n
-    if not (0 <= u < n and 0 <= v < n):
-        raise IndexError("vertex out of range")
+    _check_vertices(report.n, u, v)
     if u == v:
         raise ValueError("strong cospectrality needs two distinct vertices")
     # Mhat is symmetric, so its columns are its rows

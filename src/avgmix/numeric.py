@@ -8,20 +8,19 @@ use the cosine expansion over projector pairs, which keeps each term
 manifestly real, and time averages replace the cosines with sinc
 factors integrated in closed form.
 
-numpy is imported by each function that computes with floats, not when
-the module loads: `avgmix.cli` imports `eigenvalue_range` from here, and
-its `compute` and `analyze` subcommands never call it.
+numpy is imported when this module loads, as in every module that
+computes with floats.  What a call loads is decided only where it
+enters: by each `avgmix.cli` subcommand and by the lazy `avgmix`
+namespace.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+
+import numpy as np
 
 from .exact import ExactMatrix
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 class ClusteringError(RuntimeError):
@@ -29,8 +28,6 @@ class ClusteringError(RuntimeError):
 
 
 def _as_array(m) -> np.ndarray:
-    import numpy as np
-
     arr = np.asarray(m.to_float() if isinstance(m, ExactMatrix) else m, dtype=float)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         raise ValueError("expected a square matrix")
@@ -51,14 +48,10 @@ class SpectralDecomposition:
 
     @property
     def multiplicities(self) -> tuple[int, ...]:
-        import numpy as np
-
         return tuple(int(round(np.trace(p))) for p in self.projectors)
 
 
 def default_tolerance(m) -> float:
-    import numpy as np
-
     arr = _as_array(m)
     scale = float(np.abs(arr).max()) if arr.size else 0.0
     return 1e-9 * arr.shape[0] * max(scale, 1.0)
@@ -66,8 +59,6 @@ def default_tolerance(m) -> float:
 
 def spectral_decomposition(m, tol: float | None = None) -> SpectralDecomposition:
     """Eigenvalue clusters and projectors of a real symmetric matrix."""
-    import numpy as np
-
     arr = _as_array(m)
     if not np.allclose(arr, arr.T, atol=1e-12, rtol=0.0):
         raise ValueError("matrix must be symmetric")
@@ -102,8 +93,6 @@ def expect_cluster_count(d: SpectralDecomposition, count: int) -> None:
 
 def transition_matrix(d: SpectralDecomposition, t: float) -> np.ndarray:
     """U(t) = exp(itM) = sum_r e^(i theta_r t) E_r."""
-    import numpy as np
-
     out = np.zeros((d.n, d.n), dtype=complex)
     for theta, proj in zip(d.eigenvalues, d.projectors):
         out += np.exp(1j * theta * t) * proj
@@ -112,8 +101,6 @@ def transition_matrix(d: SpectralDecomposition, t: float) -> np.ndarray:
 
 def mixing_at(d: SpectralDecomposition, t: float) -> np.ndarray:
     """Mixing matrix M(t), via the real cosine expansion over projector pairs."""
-    import numpy as np
-
     out = np.zeros((d.n, d.n))
     for r, (theta_r, proj_r) in enumerate(zip(d.eigenvalues, d.projectors)):
         out += proj_r * proj_r
@@ -125,8 +112,6 @@ def mixing_at(d: SpectralDecomposition, t: float) -> np.ndarray:
 
 def average_upto(d: SpectralDecomposition, horizon: float) -> np.ndarray:
     """(1/T) integral of M(t) over [0, T], by the closed sinc form."""
-    import numpy as np
-
     if horizon <= 0:
         raise ValueError("averaging horizon must be positive")
     out = np.zeros((d.n, d.n))
@@ -140,8 +125,6 @@ def average_upto(d: SpectralDecomposition, horizon: float) -> np.ndarray:
 
 def numeric_avg_mixing(d: SpectralDecomposition) -> np.ndarray:
     """Limit of the time average: sum of Schur-squared projectors."""
-    import numpy as np
-
     out = np.zeros((d.n, d.n))
     for proj in d.projectors:
         out += proj * proj
@@ -150,8 +133,6 @@ def numeric_avg_mixing(d: SpectralDecomposition) -> np.ndarray:
 
 def eigenvalue_range(m) -> tuple[float, float]:
     """Smallest and largest eigenvalue of a real symmetric matrix."""
-    import numpy as np
-
     arr = _as_array(m)
     if not np.allclose(arr, arr.T, atol=1e-12, rtol=0.0):
         raise ValueError("expected a symmetric matrix")

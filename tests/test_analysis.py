@@ -34,7 +34,7 @@ from avgmix.graphs import (
     matrix_of,
     path_graph,
 )
-from avgmix.mixing import average_mixing
+from avgmix.mixing import average_mixing, strong_cospectral_kernel
 from avgmix.numeric import spectral_decomposition
 from avgmix.schemes import cyclotomic_scheme
 
@@ -188,6 +188,35 @@ def test_cospectral_same_vertex_and_range():
     assert are_cospectral(path_graph(3), 1, 1)
     with pytest.raises(IndexError):
         are_cospectral(path_graph(3), 0, 3)
+
+
+def _vertex_entry_points():
+    """Each function that takes a vertex (a circulant's step, for
+    circulant_graph), called with v in one vertex slot."""
+    g = path_graph(3)
+    report = average_mixing(matrix_of(g))
+    return {
+        "add_loops": lambda v: add_loops(g, {v: 2}),
+        "weight": lambda v: g.weight(v, 1),
+        "are_cospectral": lambda v: are_cospectral(g, v, 2),
+        "are_strongly_cospectral": lambda v: are_strongly_cospectral(g, 2, v, report),
+        "pst_necessary": lambda v: pst_necessary(g, v, 2, report=report),
+        "strong_cospectral_kernel": lambda v: strong_cospectral_kernel(report, 2, v),
+        "circulant_graph": lambda v: circulant_graph(7, [2, v]),
+    }
+
+
+@pytest.mark.parametrize("bad", [True, 1.0, "0", -1], ids=repr)
+@pytest.mark.parametrize("name", sorted(_vertex_entry_points()))
+def test_a_vertex_is_an_int_in_range_never_coerced(name, bad):
+    entry = _vertex_entry_points()[name]
+    entry(1)
+    if bad == -1:
+        error = ValueError if name == "circulant_graph" else IndexError
+    else:
+        error = TypeError
+    with pytest.raises(error, match="vertex|connection"):
+        entry(bad)
 
 
 def test_cospectral_with_weights_and_loops():

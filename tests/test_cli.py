@@ -285,6 +285,34 @@ def test_csv_fields_round_trip_through_a_csv_reader(tmp_path, capsys):
     assert "," in detail and ["violations.1.detail", detail] in rows
 
 
+def test_pretty_prints_dicts_and_lists_of_dicts_as_pairs(tmp_path, capsys):
+    # a list of dicts (scheme violations) prints one k=v line per item,
+    # not a Python repr
+    scheme = tmp_path / "not_a_scheme.json"
+    scheme.write_text("[[[1,0,0],[0,1,0],[0,0,1]],[[0,1,0],[1,1,1],[0,1,0]]]")
+    argvs = [*_every_subcommand(tmp_path), ["scheme", "--matrix-file", str(scheme)]]
+    for argv in argvs:
+        code = main(argv)
+        payload = json.loads(capsys.readouterr().out)
+        assert main([*argv, "--format", "pretty"]) == code
+        out = capsys.readouterr().out
+        assert "{'" not in out, argv
+        lines = out.splitlines()
+        for key, value in payload.items():
+            items = value if isinstance(value, list) else [value]
+            if not items or not all(isinstance(item, dict) for item in items):
+                continue
+            pairs = [
+                ", ".join(f"{k}={v}" for k, v in item.items()) for item in items
+            ]
+            if isinstance(value, list):
+                start = lines.index(f"{key}:") + 1
+                assert lines[start : start + len(pairs)] == [f"  {p}" for p in pairs]
+            else:
+                assert f"{key}: {pairs[0]}" in lines
+    assert len(payload["violations"]) == 2
+
+
 def test_pretty_prints_every_matrix_as_a_table(tmp_path, capsys):
     argv = ["discrete", "--unitary-file", _third_file(tmp_path), "--format", "pretty"]
     lines = run(capsys, *argv)[1].splitlines()

@@ -1,8 +1,9 @@
 """What a call loads: `import avgmix` loads no submodule, each public
 name loads its own submodule on first access, and the `compute` and
-`analyze` subcommands run without numpy or the scheme and discrete
-stacks.  Each check runs in a fresh interpreter, so nothing another test
-imported can hide a load."""
+`analyze` subcommands and `verify --check stochastic|integrality` run
+without numpy, the float oracle `avgmix.numeric` or the scheme and
+discrete stacks.  Each check runs in a fresh interpreter, so nothing
+another test imported can hide a load."""
 
 import json
 import os
@@ -14,7 +15,7 @@ import pytest
 import avgmix
 
 SRC = os.path.dirname(os.path.dirname(avgmix.__file__))
-WATCHED = ("numpy", "avgmix.discrete", "avgmix.schemes")
+WATCHED = ("numpy", "avgmix.discrete", "avgmix.numeric", "avgmix.schemes")
 
 # the avgmix submodules and numpy that are loaded at this point
 LOADED = """
@@ -62,9 +63,13 @@ def _unitary_file(tmp_path):
         (["compute", "--family", "path:6"], []),
         (["analyze", "--family", "cycle:9", "--pair", "0,1"], []),
         (["verify", "--family", "path:6", "--check", "stochastic"], []),
+        (["verify", "--family", "path:6", "--check", "integrality"], []),
         # the psd check is the float route
-        (["verify", "--family", "path:6"], ["numpy"]),
-        (["scheme", "--q", "13", "--d", "2"], ["avgmix.schemes", "numpy"]),
+        (["verify", "--family", "path:6"], ["avgmix.numeric", "numpy"]),
+        (
+            ["scheme", "--q", "13", "--d", "2"],
+            ["avgmix.numeric", "avgmix.schemes", "numpy"],
+        ),
         (["discrete", "--unitary-file", None], ["avgmix.discrete", "numpy"]),
     ],
 )
