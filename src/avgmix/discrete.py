@@ -50,17 +50,21 @@ The Cesaro error bound is certified on the same integers and blocks.
 The cross term r != s of the partial average is a geometric sum of
 ratio theta_r / theta_s, and Cauchy-Schwarz over the pairs bounds the
 gap to the literal limit by (2/N) max_uv P_uv sqrt(S), with P the
-physical limit and S = sum_(r != s) |theta_r - theta_s|^-2.  The
+physical limit and S = sum_(r != s) |theta_r - theta_s|^-2.  Each E_r
+is Hermitian PSD, so P is PSD by the Schur product theorem, P_uv <=
+sqrt(P_uu P_vv), and max_uv P_uv = max_u P_uu: the bound reads only
+the diagonal trace forms (f_uu, f_uu), one per distinct f_uu.  The
 partial average is block diagonal too, so the gap is zero across
 blocks, and inside block k it is that block's own Cesaro error, since
 every E_r o E_s restricted to block k involves only its eigenvalues.
-The bound is thus max_k (2/N) max P_k sqrt(S_k), with P_k and S_k over
-block k alone.  S_k sums over a subset of the pairs of S, so the bound
-is never above that of the whole V, and equals it for an irreducible U.
-Each S_k is one more trace form over the block's weights tau, the
-largest S_k max P_k^2 is chosen by exact cross-multiplication, and the
-square of the bound, an exact rational, is rounded up once to the least
-float whose square is at least it.  No root of psi is ever computed.
+The bound is thus max_k (2/N) max_u (P_k)_uu sqrt(S_k), with P_k and
+S_k over block k alone.  S_k sums over a subset of the pairs of S, so
+the bound is never above that of the whole V, and equals it for an
+irreducible U.  Each S_k is one more trace form over the block's
+weights tau, the largest S_k max P_k^2 is chosen by exact
+cross-multiplication, and the square of the bound, an exact rational,
+is rounded up once to the least float whose square is at least it.
+No root of psi is ever computed.
 """
 
 from __future__ import annotations
@@ -74,6 +78,7 @@ import numpy as np
 from .exact import ExactMatrix, _int_derivative, _int_mul, _support_components
 from .mixing import (
     _check_mixing_invariants,
+    _largest_diagonal,
     _literal,
     _mixing_matrix,
     _require_symmetric,
@@ -233,18 +238,19 @@ def _twelve_denom_s(form) -> int:
 
 def cesaro_error_bound(u: ExactMatrix, steps: int) -> float:
     """Certified bound on the gap between the partial average and the
-    literal limit: the least float b with b^2 >= 4 S_k max_uv (P_k)_uv^2 / N^2
+    literal limit: the least float b with b^2 >= 4 S_k max_u (P_k)_uu^2 / N^2
     for every block k of U, with P_k its physical limit and S_k the sum
-    over its own root pairs.  The gap is zero across blocks and, inside
+    over its own root pairs.  P_k is PSD by the Schur product theorem, so
+    its largest diagonal entry is its largest entry, and the diagonal
+    trace forms alone give it.  The gap is zero across blocks and, inside
     one, that block's own, so each block is bounded on its trace form."""
     _require_steps(steps)
     num, den = 0, 1
     for form in _block_forms(u)[1]:
-        physical = _mixing_matrix(form)[0]
-        p = max(map(max, physical.numerators))
-        # S_k max P_k^2 = s12 p^2 / (12 denom_k Pden_k^2); keep the largest
+        p = _largest_diagonal(form)
+        # S_k max P_k^2 = s12 p^2 / (12 denom_k^3); keep the largest
         block_num = _twelve_denom_s(form) * p * p
-        block_den = form.denom * physical.denominator**2
+        block_den = form.denom**3
         if block_num * den > num * block_den:
             num, den = block_num, block_den
     return _round_up_sqrt(num, 3 * den * steps * steps)

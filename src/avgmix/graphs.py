@@ -146,14 +146,15 @@ def complete_graph(n: int) -> WeightedGraph:
 
 def circulant_graph(n: int, connections: Iterable[int]) -> WeightedGraph:
     """Circulant with vertex i adjacent to i +- s for each connection s,
-    an int (not a bool) in 1..n//2."""
+    an int (not a bool) in 1..n//2, each named once."""
     if n < 1:
         raise ValueError("circulant needs n >= 1")
     conns = list(connections)
     for s in conns:
         if type(s) is not int:
             raise TypeError(f"connection {s!r} is not an int")
-    conns = sorted(set(conns))
+    if len(set(conns)) < len(conns):
+        raise ValueError("each connection must be named once")
     if any(s < 1 or s > n // 2 for s in conns):
         raise ValueError("connections must lie in 1..n//2")
     rows = [[0] * n for _ in range(n)]
@@ -172,22 +173,33 @@ def _family_parts(descriptor: str) -> list[str]:
     return parts
 
 
+def _decimal(text: str) -> int:
+    """A number field of a family descriptor: plain ASCII digits with no
+    leading zero.  int() would also take a sign, blanks, underscores and
+    non-ASCII digits."""
+    if not (text.isascii() and text.isdigit()) or (len(text) > 1 and text[0] == "0"):
+        raise ValueError(f"{text!r} is not a plain decimal")
+    return int(text)
+
+
 def family(descriptor: str) -> WeightedGraph:
-    """Build a graph from a descriptor such as 'path:6' or 'circulant:5:1,2'."""
+    """Build a graph from a descriptor such as 'path:6', 'circulant:5:1,2'
+    or 'circulant:5:{1,2}'; 'circulant:3:' has no connections."""
     parts = _family_parts(descriptor)
     name = parts[0]
     try:
         if name == "path" and len(parts) == 2:
-            return path_graph(int(parts[1]))
+            return path_graph(_decimal(parts[1]))
         if name == "cycle" and len(parts) == 2:
-            return cycle_graph(int(parts[1]))
+            return cycle_graph(_decimal(parts[1]))
         if name == "complete" and len(parts) == 2:
-            return complete_graph(int(parts[1]))
+            return complete_graph(_decimal(parts[1]))
         if name == "circulant" and len(parts) == 3:
-            conn = parts[2].strip().lstrip("{").rstrip("}")
-            return circulant_graph(
-                int(parts[1]), [int(s) for s in conn.split(",") if s.strip()]
-            )
+            conn = parts[2]
+            if conn[:1] == "{" and conn[-1:] == "}":
+                conn = conn[1:-1]
+            steps = [_decimal(s) for s in conn.split(",")] if conn else []
+            return circulant_graph(_decimal(parts[1]), steps)
     except ValueError as exc:
         raise ValueError(f"bad family descriptor {descriptor!r}: {exc}") from exc
     raise ValueError(f"unknown family descriptor {descriptor!r}")

@@ -59,6 +59,11 @@ three pairs cover every limit:
   the discrete walks in `avgmix.discrete`, which run on the same engine;
   it unpacks each row once.
 
+The diagonal pairs (f_uu, f_uu) alone give `_largest_diagonal`, the
+largest P_uu of the physical limit P, which is also its largest entry
+because P is PSD; the certified Cesaro bound of `avgmix.discrete` reads
+only that.
+
 `_mixing_matrix` alone picks between the first two.  It also labels each
 vertex u by its diagonal polynomial f_uu: psi(M) = 0 gives
 phi(M \\ u) = (phi / psi) f_uu, so equal labels mean cospectral
@@ -197,6 +202,20 @@ class _TraceTable(dict):
         return value
 
 
+def _largest_diagonal(form: _TraceForm) -> int:
+    """max_u P_uu of P = sum_r E_r o conj(E_r) for a normal M, as a
+    numerator over form.denom: the trace form of (f_uu, f_uu), one per
+    distinct diagonal.  Each E_r is Hermitian PSD, so are the E_r o
+    conj(E_r) by the Schur product theorem, and so is P: P_uv <=
+    sqrt(P_uu P_vv), and max_u P_uu is also the largest entry of P."""
+    table = _TraceTable(form.tau)
+    p = max(table[f, f] for f in form.resolvent.diagonals())
+    # P_uu = sum_r (E_r)_uu^2 with (E_r)_uu >= 0 summing to 1 over r
+    if not 0 < p <= form.denom:
+        raise AssertionError("the largest P_uu must lie in (0, 1]")
+    return p
+
+
 def _mixing_matrix(form: _TraceForm) -> tuple[ExactMatrix, list[int]]:
     """sum_r E_r o conj(E_r) for a normal M, checked: nonnegative,
     symmetric, rows summing to 1; and the vertex classes, cls[u] ==
@@ -257,18 +276,15 @@ def average_mixing(m: ExactMatrix) -> AvgMixReport:
         raise ValueError("average mixing needs a symmetric matrix")
     form = _trace_form([list(row) for row in m.numerators])
     mixing, cls = _mixing_matrix(form)
-    simple = form.disc_char != 0
     return AvgMixReport(
         mixing=mixing,
         min_poly=ExactPolynomial(form.min_poly),
         char_poly=ExactPolynomial(form.char_poly),
         disc_min=Fraction(form.disc_min),
         disc_char=Fraction(form.disc_char),
-        simple_spectrum=simple,
+        simple_spectrum=form.disc_char != 0,
         common_denominator=mixing.denominator,
-        certificates=_certify(
-            mixing.denominator, form.disc_min, form.disc_char, simple
-        ),
+        certificates=_certify(mixing.denominator, form.disc_min, form.disc_char),
         vertex_classes=tuple(cls),
     )
 
@@ -290,15 +306,14 @@ def _require_symmetric(nums: list[list[int]], message: str) -> None:
         raise AssertionError(message)
 
 
-def _certify(
-    denominator: int, d_min: int, d_char: int, simple: bool
-) -> IntegralityCertificates:
+def _certify(denominator: int, d_min: int, d_char: int) -> IntegralityCertificates:
     """Certificates from the lcm of the reduced entry denominators: every
     entry denominator divides X exactly when that lcm divides X.  Each
-    bound is guaranteed, so a failure raises."""
+    bound is guaranteed, so a failure raises.  d_char is 0 off a simple
+    spectrum, where the D_char bound does not apply."""
     if (d_min * d_min) % denominator:
         raise AssertionError("D^2 Mhat must be integral")
-    if simple and d_char % denominator:
+    if d_char and d_char % denominator:
         raise AssertionError("D_char Mhat must be integral for simple spectra")
     if d_min % denominator:
         raise AssertionError("D_min Mhat must be integral")

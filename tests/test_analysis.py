@@ -34,7 +34,12 @@ from avgmix.graphs import (
     matrix_of,
     path_graph,
 )
-from avgmix.mixing import average_mixing, strong_cospectral_kernel
+from avgmix.mixing import (
+    _TraceTable,
+    _trace_form,
+    average_mixing,
+    strong_cospectral_kernel,
+)
 from avgmix.numeric import spectral_decomposition
 from avgmix.schemes import cyclotomic_scheme
 
@@ -548,16 +553,24 @@ def test_oracle_index_validation():
 # ---------------------------------------------------------------------------
 
 
-def test_cospectrality_is_an_equivalence_on_random_graphs():
-    rng = random.Random(77)
+def _random_graphs(seed, choices):
+    """Ten graphs on 2..7 vertices, each edge weight drawn from choices."""
+    rng = random.Random(seed)
+    graphs = []
     for _ in range(10):
         n = rng.randint(2, 7)
         weights = [[0] * n for _ in range(n)]
         for i in range(n):
             for j in range(i + 1, n):
-                w = rng.choice([0, 0, 1, 1, 2])
+                w = rng.choice(choices)
                 weights[i][j] = weights[j][i] = w
-        g = WeightedGraph.from_weights(weights)
+        graphs.append(WeightedGraph.from_weights(weights))
+    return graphs
+
+
+def test_cospectrality_is_an_equivalence_on_random_graphs():
+    for g in _random_graphs(77, [0, 0, 1, 1, 2]):
+        n = g.n
         related = [
             (u, v)
             for u in range(n)
@@ -570,17 +583,35 @@ def test_cospectrality_is_an_equivalence_on_random_graphs():
 
 
 def test_strong_cospectrality_implies_cospectrality_randomized():
-    rng = random.Random(78)
-    for _ in range(10):
-        n = rng.randint(2, 7)
-        weights = [[0] * n for _ in range(n)]
-        for i in range(n):
-            for j in range(i + 1, n):
-                w = rng.choice([0, 1, 1])
-                weights[i][j] = weights[j][i] = w
-        g = WeightedGraph.from_weights(weights)
+    for g in _random_graphs(78, [0, 1, 1]):
+        n = g.n
         report = average_mixing(matrix_of(g))
         for u in range(n):
             for v in range(u + 1, n):
                 if are_strongly_cospectral(g, u, v, report):
                     assert are_cospectral(g, u, v)
+
+
+@pytest.mark.parametrize("basis", ["adjacency", "laplacian"])
+def test_trace_of_mhat_bounds_the_squared_multiplicities(basis):
+    # tr Phi(M, y) = psi phi' / phi, so g = sum_u f_uu has
+    # (g w)(theta_r) = tr E_r = m_r, and the trace form of (g, g) is
+    # sum_r m_r^2.  Cauchy-Schwarz on the diagonal of each E_r gives
+    # n tr Mhat >= sum_r m_r^2, with equality exactly when every E_r has
+    # a constant diagonal, that is, when the graph is walk-regular
+    seen = set()
+    graphs = _family_corpus() + _random_graphs(77, [0, 0, 1, 1, 2])
+    for g in graphs + _random_graphs(78, [0, 1, 1]):
+        rows = basis_rows(g, basis)
+        form = _trace_form(rows)
+        trace = tuple(map(sum, zip(*form.resolvent.diagonals())))
+        squares = Fraction(_TraceTable(form.tau)[trace, trace], form.denom)
+        multiplicities = spectral_decomposition(rows).multiplicities
+        assert squares == sum(m * m for m in multiplicities)
+        report = average_mixing(matrix_of(g, basis))
+        mhat_trace = sum(report.mixing[u, u] for u in range(g.n))
+        walk_regular = is_walk_regular(g, basis, report)
+        assert g.n * mhat_trace >= squares
+        assert (g.n * mhat_trace == squares) == walk_regular
+        seen.add(walk_regular)
+    assert seen == {True, False}

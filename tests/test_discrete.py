@@ -9,7 +9,10 @@ import numpy as np
 import pytest
 
 from avgmix.discrete import (
+    _block_forms,
     _require_orthogonal,
+    _round_up_sqrt,
+    _twelve_denom_s,
     avg_mixing_limits,
     avg_mixing_literal,
     avg_mixing_physical,
@@ -19,7 +22,13 @@ from avgmix.discrete import (
 import reference
 from avgmix.cli import main
 from avgmix.exact import ExactMatrix
-from avgmix.mixing import _TraceTable, _literal, _mixing_matrix, _trace_form
+from avgmix.mixing import (
+    _TraceTable,
+    _largest_diagonal,
+    _literal,
+    _mixing_matrix,
+    _trace_form,
+)
 
 F = Fraction
 
@@ -713,6 +722,70 @@ def test_bound_at_huge_step_counts():
         assert F(bound) ** 2 >= square > F(math.nextafter(bound, 0)) ** 2
     # sqrt(S) about 10^331 is past the largest float
     assert cesaro_error_bound(close_angle_walk(10**330, 3 * 10**329), 1000) == math.inf
+
+
+def every_walk() -> list[ExactMatrix]:
+    """The walks of the bound tests above, one list."""
+    rng = random.Random(97)
+    walks = [
+        rotation_345(),
+        orthogonal_third(),
+        rotation_5_12_13(),
+        ExactMatrix([[0, 1], [1, 0]]),
+        ExactMatrix([[1, 0], [0, -1]]),
+        smoke_reducible(),
+        euclid_rotation_walk(),
+        close_angle_walk(10**12, 3 * 10**11),
+        close_angle_walk(10**330, 3 * 10**329),
+    ]
+    walks += [signed_permutation(rng, n) for n in range(1, 7)]
+    walks += [symmetric_signed_permutation(rng, n) for n in range(1, 7)]
+    walks += [u for u, _ in block_cases()]
+    return walks + reducible_walks()
+
+
+def physical_limit_bound(u: ExactMatrix, steps: int) -> float:
+    """The bound with max P_k read off each block's whole physical limit,
+    its largest numerator over its reduced denominator."""
+    num, den = 0, 1
+    for form in _block_forms(u)[1]:
+        physical = _mixing_matrix(form)[0]
+        p = max(map(max, physical.numerators))
+        block_num = _twelve_denom_s(form) * p * p
+        block_den = form.denom * physical.denominator**2
+        if block_num * den > num * block_den:
+            num, den = block_num, block_den
+    return _round_up_sqrt(num, 3 * den * steps * steps)
+
+
+def test_bound_reads_the_largest_physical_entry_off_the_diagonal():
+    # P = sum_r E_r o conj(E_r) is PSD by the Schur product theorem, so its
+    # largest entry is a diagonal one, and the bound is the same float
+    for u in every_walk():
+        for form in _block_forms(u)[1]:
+            physical = _mixing_matrix(form)[0].to_lists()
+            assert F(_largest_diagonal(form), form.denom) == max(map(max, physical))
+        for steps in (1, 7, 200, 10**6):
+            assert cesaro_error_bound(u, steps) == physical_limit_bound(u, steps)
+
+
+def test_bound_builds_no_physical_limit(monkeypatch):
+    def refuse(form):
+        raise AssertionError("the bound built a physical limit")
+
+    monkeypatch.setattr("avgmix.discrete._mixing_matrix", refuse)
+    for u in every_walk():
+        cesaro_error_bound(u, 200)
+
+
+def test_largest_diagonal_in_the_unit_interval_is_a_hard_check():
+    # P_uu = sum_r (E_r)_uu^2 with (E_r)_uu >= 0 summing to 1 over r
+    form = _trace_form(_require_orthogonal(rotation_345()))
+    assert F(_largest_diagonal(form), form.denom) == F(1, 2)
+    for scale in (-1, 0, 3):
+        broken = form._replace(tau=[scale * t for t in form.tau])
+        with pytest.raises(AssertionError, match="largest P_uu"):
+            _largest_diagonal(broken)
 
 
 def test_identity_minus_literal_is_psd():

@@ -170,13 +170,25 @@ class TestFamilies:
         assert g.weight(0, 2) == 1 and g.weight(1, 3) == 1
         with pytest.raises(ValueError):
             circulant_graph(5, [3])
+        # a repeated connection is rejected, not deduplicated
+        with pytest.raises(ValueError, match="named once"):
+            circulant_graph(7, [1, 2, 1])
 
     def test_descriptor_parsing(self):
         assert family("path:6") == path_graph(6)
         assert family("cycle:5") == cycle_graph(5)
         assert family("circulant:5:{1,2}") == complete_graph(5)
         assert family("circulant:7:1,2") == circulant_graph(7, [1, 2])
-        for bad in ("path", "path:x", "ladder:3", "cycle:2", ""):
+        assert family(" PATH:6") == path_graph(6)
+        assert family("circulant:3:") == circulant_graph(3, [])
+        # number fields are plain decimals: no sign, blank, underscore or
+        # leading zero, all of which int() would accept
+        for bad in (
+            "path", "path:x", "ladder:3", "cycle:2", "",
+            "cycle:+5", "cycle: 5", "cycle:05", "path:1_0", "path:",
+            "circulant:7:1, 2", "circulant:7:1,,2", "circulant:7:{1,2",
+            "circulant:7:1,1",
+        ):
             with pytest.raises(ValueError):
                 family(bad)
 

@@ -547,13 +547,13 @@ class TestInvariants:
         for table in ([[3, -1], [-1, 3]], [[1, 1], [1, 2]], [[1, 1], [0, 2]]):
             with pytest.raises(AssertionError):
                 _check_mixing_invariants(table, 2)
-        assert _certify(4, 4, 0, False) == IntegralityCertificates(True, True, True)
+        assert _certify(4, 4, 0) == IntegralityCertificates(True, True, True)
         with pytest.raises(AssertionError):
-            _certify(8, 2, 2, True)  # D^2 = 4 does not clear 8
+            _certify(8, 2, 2)  # D^2 = 4 does not clear 8
         with pytest.raises(AssertionError):
-            _certify(4, 2, 6, True)  # D_char = 6 does not clear 4
+            _certify(4, 2, 6)  # D_char = 6 does not clear 4
         with pytest.raises(AssertionError):
-            _certify(4, 2, 0, False)  # D_min = 2 does not clear 4
+            _certify(4, 2, 0)  # D_min = 2 does not clear 4
 
     def test_row_sums_symmetry_nonnegativity(self):
         rng = random.Random(51)
