@@ -40,6 +40,7 @@ from .exact import ExactMatrix, NotAnnihilatingError
 from .graphs import (
     Graph6Error,
     WeightedGraph,
+    _decimal,
     _family_parts,
     add_loops,
     family,
@@ -186,13 +187,14 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _parse_loops(text: str) -> dict[int, object]:
-    """vertex=weight pairs, each vertex named once; each weight is parsed
+    """vertex=weight pairs, each vertex named once and a plain decimal, as
+    the number fields of a family descriptor are; each weight is parsed
     as JSON and left to `add_loops` to check like any other weight."""
     out: dict[int, object] = {}
     for chunk in text.split(","):
         vertex, _, weight = chunk.partition("=")
         try:
-            v, w = int(vertex), json.loads(weight)
+            v, w = _decimal(vertex), json.loads(weight)
         except ValueError:
             raise ValueError(
                 f"loop entry {chunk!r} is not of the form vertex=weight"
@@ -278,10 +280,11 @@ def _load_graph(args: argparse.Namespace) -> WeightedGraph:
 
 
 def _parse_pair(text: str) -> tuple[int, int]:
-    """Two ints; the library functions they go to check their range."""
+    """Two plain decimals, as the number fields of a family descriptor
+    are; the library functions they go to check their range."""
     parts = text.split(",")
     try:
-        u, v = (int(p) for p in parts)
+        u, v = map(_decimal, parts)
     except ValueError:
         raise ValueError(
             f"--pair {text!r} is not two comma-separated vertices"

@@ -53,6 +53,10 @@ read, every |phi_j| is within the Hadamard bound, psi divides phi, and
 stopped runs to the end, checked by phi(M) = 0, and a repeated spectrum
 then takes a Horner pass over psi.  A defective M is never stopped, as
 L <= deg psi < deg mu, and that pass refuses it.
+
+A distance-regular M skips this stage for the quotient route of
+`avgmix.mixing`, which shares the regularity test `_is_regular` and
+takes its char poly from `_quotient_char_poly`.
 """
 
 from __future__ import annotations
@@ -792,6 +796,31 @@ def _newton(sums: Sequence[int]) -> list[int]:
     return c
 
 
+def _is_regular(rows: list[list[int]]) -> bool:
+    """Whether the integer rows have equal sums and an equal diagonal."""
+    return len({*map(sum, rows)}) == 1 == len({r[i] for i, r in enumerate(rows)})
+
+
+def _quotient_char_poly(rows: list[list[int]], n: int, psi: list[int]) -> list[int]:
+    """phi of an n x n M with tr M^k = n (R^k)[0][0] for the tridiagonal
+    integer matrix R of the given rows (a distance-regular M and its
+    quotient, as in `avgmix.mixing`): Newton's identities on those power
+    sums, each division exact, and psi, the minimal polynomial of both,
+    divides it."""
+    m = len(rows)
+    lo, di, up = ([r[i + s] if 0 <= i + s < m else 0 for i, r in enumerate(rows)]
+                  for s in (-1, 0, 1))
+    v, sums = [1] + [0] * (m - 1), [n]
+    for _ in range(n):
+        # v = R^k e_0
+        v = [a * x + b * y + c * z
+             for a, b, c, x, y, z in zip(lo, di, up, [0, *v], v, [*v[1:], 0])]
+        sums.append(n * v[0])
+    phi = _newton(sums)[::-1]
+    _int_exact_div(phi, psi)
+    return phi
+
+
 def _radical_resolvent(
     rows: list[list[int]],
 ) -> tuple[list[int], list[int], int, list[int], _Resolvent]:
@@ -802,7 +831,7 @@ def _radical_resolvent(
     # the residue mod P0 for a regular or upper Hessenberg M, where it
     # beats the Faddeev-LeVerrier pass (module docstring)
     if 2 * bound < _P0 and (
-        len({*map(sum, rows)}) == 1 == len({r[i] for i, r in enumerate(rows)})
+        _is_regular(rows)
         or not any(any(r[: i - 1]) for i, r in enumerate(rows[2:], 2))
     ):
         phi = [c - _P0 if 2 * c > _P0 else c for c in _charpoly_mod(rows, _P0)]

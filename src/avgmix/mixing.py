@@ -68,6 +68,35 @@ only that.
 vertex u by its diagonal polynomial f_uu: psi(M) = 0 gives
 phi(M \\ u) = (phi / psi) f_uu, so equal labels mean cospectral
 vertices, and the report keeps them for `avgmix.analysis`.
+
+`average_mixing` has a third route, for M = cI + wA with A the
+adjacency matrix of a connected distance-regular graph of diameter d.
+There the distance matrices A_0..A_d span an algebra that holds M
+(Brouwer, Cohen and Neumaier, "Distance-Regular Graphs", ch. 4), so
+every B_j and E_r lies in span{A_k}: f_uv depends only on dist(u, v),
+and Mhat = sum_k (table[f_k, f_k] / denom) A_k.  The test,
+`_distance_quotient`, runs only on an M that passes the regularity test
+of `exact._radical_resolvent` (equal row sums, equal diagonal), so an
+irregular M pays nothing else.  It reads (c_k, a_k, b_k) at one vertex
+of each BFS layer of vertex 0 and builds A_(k+1) = (A A_k - a_k A_k -
+b_(k-1) A_(k-1)) / c_(k+1) on rows packed in 16-bit slots.  M is taken
+only when every A_(k+1) is exactly 0/1 (an exact division and a digit
+mask), the A_k sum to J and the step past A_d vanishes.  Then, by
+induction on k, A_k is the distance-k matrix, whose nonzeros the checks
+show to have the same counts at every pair: A is distance-regular, with
+no BFS from any other vertex.  On the layer vectors x_m = A_m e_0, M
+acts as the tridiagonal quotient Q, Q[m][m] = c + w a_m, Q[m][m+1] =
+w b_m, Q[m][m-1] = w c_m, so p(M)_u0 = p(Q)[dist(u, 0)][0] for every
+polynomial p.  Q has the d + 1 distinct eigenvalues of M, as I, A, ...,
+A^d are independent, so its psi, D and tau are those of M, and f_k is
+entry k of row 0 of the B_j of Q^T: `_trace_form` runs on the
+(d + 1) x (d + 1) Q^T, whose psi(Q^T) = 0 check gives psi(M) = 0, and
+the entries pass the same invariants and certificates as every other
+route.  The char poly comes from Newton's identities on
+tr M^k = n (Q^k)[0][0] (`exact._quotient_char_poly`, which checks that
+psi divides it), D_char = D only when d + 1 = n, and every vertex is in
+class 0: a distance-regular graph is walk-regular.  Discrete walks never
+take this route.
 Invariants and certificates are checked on the numerators, and
 the result is an `ExactMatrix` of them over the shared denominator: no
 rational routine is left here.  Distinct keys only share read-only
@@ -80,12 +109,15 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import mul
+from struct import unpack
 from typing import NamedTuple
 
 from .exact import (
     ExactMatrix,
     ExactPolynomial,
     _check_vertices,
+    _is_regular,
+    _quotient_char_poly,
     _radical_resolvent,
     _Resolvent,
 )
@@ -266,6 +298,52 @@ def _literal(form: _TraceForm) -> ExactMatrix:
     return ExactMatrix(nums, form.denom)
 
 
+def _distance_quotient(rows: list[list[int]]) -> tuple[list, list[list[int]]] | None:
+    """(dist, Q^T) when the integer M is cI + wA with A the adjacency
+    matrix of a connected distance-regular graph of diameter d, else
+    None: dist[u][v] = dist(u, v), and Q^T the transpose of the
+    (d + 1) x (d + 1) quotient of M on the distance layers of vertex 0
+    (module docstring)."""
+    n = len(rows)
+    adj = [[v for v, x in enumerate(row) if x and v != u] for u, row in enumerate(rows)]
+    weights = {rows[u][v] for u in range(n) for v in adj[u]}
+    if not 1 < n < 1 << 14 or len(weights) != 1:
+        return None
+    dist, order = [0] + [-1] * (n - 1), [0]
+    for u in order:
+        for v in adj[u]:
+            if dist[v] < 0:
+                dist[v] = dist[u] + 1
+                order.append(v)
+    last = {dist[u]: u for u in order}
+    # cnt[i][j]: the neighbours in layer j of the last vertex of layer i,
+    # so c_k, a_k, b_k = cnt[k][k - 1], cnt[k][k], cnt[k][k + 1]
+    cnt = [[sum(dist[v] == j for v in adj[u]) for j in last] for u in last.values()]
+    # the rows of A_k, packed in 16-bit slots: every digit below lies in
+    # (-2^15, 2^15), so each integer fixes its digits
+    ones = sum(1 << 16 * v for v in range(n))
+    # no list below is changed in place
+    prev = cover = far = [0] * n
+    cur = [1 << 16 * u for u in range(n)]
+    for k in last:
+        cover = [x + y for x, y in zip(cover, cur)]
+        far = [x + k * y for x, y in zip(far, cur)]
+        # A_(k+1) = (A A_k - a_k A_k - b_(k-1) A_(k-1)) / c_(k+1), exact
+        # and 0/1, with A_(-1) = A_(d+1) = 0
+        a, b, c = cnt[k][k], cnt[k - 1][k], cnt[k + 1][k] if k + 1 in last else 1
+        quot = [divmod(sum(map(cur.__getitem__, nbrs)) - a * x - b * y, c)
+                for nbrs, x, y in zip(adj, cur, prev)]
+        if any(r or q & ~ones for q, r in quot):
+            return None
+        prev, cur = cur, [q for q, _ in quot]
+    # a disconnected A leaves cover short of J
+    if any(cur) or cover != [ones] * n:
+        return None
+    (w,) = weights
+    qt = [[rows[0][0] * (i == j) + w * cnt[j][i] for j in last] for i in last]
+    return [unpack(f"<{n}H", x.to_bytes(2 * n, "little")) for x in far], qt
+
+
 def average_mixing(m: ExactMatrix) -> AvgMixReport:
     """Exact average mixing matrix of an integer symmetric matrix."""
     if not m.is_square:
@@ -274,17 +352,33 @@ def average_mixing(m: ExactMatrix) -> AvgMixReport:
         raise ValueError("average mixing needs integer entries")
     if not m.is_symmetric():
         raise ValueError("average mixing needs a symmetric matrix")
-    form = _trace_form([list(row) for row in m.numerators])
-    mixing, cls = _mixing_matrix(form)
+    rows = [list(row) for row in m.numerators]
+    quotient = _distance_quotient(rows) if _is_regular(rows) else None
+    if quotient is None:
+        form = _trace_form(rows)
+        mixing, cls = _mixing_matrix(form)
+        phi, disc_char = form.char_poly, form.disc_char
+    else:
+        dist, qt = quotient
+        form = _trace_form(qt)
+        # M-hat_uv = sum_r (E_r)_uv^2, and (E_r)_uv = f_k(theta_r) w(theta_r)
+        # with f_k from row 0 of the B_j of Q^T at k = dist(u, v)
+        table = _TraceTable(form.tau)
+        by_distance = [table[f, f] for f in form.resolvent.polys(0)]
+        nums = [list(map(by_distance.__getitem__, row)) for row in dist]
+        _check_mixing_invariants(nums, form.denom)
+        mixing, cls = ExactMatrix(nums, form.denom), [0] * len(rows)
+        phi = _quotient_char_poly(qt, len(rows), form.min_poly)
+        disc_char = form.disc_min if len(qt) == len(rows) else 0
     return AvgMixReport(
         mixing=mixing,
         min_poly=ExactPolynomial(form.min_poly),
-        char_poly=ExactPolynomial(form.char_poly),
+        char_poly=ExactPolynomial(phi),
         disc_min=Fraction(form.disc_min),
-        disc_char=Fraction(form.disc_char),
-        simple_spectrum=form.disc_char != 0,
+        disc_char=Fraction(disc_char),
+        simple_spectrum=disc_char != 0,
         common_denominator=mixing.denominator,
-        certificates=_certify(mixing.denominator, form.disc_min, form.disc_char),
+        certificates=_certify(mixing.denominator, form.disc_min, disc_char),
         vertex_classes=tuple(cls),
     )
 

@@ -127,6 +127,31 @@ def test_even_cycle_forms_verify(n):
     assert verify_closed_form(ClosedForm("cycle_even", n))
 
 
+def test_cycle_forms_hold_for_every_cycle_up_to_201():
+    # a cycle is distance-regular, so each takes its quotient of order
+    # floor(n/2) + 1 in place of the n x n engine
+    failed = [
+        n
+        for n in range(3, 202)
+        if not verify_closed_form(ClosedForm("cycle_odd" if n % 2 else "cycle_even", n))
+    ]
+    assert failed == []
+
+
+def test_pseudocyclic_form_holds_on_paley_class_graphs_up_to_401():
+    # for a prime q = 1 mod 4 the d = 2 cyclotomic scheme is pseudocyclic
+    # with m = (q - 1) / 2, and its class graph is the Paley graph
+    primes = [q for q in range(5, 402, 4) if all(q % p for p in range(2, q))]
+    assert len(primes) == 38
+    failed = []
+    for q in primes:
+        report = average_mixing(cyclotomic_scheme(q, 2)[1])
+        form = ClosedForm("pseudocyclic", q, (q - 1) // 2)
+        if not verify_closed_form(form, report=report):
+            failed.append(q)
+    assert failed == []
+
+
 def test_pseudocyclic_form_verifies_on_paley_13():
     assert verify_closed_form(ClosedForm("pseudocyclic", 13, 6), paley_13())
 

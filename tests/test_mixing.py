@@ -19,7 +19,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import reference
-from avgmix import exact
+from avgmix import exact, mixing
 from avgmix.exact import (
     ExactMatrix,
     ExactPolynomial,
@@ -38,6 +38,7 @@ from avgmix.graphs import (
     path_graph,
 )
 from avgmix.mixing import (
+    AvgMixReport,
     IntegralityCertificates,
     _TraceTable,
     _certify,
@@ -416,12 +417,215 @@ def test_cycle_computes_one_entry_per_distance(trace_tables, n, basis):
 def test_path_computes_one_gram_row_per_mirror_pair(trace_tables):
     # a simple spectrum: one row f T per distinct diagonal and inline
     # dots, no vertex pair looked up in the table
-    for n in range(1, 14):
+    for n in [1, *range(3, 14)]:
         trace_tables.clear()
         assert average_mixing(matrix_of(path_graph(n))).simple_spectrum
         [table] = trace_tables
         assert table.rows_computed == (n + 1) // 2
         assert table.computed == 0
+    # path:2 is K_2, distance-regular of diameter 1: its 2 x 2 quotient
+    # reads one key (f_k, f_k) per distance k, one row and one dot each
+    trace_tables.clear()
+    assert average_mixing(matrix_of(path_graph(2))).simple_spectrum
+    [table] = trace_tables
+    assert table.computed == 2
+    assert table.rows_computed == 2
+
+
+# ---------------------------------------------------------------------------
+# distance-regular graphs: the (d + 1) x (d + 1) quotient route
+# ---------------------------------------------------------------------------
+
+
+def _rows_where(n, adjacent):
+    return [[int(u != v and adjacent(u, v)) for v in range(n)] for u in range(n)]
+
+
+def _diameter(rows):
+    """The largest distance between two vertices, by a BFS from each."""
+    n, deepest = len(rows), 0
+    for start in range(n):
+        depth, frontier = {start: 0}, [start]
+        while frontier:
+            reached = []
+            for u in frontier:
+                for v in range(n):
+                    if rows[u][v] and v not in depth:
+                        depth[v] = depth[u] + 1
+                        reached.append(v)
+            frontier = reached
+        deepest = max(deepest, *depth.values())
+    return deepest
+
+
+# the pair differences of the Shrikhande graph on Z4 x Z4
+SHRIKHANDE = {(1, 0), (3, 0), (0, 1), (0, 3), (1, 1), (3, 3)}
+KNESER_PAIRS = list(itertools.combinations(range(5), 2))
+
+# adjacency rows of distance-regular graphs besides cycles and K_n
+DISTANCE_REGULAR = {
+    "petersen": _rows_where(10, lambda u, v: not set(KNESER_PAIRS[u]) & set(KNESER_PAIRS[v])),
+    "Q3": _rows_where(8, lambda u, v: bin(u ^ v).count("1") == 1),
+    "Q4": _rows_where(16, lambda u, v: bin(u ^ v).count("1") == 1),
+    "K33": _rows_where(6, lambda u, v: (u < 3) != (v < 3)),
+    "octahedron": _rows_where(6, lambda u, v: u % 3 != v % 3),
+    "paley13": basis_rows(circulant_graph(13, [1, 3, 4])),
+    "paley17": basis_rows(circulant_graph(17, [1, 2, 4, 8])),
+    "rook3x3": _rows_where(9, lambda u, v: u // 3 == v // 3 or u % 3 == v % 3),
+    "shrikhande": _rows_where(
+        16, lambda u, v: ((u // 4 - v // 4) % 4, (u - v) % 4) in SHRIKHANDE
+    ),
+}
+
+
+def _laplacian(rows):
+    return [[sum(row) if i == j else -x for j, x in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+def _quotient_cases():
+    """(name, rows) of every M = cI + wA with A connected and
+    distance-regular that the tests run through the quotient route."""
+    cases = []
+    for n in range(3, 41):
+        cases += [(f"cycle:{n}", basis_rows(cycle_graph(n)))]
+    for n in range(2, 13):
+        cases += [(f"complete:{n}", basis_rows(complete_graph(n)))]
+    cases += list(DISTANCE_REGULAR.items())
+    cases += [(name + "-laplacian", _laplacian(rows)) for name, rows in list(cases)]
+    for w in (3, -7):
+        for c in (0, 5, -2):
+            for name in ("petersen", "Q3"):
+                rows = DISTANCE_REGULAR[name]
+                scaled = [[c if i == j else w * x for j, x in enumerate(row)]
+                          for i, row in enumerate(rows)]
+                cases += [(f"{c}I+{w}A({name})", scaled)]
+    return cases
+
+
+QUOTIENT_CASES = _quotient_cases()
+
+
+def engine_report(rows):
+    """The report of the n x n engine: `_trace_form` and `_mixing_matrix`
+    on the whole rows."""
+    form = _trace_form(rows)
+    mixing, cls = _mixing_matrix(form)
+    return AvgMixReport(
+        mixing=mixing,
+        min_poly=ExactPolynomial(form.min_poly),
+        char_poly=ExactPolynomial(form.char_poly),
+        disc_min=F(form.disc_min),
+        disc_char=F(form.disc_char),
+        simple_spectrum=form.disc_char != 0,
+        common_denominator=mixing.denominator,
+        certificates=_certify(mixing.denominator, form.disc_min, form.disc_char),
+        vertex_classes=tuple(cls),
+    )
+
+
+def assert_same_report(report, expected):
+    assert report == expected
+    assert report.char_poly == expected.char_poly
+    assert report.min_poly == expected.min_poly
+    assert report.vertex_classes == expected.vertex_classes
+
+
+@pytest.fixture
+def routes(monkeypatch):
+    """What `average_mixing` runs while the test does: the order of the
+    quotient of each `_distance_quotient` call (None for a rejected M),
+    and the order of each trace form."""
+    seen = {"quotients": [], "forms": []}
+    test, form = mixing._distance_quotient, mixing._trace_form
+
+    def spied_test(rows):
+        out = test(rows)
+        seen["quotients"].append(None if out is None else len(out[1]))
+        return out
+
+    def spied_form(rows):
+        seen["forms"].append(len(rows))
+        return form(rows)
+
+    monkeypatch.setattr(mixing, "_distance_quotient", spied_test)
+    monkeypatch.setattr(mixing, "_trace_form", spied_form)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "name, rows", QUOTIENT_CASES, ids=[c[0] for c in QUOTIENT_CASES]
+)
+def test_a_distance_regular_graph_takes_its_quotient(routes, name, rows):
+    size = _diameter(rows) + 1
+    report = average_mixing(ExactMatrix(rows))
+    assert routes == {"quotients": [size], "forms": [size]}
+    assert_same_report(report, engine_report(rows))
+    assert report.simple_spectrum is (size == len(rows))
+    # the reference inverts a Hankel matrix over Fractions: a few tenths of
+    # a second at 16 vertices, 13 s at cycle:40
+    if len(rows) <= 13 or not name.startswith("cycle"):
+        assert report.mixing == ExactMatrix(reference.hankel_mixing(rows))
+
+
+@pytest.mark.parametrize("n", [90, 120])
+def test_a_multi_prime_cycle_takes_its_quotient(routes, n):
+    # the n x n pass over cycle:n, deg psi = n/2 + 1, would run all n steps
+    rows = basis_rows(cycle_graph(n))
+    assert multi_prime(rows)
+    report = average_mixing(ExactMatrix(rows))
+    assert routes == {"quotients": [n // 2 + 1], "forms": [n // 2 + 1]}
+    assert_same_report(report, engine_report(rows))
+
+
+def test_k1_stays_on_the_engine(routes):
+    report = average_mixing(ExactMatrix([[4]]))
+    assert routes == {"quotients": [None], "forms": [1]}
+    assert_same_report(report, engine_report([[4]]))
+
+
+def _near_misses():
+    """(name, rows, regular): inputs that must reach the n x n engine."""
+    six = basis_rows(cycle_graph(6))
+    weighted = [row[:] for row in six]
+    weighted[0][1] = weighted[1][0] = 2
+    looped = [row[:] for row in six]
+    looped[0][0] = 1
+    k3 = basis_rows(complete_graph(3))
+    return [
+        ("circulant:24:1,4", basis_rows(circulant_graph(24, [1, 4])), True),
+        ("cyclotomic-13-3", [list(r) for r in cyclotomic_scheme(13, 3)[1].numerators], True),
+        ("2K3", _direct_sum(k3, k3), True),
+        ("C6-one-weight-2", weighted, False),
+        ("C6-one-loop", looped, False),
+    ]
+
+
+NEAR_MISSES = _near_misses()
+
+
+@pytest.mark.parametrize(
+    "name, rows, regular", NEAR_MISSES, ids=[c[0] for c in NEAR_MISSES]
+)
+def test_a_near_miss_reaches_the_n_by_n_engine(routes, name, rows, regular):
+    report = average_mixing(ExactMatrix(rows))
+    # an irregular M never reaches the test
+    assert routes == {"quotients": [None] if regular else [], "forms": [len(rows)]}
+    assert_same_report(report, engine_report(rows))
+    assert report.mixing == ExactMatrix(reference.hankel_mixing(rows))
+
+
+def test_an_irregular_input_builds_no_adjacency_lists(monkeypatch):
+    def refuse(rows):
+        raise AssertionError("the distance-regularity test ran on an irregular M")
+
+    monkeypatch.setattr(mixing, "_distance_quotient", refuse)
+    rng = random.Random(27)
+    inputs = [basis_rows(path_graph(n), basis) for n in (3, 8) for basis in ("adjacency", "laplacian")]
+    inputs += [basis_rows(looped_p6()), basis_rows(random_weighted_graph(rng, 9, 5))]
+    inputs += [basis_rows(parse_graph6(text)) for text in ("ICmyoOeoG", "IhEgBOlKW")]
+    for rows in inputs:
+        average_mixing(ExactMatrix(rows))
 
 
 class TestKnownValues:
