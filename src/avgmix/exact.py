@@ -47,8 +47,9 @@ has integer coefficients and annihilates the power sums, so L <= deg mu
 then gives every power sum, and Newton's identities phi.  The stop's
 hard checks: every division in the Hankel solve and in Newton's
 identities is exact, Newton's phi matches every coefficient the pass
-read, every |phi_j| is within the Hadamard bound, psi divides phi, and
-`_int_radical` finds D != 0 and t psi' = D mod psi.  A failed candidate
+read, every |phi_j| is within the Hadamard bound and psi divides phi;
+`avgmix.mixing._trace_form` then finds D != 0 and t psi' = D mod psi on
+the trace weights.  A failed candidate
 (roots that meet mod P0) is not tried again at its length; a pass not
 stopped runs to the end, checked by phi(M) = 0, and a repeated spectrum
 then takes a Horner pass over psi.  A defective M is never stopped, as
@@ -413,7 +414,9 @@ def _int_radical(phi: Sequence[int]) -> tuple[list[int], int, list[int]]:
 
     One `_int_disc` of phi gives all three when phi is squarefree; else
     its primitive gcd divides the monic phi exactly, into a monic integer
-    psi, and a second one runs on psi.
+    psi, and a second one runs on psi.  `avgmix.mixing._trace_form`, the
+    one reader of t, checks D != 0 and t psi' = D mod psi on the trace
+    weights it builds from t.
     """
     psi = _int_trim(list(phi))
     if len(psi) < 2 or psi[-1] != 1:
@@ -422,8 +425,6 @@ def _int_radical(phi: Sequence[int]) -> tuple[list[int], int, list[int]]:
     if not d:
         psi = _int_exact_div(psi, g)
         d, t, _ = _int_disc(psi)
-    if _int_prem(_int_mul(t, _int_derivative(psi)), psi)[1] != [d]:
-        raise AssertionError("t psi' must be disc(psi) modulo psi")
     return psi, d, t
 
 

@@ -40,8 +40,9 @@ generates, and f_uv repeats across the vertex pairs that this algebra
 cannot tell apart: in a d-class association scheme (the Bose-Mesner
 algebra) there are at most d + 1 distinct f_uv, whatever the
 automorphism group, and a cycle on n vertices has floor(n/2) + 1.  The
-table computes one row a T and one dot per distinct pair (a, b), and
-three pairs cover every limit:
+table computes one row a T and one dot per distinct pair (a, b); the
+Gram product of a simple spectrum works on the distinct diagonals
+instead.  Three pairs cover every limit:
 
 - (f_uv, f_vu) for sum_r E_r o conj(E_r) of a normal M, whose E_r are
   Hermitian; `_mixing_matrix` reads u <= v and mirrors the result.  A
@@ -52,9 +53,19 @@ three pairs cover every limit:
   row first and reads f_vu;
 - (f_uu, f_vv) in its place when D_char = disc(char poly) != 0, a simple
   spectrum: every E_r has rank one, (E_r)_uv (E_r)_vu = (E_r)_uu
-  (E_r)_vv, and Mhat = F T F^T / denom with row u of F the coefficients
-  of f_uu, one row per distinct f_uu and one dot per pair of them; the
-  f_uu are read one slot per (j, u), no row is unpacked;
+  (E_r)_vv, and Mhat = F T F^T / denom over the k distinct f_uu, row i
+  of F the coefficients of one of them; the f_uu are read one slot per
+  (j, u), no row is unpacked.  Two kernels compute F T F^T with equal
+  results.  The direct one, `_gram_direct`, takes one row f T per
+  distinct f_uu and one dot per pair of them: k m + k(k+1)/2 short sums
+  for m = deg psi.  The packed one, `_gram_packed`, puts the k rows in
+  slots of s = bT + 2 bF + 2 bits(m) + 2 bits (bF, bT the bit lengths of
+  the largest |coefficient| of the f_uu and of tau), wide enough for
+  every entry of F T and of F T F^T, so one int holds each column of F,
+  each column of F T is one sum of m products and each row of F T F^T
+  one more: 2m + k big-integer sums.  Its ints are k s bits wide, so it
+  pays only on narrow forms: `_mixing_matrix` takes it when s <= 320
+  and m >= 6, the measured crossovers, and the direct one otherwise;
 - (f_uv, f_uv) for the literal limit sum_r E_r o E_r, `_literal`, of
   the discrete walks in `avgmix.discrete`, which run on the same engine;
   it unpacks each row once.
@@ -108,7 +119,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import mul
+from itertools import chain
+from operator import lshift, mul
 from struct import unpack
 from typing import NamedTuple
 
@@ -116,6 +128,7 @@ from .exact import (
     ExactMatrix,
     ExactPolynomial,
     _check_vertices,
+    _int_derivative,
     _is_regular,
     _quotient_char_poly,
     _radical_resolvent,
@@ -202,6 +215,17 @@ def _trace_form(rows: list[list[int]]) -> _TraceForm:
         r = [0] + r[:-1]
         for i in range(deg):
             r[i] -= top * psi[i]
+    # D tau_k = <y^k, t> for the pairing <a, b> = [y^(deg-1)] (a b mod
+    # psi), which is nondegenerate (its Gram matrix on 1..y^(deg-1) is
+    # triangular Hankel with 1s on the anti-diagonal), so t psi' = D mod
+    # psi exactly when <y^k, t psi'> = sum_i psi'_i D tau_(k+i) is
+    # D [k = deg - 1] for every k < deg
+    dpsi = _int_derivative(psi)
+    if not disc_min or any(
+        sum(map(mul, dpsi, tau_num[k:])) != disc_min * (k == deg - 1)
+        for k in range(deg)
+    ):
+        raise AssertionError("t psi' must be disc(psi) modulo psi")
     g = math.gcd(disc_min, *tau_num)
     denom = abs(disc_min) // g
     # keep denom positive: D < 0 for walks with complex eigenvalue pairs
@@ -234,6 +258,58 @@ class _TraceTable(dict):
         return value
 
 
+# The packed Gram kernel pays for its packing and unpacking only on
+# forms with at least this many columns and slots at most this wide.
+# Measured (min of 7 interleaved runs, 2-core VM, CPython 3.11), the
+# packed/direct time on unweighted G(n, .3-.5) was 0.65 at s = 260, 0.8
+# at 300, 0.97 at 340 and 1.12 at 377; at m = 2-5 it was 0.9-1.5, at
+# m = 6 0.7-0.9.  Every other form takes the direct kernel.
+_PACKED_MIN_DEG = 6
+_PACKED_MAX_SLOT = 320
+
+
+def _gram_slot(diags: list[tuple[int, ...]], tau: list[int]) -> int:
+    """The slot s = bT + 2 bF + 2 bits(m) + 2 of `_gram_packed`, with bF
+    and bT the bit lengths of the largest |coefficient| of the
+    diagonals and of tau, and m = deg psi their length.  By the triangle
+    inequality |(F T)_ic| < 2^(bF + bT + bits m) and |(F T F^T)_il| <
+    2^(2 bF + bT + 2 bits m), both below 2^(s-1), so every slot of
+    either product reads back exactly."""
+    bf = max(map(abs, chain.from_iterable(diags))).bit_length()
+    bt = max(map(abs, tau)).bit_length()
+    return bt + 2 * bf + 2 * len(diags[0]).bit_length() + 2
+
+
+def _gram_direct(diags: list[tuple[int, ...]], tau: list[int]) -> list[list[int]]:
+    """F T F^T over the rows F of the distinct diagonals: one row f T per
+    diagonal and one dot per pair of them."""
+    table = _TraceTable(tau)
+    dots = [[0] * len(diags) for _ in diags]
+    for i, f in enumerate(diags):
+        row = table.row(f)
+        for j in range(i, len(diags)):
+            dots[i][j] = dots[j][i] = sum(map(mul, row, diags[j]))
+    return dots
+
+
+def _gram_packed(
+    diags: list[tuple[int, ...]], tau: list[int], slot: int
+) -> list[list[int]]:
+    """F T F^T as `_gram_direct`, with the k rows of F packed across
+    `slot`-bit slots, slot i for diagonal i (`_gram_slot` gives a slot
+    that fits): column j of F is one int, each column of R = F T one sum
+    of m products, and row l of F T F^T, by symmetry column l, one sum
+    f_l R, read out by the biased shift and mask of `exact._Resolvent`.
+    That is 2m + k big-integer sums in place of k m rows and k(k+1)/2
+    dots."""
+    k, m = len(diags), len(diags[0])
+    shifts = range(0, slot * k, slot)
+    fcols = [sum(map(lshift, col, shifts)) for col in zip(*diags)]
+    rcols = [sum(map(mul, fcols, tau[c : c + m])) for c in range(m)]
+    reader = _Resolvent(k, slot, True)
+    return [reader.unpack(sum(map(mul, f, rcols))) for f in diags]
+
+
 def _largest_diagonal(form: _TraceForm) -> int:
     """max_u P_uu of P = sum_r E_r o conj(E_r) for a normal M, as a
     numerator over form.denom: the trace form of (f_uu, f_uu), one per
@@ -256,23 +332,23 @@ def _mixing_matrix(form: _TraceForm) -> tuple[ExactMatrix, list[int]]:
     Each E_r is Hermitian, so entry (u, v) is the trace form of
     (f_uv, f_vu), read for u <= v and mirrored.  On a simple spectrum
     (disc_char != 0) every E_r has rank one, (E_r)_uv (E_r)_vu =
-    (E_r)_uu (E_r)_vv, and the entries are F T F^T with row u of F the
-    coefficients of f_uu: one row f T per distinct diagonal and one dot
-    per pair of them.
+    (E_r)_uu (E_r)_vv, and the entries are F T F^T over the distinct
+    diagonals f_uu, from the packed kernel on a narrow form with
+    deg psi >= 6 and from the direct one otherwise (module docstring).
     """
     res = form.resolvent
     index: dict[tuple[int, ...], int] = {}
     cls = [index.setdefault(f, len(index)) for f in res.diagonals()]
-    table = _TraceTable(form.tau)
     if form.disc_char:
         diags = list(index)
-        dots = [[0] * len(diags) for _ in diags]
-        for i, f in enumerate(diags):
-            row = table.row(f)
-            for j in range(i, len(diags)):
-                dots[i][j] = dots[j][i] = sum(map(mul, row, diags[j]))
+        slot = _gram_slot(diags, form.tau)
+        if slot <= _PACKED_MAX_SLOT and len(diags[0]) >= _PACKED_MIN_DEG:
+            dots = _gram_packed(diags, form.tau, slot)
+        else:
+            dots = _gram_direct(diags, form.tau)
         nums = [list(map(dots[c].__getitem__, cls)) for c in cls]
     else:
+        table = _TraceTable(form.tau)
         n = res.n
         nums = [[0] * n for _ in range(n)]
         polys = None if res.symmetric else list(map(res.polys, range(n)))
@@ -318,7 +394,12 @@ def _distance_quotient(rows: list[list[int]]) -> tuple[list, list[list[int]]] | 
     last = {dist[u]: u for u in order}
     # cnt[i][j]: the neighbours in layer j of the last vertex of layer i,
     # so c_k, a_k, b_k = cnt[k][k - 1], cnt[k][k], cnt[k][k + 1]
-    cnt = [[sum(dist[v] == j for v in adj[u]) for j in last] for u in last.values()]
+    cnt = []
+    for u in last.values():
+        row = [0] * len(last)
+        for v in adj[u]:
+            row[dist[v]] += 1
+        cnt.append(row)
     # the rows of A_k, packed in 16-bit slots: every digit below lies in
     # (-2^15, 2^15), so each integer fixes its digits
     ones = sum(1 << 16 * v for v in range(n))

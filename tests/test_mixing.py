@@ -168,9 +168,9 @@ def test_trace_table_is_the_symmetric_hankel_form(case):
 
 
 def test_simple_spectrum_runs_one_remainder_sequence(monkeypatch):
-    # psi = phi, so average_mixing pseudo-divides as often as one
-    # `_int_disc` of phi, plus once for the check
-    # t psi' = D mod psi
+    # psi = phi, so average_mixing pseudo-divides exactly as often as one
+    # `_int_disc` of phi: the check t psi' = D mod psi reads the trace
+    # weights, with no pseudo-division of its own
     m = matrix_of(looped_p6(), "adjacency")
     phi = exact._radical_resolvent([list(row) for row in m.numerators])[0]
     calls = []
@@ -180,7 +180,24 @@ def test_simple_spectrum_runs_one_remainder_sequence(monkeypatch):
     lone = len(calls)
     calls.clear()
     assert average_mixing(m).simple_spectrum and lone > 1
-    assert len(calls) == lone + 1
+    assert len(calls) == lone
+
+
+@pytest.mark.parametrize("corrupt", [
+    # t off by one in its constant coefficient, t scaled, and t with
+    # D = 0, the cofactor of a repeated root
+    lambda d, t, g: (d, [t[0] + 1, *t[1:]], g),
+    lambda d, t, g: (d, [2 * c for c in t], g),
+    lambda d, t, g: (0, [], g),
+])
+def test_trace_form_refuses_a_wrong_cofactor(monkeypatch, corrupt):
+    # the check t psi' = D mod psi runs in `_trace_form`, on the trace
+    # weights it builds from t
+    rows = [list(row) for row in matrix_of(looped_p6(), "adjacency").numerators]
+    disc = exact._int_disc
+    monkeypatch.setattr(exact, "_int_disc", lambda psi: corrupt(*disc(psi)))
+    with pytest.raises(AssertionError, match="t psi' must be disc"):
+        _trace_form(rows)
 
 
 @settings(max_examples=60, deadline=None)
@@ -193,6 +210,107 @@ def test_gram_route_matches_entry_route_and_reference(rows):
     mixing = average_mixing(ExactMatrix(rows)).mixing
     assert mixing == gram
     assert mixing == ExactMatrix(reference.simple_spectrum_mixing(rows))
+
+
+def _laplacian(rows):
+    # L = D - A of the off-diagonal weights; loops drop out
+    return [[sum(row) - row[i] if i == j else -w for j, w in enumerate(row)]
+            for i, row in enumerate(rows)]
+
+
+def _signed_cycle(order, signs):
+    # one signed n-cycle: the integer step matrix of a discrete walk, with
+    # the n distinct roots of x^n = +-1 as eigenvalues, so D < 0 whenever
+    # some of them are complex
+    n = len(order)
+    rows = [[0] * n for _ in range(n)]
+    for i in range(n):
+        rows[order[i]][order[(i + 1) % n]] = signs[i]
+    return rows
+
+
+wide_weighted_rows = st.integers(1, 6).flatmap(
+    lambda n: st.lists(
+        st.one_of(st.just(0), st.integers(-(2**30), 2**30)),
+        min_size=n * (n + 1) // 2,
+        max_size=n * (n + 1) // 2,
+    ).map(lambda xs: _symmetric_from_upper(n, xs))
+)
+signed_cycles = st.integers(1, 10).flatmap(
+    lambda n: st.tuples(
+        st.permutations(range(n)),
+        st.lists(st.sampled_from([1, -1]), min_size=n, max_size=n),
+    )
+).map(lambda args: _signed_cycle(*args))
+
+
+def _gram_inputs(rows):
+    """(distinct diagonals, tau) of the trace form of the integer rows."""
+    form = _trace_form(rows)
+    return list(dict.fromkeys(form.resolvent.diagonals())), form.tau
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(
+    looped_weighted_rows,
+    looped_weighted_rows.map(_laplacian),
+    wide_weighted_rows,
+    signed_cycles,
+))
+@example([[3, 4], [-4, 3]])
+@example(_signed_cycle([0, 1, 2, 3, 4, 5, 6], [1, -1, 1, 1, -1, 1, 1]))
+def test_gram_kernels_agree(rows):
+    # both kernels on the same form, whatever the size limits pick
+    diags, tau = _gram_inputs(rows)
+    slot = mixing._gram_slot(diags, tau)
+    assert mixing._gram_packed(diags, tau, slot) == mixing._gram_direct(diags, tau)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 7, 8, 15, 31])
+@pytest.mark.parametrize("bits_f, bits_t", [(1, 1), (1, 40), (8, 3), (20, 200)])
+def test_packed_gram_slot_holds_the_largest_entries(m, bits_f, bits_t):
+    # every |coefficient| at 2^b - 1 and every sign aligned: the sums of
+    # F T and F T F^T reach their bounds less one unit, the worst case of
+    # the slot; mixed signs put negative entries next to positive ones
+    f, t = (1 << bits_f) - 1, (1 << bits_t) - 1
+    for signs in ([1, 1, 1], [1, -1, 1], [-1, -1, 1]):
+        diags = [(sign * f,) * m for sign in signs]
+        for tau in ([t] * (2 * m - 1), [-t] * (2 * m - 1)):
+            slot = mixing._gram_slot(diags, tau)
+            dots = mixing._gram_packed(diags, tau, slot)
+            assert dots == mixing._gram_direct(diags, tau)
+            assert abs(dots[0][0]) == m * m * f * f * t
+
+
+def test_gram_kernel_selection(gram_kernels):
+    # the packed kernel on narrow forms of degree >= 6, the direct one on
+    # wide or short forms
+    rng = random.Random(3)
+    g12 = [list(row) for row in matrix_of(random_weighted_graph(rng, 12, 1)).numerators]
+    pairs = list(itertools.combinations(range(20), 2))
+    g20 = [[0] * 20 for _ in range(20)]
+    for i, j in rng.sample(pairs, 57):
+        g20[i][j] = g20[j][i] = rng.randint(1, 30)
+    for rows, kernel in [
+        ([list(row) for row in matrix_of(path_graph(36)).numerators], "_gram_packed"),
+        (g12, "_gram_packed"),
+        (g20, "_gram_direct"),
+    ]:
+        gram_kernels.clear()
+        form = _trace_form(rows)
+        assert form.disc_char
+        diags, tau = _gram_inputs(rows)
+        slot, deg = mixing._gram_slot(diags, tau), len(diags[0])
+        narrow = slot <= mixing._PACKED_MAX_SLOT and deg >= mixing._PACKED_MIN_DEG
+        assert narrow == (kernel == "_gram_packed")
+        _mixing_matrix(form)
+        assert gram_kernels == [(kernel, len(diags))]
+    # the 3-4-5 rotation block of a discrete walk: D < 0, deg psi = 2
+    gram_kernels.clear()
+    form = _trace_form([[3, 4], [-4, 3]])
+    assert form.disc_min < 0 < len(form.min_poly) - 1 < mixing._PACKED_MIN_DEG
+    _mixing_matrix(form)
+    assert gram_kernels == [("_gram_direct", 1)]
 
 
 def _circulant_rows(n, weights, loop):
@@ -414,15 +532,37 @@ def test_cycle_computes_one_entry_per_distance(trace_tables, n, basis):
     assert table.computed == n // 2 + 1
 
 
-def test_path_computes_one_gram_row_per_mirror_pair(trace_tables):
-    # a simple spectrum: one row f T per distinct diagonal and inline
-    # dots, no vertex pair looked up in the table
+@pytest.fixture
+def gram_kernels(monkeypatch):
+    """(kernel name, number of diagonals) of every Gram product that
+    mixing computes while the test runs, in order."""
+    runs = []
+    for name in ("_gram_direct", "_gram_packed"):
+        def spy(diags, *args, kernel=getattr(mixing, name), name=name):
+            runs.append((name, len(diags)))
+            return kernel(diags, *args)
+        monkeypatch.setattr(mixing, name, spy)
+    return runs
+
+
+def test_path_computes_one_gram_row_per_mirror_pair(trace_tables, gram_kernels):
+    # a simple spectrum: one Gram product over the distinct diagonals, one
+    # per mirror pair f_uu = f_(n-1-u)u, and no vertex pair looked up in
+    # a table.  From deg psi = 6 on the packed kernel takes it, with no
+    # table at all; below it the direct one computes one row f T per
+    # diagonal and its dots inline
     for n in [1, *range(3, 14)]:
         trace_tables.clear()
+        gram_kernels.clear()
         assert average_mixing(matrix_of(path_graph(n))).simple_spectrum
-        [table] = trace_tables
-        assert table.rows_computed == (n + 1) // 2
-        assert table.computed == 0
+        if n >= mixing._PACKED_MIN_DEG:
+            assert gram_kernels == [("_gram_packed", (n + 1) // 2)]
+            assert trace_tables == []
+        else:
+            assert gram_kernels == [("_gram_direct", (n + 1) // 2)]
+            [table] = trace_tables
+            assert table.rows_computed == (n + 1) // 2
+            assert table.computed == 0
     # path:2 is K_2, distance-regular of diameter 1: its 2 x 2 quotient
     # reads one key (f_k, f_k) per distance k, one row and one dot each
     trace_tables.clear()
